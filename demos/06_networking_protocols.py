@@ -4,8 +4,8 @@ Compares the single-photon-routed scheme (two gates), the hybrid scheme
 (emission plus memory loading), and the two-photon-interference reference,
 all fed by the same simulated cavity source at C_in = 100.
 
-Heavier than the other demos: each point integrates the source master
-equation (the four-level entangler takes a minute or two).
+Each point integrates the source master equation for both level schemes;
+the whole demo runs in a few seconds.
 """
 
 from capsim import (ENTANGLER_4LVL, SourceSpec, decompose,

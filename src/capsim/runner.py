@@ -1,8 +1,10 @@
 """Sweep execution and tabular output.
 
 The sweep grid is flattened row-major; every point is evaluated with a
-dedicated counter-derived RNG stream, so results are byte-identical for
-any worker count.  Rows are written as CSV with shortest-roundtrip float
+dedicated counter-derived RNG stream (experiments that take the config
+seed instead share common random numbers across points), so results are
+byte-identical for any worker count.  A point that raises becomes an
+error row.  Rows are written as CSV with shortest-roundtrip float
 formatting; run metadata (config hash, code version, seed, timestamp)
 goes to a JSON sidecar so the CSV body stays reproducible.
 """
@@ -17,7 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .errors import CapsError
 from .experiments import EXPERIMENTS
 
 
@@ -30,7 +31,7 @@ def _eval_point(args):
     try:
         rows = exp.fn(p, rng)
         return index, rows, None
-    except CapsError as exc:
+    except Exception as exc:  # any failure becomes an error row, never a lost sweep
         return index, None, f"{type(exc).__name__}: {exc}"
 
 

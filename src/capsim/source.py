@@ -5,9 +5,11 @@ atom-photon entanglement) emits a photon through the cavity output
 coupler.  The drive that shapes the emitted wavepacket into a Gaussian is
 obtained by exact inversion of the single-excitation equations.  The full
 open-system dynamics, including re-excitation after spontaneous decay back
-to the initial state, is integrated as a Lindblad master equation; the
-two-time field autocorrelation follows from propagating jump-dressed
-states with the same generator, and its eigendecomposition yields mode
+to the initial state, is integrated as a Lindblad master equation on the
+states reachable from the initial state, with the RK4 step maps of each
+kernel-grid interval multiplied into one dense propagator; the two-time
+field autocorrelation follows from propagating jump-dressed states with
+the same propagators, and its eigendecomposition yields mode
 populations, generation probability, and trace purity.
 """
 
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import erf
 
 from .cavity import CavityParams
@@ -162,7 +163,7 @@ def drive_profile(spec):
 
 
 # --------------------------------------------------------------------------
-# Lindblad model and superoperator engine
+# Lindblad model and propagator engine
 # --------------------------------------------------------------------------
 
 def _destroy(n):
@@ -177,23 +178,50 @@ def _proj(dim, i, j):
 
 @dataclass
 class LindbladModel:
-    """Hamiltonian pieces, jump operators, and output channels."""
+    """Hamiltonian pieces, jump operators, and output channels.
+
+    The operators act on the states reachable from rho0; labels[i] is the
+    atomic level of kept state i and channels[j] the loss-budget channel
+    of lindblads[j].
+    """
 
     dim: int
     h_static: np.ndarray
     h_drive: np.ndarray
     lindblads: list
+    channels: list
     collectors: list          # output-channel operators L_out (one per polarization)
     rho0: np.ndarray
-    atom_labels: dict
+    labels: tuple
 
-    @property
-    def kappa_ex_rate(self):
-        return None
+
+def _reachable(rho0, hamiltonians, jumps):
+    """Indices of the states reachable from the support of rho0.
+
+    Graph closure over the nonzero patterns: a Hamiltonian links states
+    both ways, a jump operator L (and L^dag L) from column to row.
+    """
+    link = np.zeros(rho0.shape, dtype=bool)
+    for h in hamiltonians:
+        link |= (h != 0) | (h.T != 0)
+    for lop in jumps:
+        link |= (lop != 0) | (lop.conj().T @ lop != 0)
+    keep = np.any(rho0 != 0, axis=0) | np.any(rho0 != 0, axis=1)
+    while True:
+        grown = keep | np.any(link[:, keep], axis=1)
+        if np.array_equal(grown, keep):
+            return np.flatnonzero(keep)
+        keep = grown
 
 
 def build_model(spec):
-    """Assemble the level scheme as dense operators (small Hilbert spaces)."""
+    """Assemble the level scheme, restricted to the states reachable from rho0.
+
+    The Fock-truncated product space is built first; the dynamics started
+    in |u, 0> never leaves the single-excitation manifold and the atomic
+    ground levels with an empty cavity, so the restriction is exact and
+    independent of fock_cutoff >= 1.
+    """
     p = spec.params
     n_f = spec.fock_cutoff + 1
     if spec.level_scheme == LAMBDA_3LVL:
@@ -207,17 +235,17 @@ def build_model(spec):
             math.sqrt(2.0 * p.kappa_ex) * c,
             math.sqrt(2.0 * p.kappa_in) * c,
         ]
+        channels = ["emitted", "internal"]
         if spec.p_br > 0.0:
             lindblads.append(math.sqrt(2.0 * spec.p_br * p.gamma)
                              * np.kron(_proj(na, 0, 1), ident_f))
+            channels.append("decay_initial")
         if spec.p_br < 1.0:
             lindblads.append(math.sqrt(2.0 * (1.0 - spec.p_br) * p.gamma)
                              * np.kron(_proj(na, 2, 1), ident_f))
+            channels.append("decay_other")
         collectors = [math.sqrt(2.0 * p.kappa_ex) * c]
-        dim = na * n_f
-        rho0 = np.zeros((dim, dim))
-        rho0[0, 0] = 1.0
-        labels = {"u": 0, "e": 1, "g": 2}
+        names = ("u", "e", "g")
     else:
         na = 4  # |u>, |e>, |0>, |1>
         a = _destroy(n_f)
@@ -234,80 +262,44 @@ def build_model(spec):
             math.sqrt(2.0 * p.kappa_in) * c0,
             math.sqrt(2.0 * p.kappa_in) * c1,
         ]
+        channels = ["emitted", "emitted", "internal", "internal"]
         if spec.p_br > 0.0:
             lindblads.append(math.sqrt(2.0 * spec.p_br * p.gamma)
                              * np.kron(np.kron(_proj(na, 0, 1), i_f), i_f))
+            channels.append("decay_initial")
         if spec.p_br < 1.0:
             lindblads.append(math.sqrt((1.0 - spec.p_br) * p.gamma)
                              * np.kron(np.kron(_proj(na, 2, 1), i_f), i_f))
             lindblads.append(math.sqrt((1.0 - spec.p_br) * p.gamma)
                              * np.kron(np.kron(_proj(na, 3, 1), i_f), i_f))
+            channels += ["decay_other", "decay_other"]
         collectors = [math.sqrt(2.0 * p.kappa_ex) * c0,
                       math.sqrt(2.0 * p.kappa_ex) * c1]
-        dim = na * n_f * n_f
-        rho0 = np.zeros((dim, dim))
-        rho0[0, 0] = 1.0
-        labels = {"u": 0, "e": 1, "q0": 2, "q1": 3}
-    return LindbladModel(dim=dim, h_static=h_static, h_drive=h_drive,
-                         lindblads=lindblads, collectors=collectors,
-                         rho0=rho0, atom_labels=labels)
+        names = ("u", "e", "q0", "q1")
+    dim = h_static.shape[0]
+    rho0 = np.zeros((dim, dim))
+    rho0[0, 0] = 1.0
+    keep = _reachable(rho0, [h_static, h_drive], lindblads + collectors)
+    sub = np.ix_(keep, keep)
+    labels = np.repeat(names, dim // na)[keep]
+    return LindbladModel(dim=keep.size, h_static=h_static[sub], h_drive=h_drive[sub],
+                         lindblads=[lop[sub] for lop in lindblads], channels=channels,
+                         collectors=[cop[sub] for cop in collectors],
+                         rho0=rho0[sub], labels=tuple(labels.tolist()))
 
 
-class _Superop:
-    """Row-major vectorized Lindblad generator, L(t) = L_c + drive(t) L_d.
+def _liouvillian(model):
+    """Dense row-major vectorized generator L(t) = L_c + drive(t) L_d."""
+    ident = np.eye(model.dim)
 
-    Both parts are stored on one shared sparsity pattern so a step costs a
-    single sparse-dense product per stage.
-    """
+    def commutator(h):
+        return -1j * (np.kron(h, ident) - np.kron(ident, h.T))
 
-    def __init__(self, model):
-        d = model.dim
-        ident = sp.identity(d, format="csr")
-
-        def left(m):
-            return sp.kron(sp.csr_matrix(m), ident, format="coo")
-
-        def right(m):
-            return sp.kron(ident, sp.csr_matrix(m).T, format="coo")
-
-        h = model.h_static
-        lc = (-1j * (left(h) - right(h))).tocoo()
-        for lop in model.lindblads:
-            ll = sp.csr_matrix(lop)
-            k = (ll.conj().T @ ll).toarray()
-            lc = (lc + sp.kron(ll, ll.conj(), format="coo")
-                  - 0.5 * left(k) - 0.5 * right(k)).tocoo()
-        hd = model.h_drive
-        ld = (-1j * (left(hd) - right(hd))).tocoo()
-
-        rows = np.concatenate([lc.row, ld.row])
-        cols = np.concatenate([lc.col, ld.col])
-        base = sp.csr_matrix(
-            (np.concatenate([lc.data, np.zeros(ld.nnz, complex)]), (rows, cols)),
-            shape=(d * d, d * d))
-        base.sum_duplicates()
-        drv = sp.csr_matrix(
-            (np.concatenate([np.zeros(lc.nnz, complex), ld.data]), (rows, cols)),
-            shape=(d * d, d * d))
-        drv.sum_duplicates()
-        self._matrix = base.copy()
-        self._base_data = base.data.copy()
-        self._drive_data = drv.data.copy()
-        self.dim = d
-
-    def apply(self, omega, x):
-        self._matrix.data = self._base_data + omega * self._drive_data
-        return self._matrix @ x
-
-    def rk4_step(self, t, h, x, drive):
-        o1 = drive(t)
-        o2 = drive(t + 0.5 * h)
-        o4 = drive(t + h)
-        k1 = self.apply(o1, x)
-        k2 = self.apply(o2, x + 0.5 * h * k1)
-        k3 = self.apply(o2, x + 0.5 * h * k2)
-        k4 = self.apply(o4, x + h * k3)
-        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    l_c = commutator(model.h_static)
+    for lop in model.lindblads:
+        k = lop.conj().T @ lop
+        l_c = l_c + np.kron(lop, lop.conj()) - 0.5 * (np.kron(k, ident) + np.kron(ident, k.T))
+    return l_c, commutator(model.h_drive)
 
 
 def _fine_grid(spec):
@@ -320,50 +312,68 @@ def _fine_grid(spec):
     return np.linspace(t_i, t_f, n_fine), decim
 
 
+def _interval_propagators(model, drive, times_fine, decim):
+    """RK4 propagators and channel-flux functionals of the subgrid intervals.
+
+    Interval k covers fine steps k*decim ... (k+1)*decim - 1.  Its
+    propagator is the product of their RK4 step maps; its flux functional
+    maps the state at the interval start to the fine-grid trapezoid
+    integral of Tr[L^dag L rho] for every jump channel.  All intervals
+    advance together, one fine step at a time, with the drive sampled once
+    on the fine nodes and midpoints.
+    """
+    l_c, l_d = _liouvillian(model)
+    h = times_fine[1] - times_fine[0]
+    n_int = (times_fine.size - 1) // decim
+    on_nodes = np.asarray(drive(times_fine))
+    drives = (on_nodes[:-1], np.asarray(drive(times_fine[:-1] + 0.5 * h)), on_nodes[1:])
+    drives = [w.reshape(n_int, decim, 1, 1) for w in drives]
+    # Tr[K rho] = vec_r(K^T) . vec_r(rho)
+    flux_ops = np.array([(lop.conj().T @ lop).T.reshape(-1) for lop in model.lindblads])
+    phi = np.tile(np.eye(model.dim**2, dtype=complex), (n_int, 1, 1))
+    flux = 0.5 * (flux_ops @ phi)
+    for j in range(decim):
+        g1, g2, g4 = (l_c + w[:, j] * l_d for w in drives)
+        k1 = g1 @ phi
+        k2 = g2 @ (phi + 0.5 * h * k1)
+        k3 = g2 @ (phi + 0.5 * h * k2)
+        k4 = g4 @ (phi + h * k3)
+        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        flux += (0.5 if j == decim - 1 else 1.0) * (flux_ops @ phi)
+    return phi, h * flux
+
+
 class MasterEvolution:
-    """Dynamical-map handle: state on the kernel subgrid plus propagation."""
+    """Dynamical-map handle: state on the kernel subgrid plus the propagators
+    between consecutive subgrid nodes."""
 
     def __init__(self, spec, drive=None):
         self.spec = spec
         self.model = build_model(spec)
-        self.superop = _Superop(self.model)
         if drive is None:
             drive = DriveProfile(spec.params, spec.target_sigma_t,
                                  level_scheme=spec.level_scheme,
                                  window=spec.time_window)
-        self.drive = drive
-        self.times_fine, self.decimation = _fine_grid(spec)
-        self.times = self.times_fine[::self.decimation]
-        self._evolve_state()
+        times_fine, decim = _fine_grid(spec)
+        self.times = times_fine[::decim]
+        self.propagators, flux = _interval_propagators(self.model, drive, times_fine, decim)
+        self._evolve_state(flux)
 
-    def _evolve_state(self):
+    def _evolve_state(self, flux):
         d = self.model.dim
-        x = self.model.rho0.astype(complex).reshape(d * d, 1)
-        h = self.times_fine[1] - self.times_fine[0]
+        x = self.model.rho0.astype(complex).reshape(-1)
         keep = np.empty((self.times.size, d * d), dtype=complex)
-        keep[0] = x[:, 0]
+        keep[0] = x
         trace_idx = np.arange(0, d * d, d + 1)
-        # jump-channel fluxes Tr[L^dag L rho] accumulated on the fine grid
-        flux_vecs = []
-        for lop in self.model.lindblads:
-            k_op = lop.conj().T @ lop
-            flux_vecs.append(k_op.T.reshape(-1))
-        budget = np.zeros(len(flux_vecs))
-        prev_flux = np.array([float(np.real(v @ x[:, 0])) for v in flux_vecs])
-        k = 1
-        for i, t in enumerate(self.times_fine[:-1]):
-            x = self.superop.rk4_step(t, h, x, self.drive)
-            flux = np.array([float(np.real(v @ x[:, 0])) for v in flux_vecs])
-            budget += 0.5 * h * (prev_flux + flux)
-            prev_flux = flux
-            if (i + 1) % self.decimation == 0:
-                keep[k] = x[:, 0]
-                tr = abs(np.sum(x[trace_idx, 0]) - 1.0)
-                if tr > _TRACE_TOL:
-                    raise ConvergenceError(
-                        f"trace drift {tr:.2e} at t = {self.times_fine[i + 1]:.3e}; "
-                        "reduce dt")
-                k += 1
+        budget = np.zeros(len(self.model.lindblads))
+        for k, (phi, flux_k) in enumerate(zip(self.propagators, flux)):
+            budget += np.real(flux_k @ x)
+            x = phi @ x
+            keep[k + 1] = x
+            tr = abs(np.sum(x[trace_idx]) - 1.0)
+            if tr > _TRACE_TOL:
+                raise ConvergenceError(
+                    f"trace drift {tr:.2e} at t = {self.times[k + 1]:.3e}; reduce dt")
         self.rho = keep.reshape(self.times.size, d, d)
         self._channel_budget = budget
 
@@ -374,58 +384,24 @@ class MasterEvolution:
         'decay_initial' (spontaneous decay back to the initial state, the
         re-excitation channel), 'decay_other' (all other spontaneous decay).
         """
-        p = self.spec.params
-        channels = {"emitted": 0.0, "internal": 0.0,
-                    "decay_initial": 0.0, "decay_other": 0.0}
-        if self.spec.level_scheme == LAMBDA_3LVL:
-            kinds = ["emitted", "internal"]
-            if self.spec.p_br > 0.0:
-                kinds.append("decay_initial")
-            if self.spec.p_br < 1.0:
-                kinds.append("decay_other")
-        else:
-            kinds = ["emitted", "emitted", "internal", "internal"]
-            if self.spec.p_br > 0.0:
-                kinds.append("decay_initial")
-            if self.spec.p_br < 1.0:
-                kinds.extend(["decay_other", "decay_other"])
-        for kind, value in zip(kinds, self._channel_budget):
+        channels = dict.fromkeys(("emitted", "internal", "decay_initial", "decay_other"), 0.0)
+        for kind, value in zip(self.model.channels, self._channel_budget):
             channels[kind] += float(value)
         return channels
 
-    def propagate(self, operator, start_index):
-        """Propagate an arbitrary operator from subgrid node start_index.
-
-        Returns an array over subgrid nodes >= start_index (the first entry
-        is the input).
-        """
-        d = self.model.dim
-        x = np.asarray(operator, dtype=complex).reshape(d * d, 1)
-        h = self.times_fine[1] - self.times_fine[0]
-        out = np.empty((self.times.size - start_index, d, d), dtype=complex)
-        out[0] = operator
-        k = 1
-        i0 = start_index * self.decimation
-        for i in range(i0, self.times_fine.size - 1):
-            x = self.superop.rk4_step(self.times_fine[i], h, x, self.drive)
-            if (i + 1) % self.decimation == 0:
-                out[k] = x[:, 0].reshape(d, d)
-                k += 1
-        return out
-
     def populations(self, index):
-        """Diagonal of the reduced atomic state at a subgrid node."""
-        d = self.model.dim
-        rho = self.rho[index]
-        n_atom = len(self.model.atom_labels)
-        block = d // n_atom
-        diag = np.real(np.diag(rho))
-        return {name: float(np.sum(diag[i * block:(i + 1) * block]))
-                for name, i in self.model.atom_labels.items()}
+        """Atomic-level populations (diagonal summed by label) at a subgrid node."""
+        diag = np.real(np.diag(self.rho[index]))
+        labels = np.array(self.model.labels)
+        return {name: float(np.sum(diag[labels == name]))
+                for name in dict.fromkeys(self.model.labels)}
 
 
 def evolve_master(spec, drive=None):
-    """Integrate the master equation; returns the dynamical-map handle."""
+    """Integrate the master equation; returns the dynamical-map handle.
+
+    A custom drive must accept an array of times.
+    """
     return MasterEvolution(spec, drive=drive)
 
 
@@ -500,52 +476,31 @@ def autocorrelation(spec, evolution=None):
     """Two-time autocorrelation of the emitted field on the kernel subgrid.
 
     Fills the lower triangle t >= t' by propagating the jump-dressed state
-    L rho(t') with the master-equation generator and tracing against the
-    output channel; the upper triangle follows by conjugate symmetry.  All
-    active rows advance together, so the cost is one sweep of the window.
+    L rho(t') with the interval propagators and tracing against the output
+    channel; the upper triangle follows by conjugate symmetry.  All active
+    columns advance together, so the cost is one sweep of the window.
     """
     if evolution is None:
         evolution = evolve_master(spec)
-    model, superop = evolution.model, evolution.superop
+    model = evolution.model
     d = model.dim
-    times = evolution.times
-    n = times.size
-    h = evolution.times_fine[1] - evolution.times_fine[0]
-    decim = evolution.decimation
-    collectors = [sp.csr_matrix(c) for c in model.collectors]
+    n = evolution.times.size
+    n_ch = len(model.collectors)
     # trace functional: Tr[L^dag X] = vec_r(conj(L)) . vec_r(X)
-    tvecs = [np.conj(c).reshape(-1) for c in model.collectors]
-
+    tvecs = np.array([np.conj(c).reshape(-1) for c in model.collectors])
     g1 = np.zeros((n, n), dtype=complex)
-    n_ch = len(collectors)
-    batch = np.zeros((d * d, n * n_ch), dtype=complex)
-    active = 0
-
-    def admit(col_index):
-        nonlocal active
-        rho = evolution.rho[col_index]
-        for c_i, cop in enumerate(collectors):
-            batch[:, active + c_i] = (cop @ rho).reshape(-1)
-        active += n_ch
-
-    def record(row_index):
-        traces = np.zeros((row_index + 1) * n_ch, dtype=complex)
-        for c_i in range(n_ch):
-            traces[c_i::n_ch] = tvecs[c_i] @ batch[:, c_i:active:n_ch]
-        g1[row_index, :row_index + 1] = traces.reshape(-1, n_ch).sum(axis=1)
-
-    admit(0)
-    record(0)
-    for i in range(evolution.times_fine.size - 1):
-        t = evolution.times_fine[i]
-        batch[:, :active] = superop.rk4_step(t, h, batch[:, :active], evolution.drive)
-        if (i + 1) % decim == 0:
-            node = (i + 1) // decim
-            admit(node)
-            record(node)
+    batch = np.zeros((d * d, n, n_ch), dtype=complex)
+    for k in range(n):
+        if k:
+            active = batch[:, :k].reshape(d * d, k * n_ch)
+            batch[:, :k] = (evolution.propagators[k - 1] @ active).reshape(d * d, k, n_ch)
+        for c_i, cop in enumerate(model.collectors):
+            batch[:, k, c_i] = (cop @ evolution.rho[k]).reshape(-1)
+        g1[k, :k + 1] = np.einsum("cx,xjc->j", tvecs, batch[:, :k + 1])
 
     g1 = np.tril(g1) + np.tril(g1, -1).conj().T
-    return TemporalKernel(times=times, kernel=g1, weights=_trapezoid_weights(times))
+    return TemporalKernel(times=evolution.times, kernel=g1,
+                          weights=_trapezoid_weights(evolution.times))
 
 
 def source_kernel(spec):

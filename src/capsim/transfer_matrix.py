@@ -340,8 +340,10 @@ def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None,
     channel infidelity is evaluated at that channel's bare mode center by
     enumerating the spectator reflection set; results are averaged over
     targets and trials.  Trials without enough distinct antinodes are
-    resampled and counted.
+    resampled and counted.  Rounding below zero is snapped to 0.
     """
+    from .gate import _snap_unit
+
     if n_atoms is None:
         n_atoms = n_channels
     if n_channels > n_atoms:
@@ -386,7 +388,8 @@ def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None,
         for i in range(n_atoms):
             off = atom_channel[i]
             probe = off * system.omega_fsr
-            infid = _chain_infidelity(cavity, probe, r_m, int(inv_order[i]))
+            infid = _snap_unit(_chain_infidelity(cavity, probe, r_m, int(inv_order[i])),
+                               "infidelity")
             rows.append((trial, off, infid))
             per_channel_sums[off].append(infid)
     per_channel = {off: float(np.mean(v)) for off, v in per_channel_sums.items()}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -145,6 +146,43 @@ def test_numeric_failures_recorded_as_rows(tmp_path):
     lines = (tmp_path / "fail.csv").read_text().splitlines()
     assert len(lines) == 2
     assert "DomainError" in lines[1]
+
+
+def test_unexpected_exception_becomes_error_row(tmp_path, monkeypatch):
+    exp = EXPERIMENTS["longpulse_metrics"]
+
+    def flaky(p, rng):
+        if math.isclose(p["c_in"], 10.0):
+            raise ValueError("boom")
+        return exp.fn(p, rng)
+
+    monkeypatch.setitem(EXPERIMENTS, "longpulse_metrics", dataclasses.replace(exp, fn=flaky))
+    cfg = {"experiment": "longpulse_metrics", "seed": 1,
+           "parameters": dict(GAMMA_KEY, r_m="matched"),
+           "sweep": [{"name": "c_in", "start": 1, "stop": 100, "points": 3,
+                      "scale": "log"}],
+           "output": {"path": str(tmp_path / "flaky.csv")}}
+    path = _write(tmp_path, "flaky.json", cfg)
+    assert main(["run", path, "--workers", "1"]) == 3
+    lines = (tmp_path / "flaky.csv").read_text().splitlines()
+    assert len(lines) == 4
+    assert lines[2].endswith(",ValueError: boom")
+    assert lines[1].endswith(",") and lines[3].endswith(",")
+
+
+def test_wvm_rounding_below_zero_snapped():
+    # at this seed trial 7 on channel -1 enumerates to -2e-16 before snapping
+    cfg = parse_config({
+        "experiment": "wvm_crosstalk", "seed": 5,
+        "parameters": dict(GAMMA_KEY, omega_fsr_2pi_GHz=2.7, omega_a_2pi_THz=220,
+                           sigma0_over_aeff=0.1, c_over_vg=1.4, f_int=2000,
+                           trials=12, n_channels=2),
+        "output": {"path": "wvm.csv"}})
+    rows, _, failures = run_sweep(cfg)
+    assert failures == 0
+    assert min(row["infidelity"] for row in rows) >= 0.0
+    point = [row for row in rows if row["trial"] == 7 and row["channel"] == -1]
+    assert [row["infidelity"] for row in point] == [0.0]
 
 
 def test_missing_config_is_io_error(tmp_path):

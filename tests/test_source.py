@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from capsim.cavity import delay_matched_params
 from capsim.errors import DomainError
-from capsim.source import (ENTANGLER_4LVL, DriveProfile, SourceSpec,
-                           TemporalKernel, autocorrelation, decompose,
-                           drive_profile, evolve_master, gaussian_target,
-                           mode_overlap, source_kernel)
+from capsim.source import (ENTANGLER_4LVL, LAMBDA_3LVL, DriveProfile,
+                           SourceSpec, TemporalKernel, autocorrelation,
+                           build_model, decompose, drive_profile,
+                           evolve_master, gaussian_target, mode_overlap,
+                           source_kernel)
 
 GAMMA = 1.0
 PARAMS10 = delay_matched_params(10, GAMMA)
@@ -92,6 +94,137 @@ def test_probability_bookkeeping_closes():
     assert kernel.p_gen == pytest.approx(budget["emitted"], abs=1e-6)
 
 
+def test_reachable_subspace_dimensions():
+    assert build_model(_spec(p_br=0.5)).dim == 4
+    model = build_model(_spec(p_br=0.5, level_scheme=ENTANGLER_4LVL))
+    assert model.dim == 6
+    assert sorted(model.labels) == ["e", "q0", "q0", "q1", "q1", "u"]
+
+
+def test_entangler_populations_sum_to_trace():
+    evo = evolve_master(_spec(p_br=0.5, level_scheme=ENTANGLER_4LVL, kernel_points=41))
+    for index in range(evo.times.size):
+        pops = evo.populations(index)
+        assert set(pops) == {"u", "e", "q0", "q1"}
+        trace = float(np.real(np.trace(evo.rho[index])))
+        assert sum(pops.values()) == pytest.approx(trace, rel=1e-12)
+    # the drive moves population out of |u> into both qubit levels
+    assert pops["u"] < 0.5
+    assert pops["q0"] == pytest.approx(pops["q1"], rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# Independent reference: full Fock space stepped on the fine grid
+# --------------------------------------------------------------------------
+
+def _full_space_operators(spec):
+    """Unreduced operators: (H_static, H_drive, [(L, channel)], [L_out])."""
+    p, n_f = spec.params, spec.fock_cutoff + 1
+    a = np.diag(np.sqrt(np.arange(1.0, n_f)), k=1)
+    if spec.level_scheme == LAMBDA_3LVL:
+        n_atom, modes = 3, 1
+    else:
+        n_atom, modes = 4, 2
+
+    def op(atom, *field):
+        out = atom
+        for f in (list(field) + [np.eye(n_f)] * modes)[:modes]:
+            out = np.kron(out, f)
+        return out
+
+    def ket_bra(i, j):
+        m = np.zeros((n_atom, n_atom))
+        m[i, j] = 1.0
+        return m
+
+    fields = [[np.eye(n_f)] * m + [a] for m in range(modes)]
+    cav = [op(np.eye(n_atom), *f) for f in fields]
+    up = [op(ket_bra(1, 2 + m), *f) for m, f in enumerate(fields)]   # |e><q_m| a_m
+    h_static = p.g * sum(u + u.T for u in up)
+    h_drive = op(ket_bra(1, 0) + ket_bra(0, 1))
+    share = 2.0 if modes == 1 else 1.0     # decay_other splits over the qubit levels
+    jumps = [(math.sqrt(2.0 * p.kappa_ex) * c, "emitted") for c in cav]
+    jumps += [(math.sqrt(2.0 * p.kappa_in) * c, "internal") for c in cav]
+    jumps.append((math.sqrt(2.0 * spec.p_br * p.gamma) * op(ket_bra(0, 1)), "decay_initial"))
+    jumps += [(math.sqrt(share * (1.0 - spec.p_br) * p.gamma) * op(ket_bra(2 + m, 1)),
+               "decay_other") for m in range(modes)]
+    return h_static, h_drive, jumps, [math.sqrt(2.0 * p.kappa_ex) * c for c in cav]
+
+
+def _full_space_reference(spec):
+    """Kernel and loss budget from scalar-drive RK4 steps of the full model."""
+    h_static, h_drive, jumps, collectors = _full_space_operators(spec)
+    d = h_static.shape[0]
+    ident = np.eye(d)
+
+    def liouvillian(h, lindblads):
+        out = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
+        for lop in lindblads:
+            k = lop.conj().T @ lop
+            out = out + np.kron(lop, lop.conj()) - 0.5 * (np.kron(k, ident) + np.kron(ident, k.T))
+        return sp.csr_matrix(out)
+
+    l_c = liouvillian(h_static, [lop for lop, _ in jumps])
+    l_d = liouvillian(h_drive, [])
+    drive = DriveProfile(spec.params, spec.target_sigma_t,
+                         level_scheme=spec.level_scheme, window=spec.time_window)
+    t_i, t_f = spec.time_window
+    n_sub = spec.kernel_points
+    decim = math.ceil(max(math.ceil((t_f - t_i) / spec.dt), n_sub - 1) / (n_sub - 1))
+    t_fine = np.linspace(t_i, t_f, decim * (n_sub - 1) + 1)
+    h = t_fine[1] - t_fine[0]
+
+    def step(t, x):
+        gens = [l_c + drive(s) * l_d for s in (t, t + 0.5 * h, t + h)]
+        k1 = gens[0] @ x
+        k2 = gens[1] @ (x + 0.5 * h * k1)
+        k3 = gens[1] @ (x + 0.5 * h * k2)
+        k4 = gens[2] @ (x + h * k3)
+        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    flux_ops = np.array([(lop.conj().T @ lop).T.reshape(-1) for lop, _ in jumps])
+    tvecs = [c.conj().reshape(-1) for c in collectors]
+    rho = np.zeros((d, d), dtype=complex)
+    rho[0, 0] = 1.0
+    x = rho.reshape(-1)
+    batch = np.zeros((d * d, 0), dtype=complex)
+    budget = np.zeros(len(jumps))
+    g1 = np.zeros((n_sub, n_sub), dtype=complex)
+    for i in range(t_fine.size):
+        if i % decim == 0:
+            node = i // decim
+            rho = x.reshape(d, d)
+            batch = np.hstack([batch] + [(c @ rho).reshape(-1, 1) for c in collectors])
+            for c_i, tv in enumerate(tvecs):
+                g1[node, :node + 1] += tv @ batch[:, c_i::len(collectors)]
+        if i == t_fine.size - 1:
+            break
+        flux_start = np.real(flux_ops @ x)
+        x = step(t_fine[i], x)
+        batch = step(t_fine[i], batch)
+        budget += 0.5 * h * (flux_start + np.real(flux_ops @ x))
+    losses = dict.fromkeys(("emitted", "internal", "decay_initial", "decay_other"), 0.0)
+    for (_, kind), value in zip(jumps, budget):
+        losses[kind] += value
+    return np.tril(g1) + np.tril(g1, -1).conj().T, losses
+
+
+@pytest.mark.parametrize("scheme, cutoff", [(LAMBDA_3LVL, 2), (ENTANGLER_4LVL, 1)])
+def test_matches_full_space_reference(scheme, cutoff):
+    spec = _spec(p_br=0.5, level_scheme=scheme, fock_cutoff=cutoff,
+                 kernel_points=41, dt=0.025)
+    ref_kernel, ref_losses = _full_space_reference(spec)
+    evo = evolve_master(spec)
+    kernel = autocorrelation(spec, evo).kernel
+    scale = np.max(np.abs(ref_kernel))
+    assert scale > 0.05
+    assert np.max(np.abs(kernel - ref_kernel)) <= 1e-12 * scale
+    losses = evo.loss_budget()
+    assert losses.keys() == ref_losses.keys()
+    for kind, value in ref_losses.items():
+        assert losses[kind] == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
 # --------------------------------------------------------------------------
 # Autocorrelation kernel
 # --------------------------------------------------------------------------
@@ -167,9 +300,10 @@ def test_grid_refinement_stable():
 
 
 def test_fock_cutoff_insensitive():
-    a = decompose(source_kernel(_spec(p_br=0.5, fock_cutoff=2)))
-    b = decompose(source_kernel(_spec(p_br=0.5, fock_cutoff=3)))
-    assert abs(a.p_gen - b.p_gen) < 1e-4
+    # the reachable subspace is the same for every cutoff >= 1
+    a = source_kernel(_spec(p_br=0.5, fock_cutoff=2))
+    b = source_kernel(_spec(p_br=0.5, fock_cutoff=3))
+    assert np.array_equal(a.kernel, b.kernel)
 
 
 def test_kernel_text_round_trip(tmp_path, kernel_c10_golden):
