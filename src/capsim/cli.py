@@ -7,7 +7,9 @@ exits 0.  Configs may be file paths or the name of a bundled recipe
 """
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
 from importlib import resources
 
@@ -52,15 +54,21 @@ def cmd_run(args):
         return EXIT_SCHEMA
     config = parse_config(raw)
     if args.seed is not None:
-        config = type(config)(experiment=config.experiment,
-                              parameters=config.parameters, sweep=config.sweep,
-                              output_path=config.output_path, seed=args.seed,
-                              raw=dict(config.raw, seed=args.seed))
+        config = dataclasses.replace(config, seed=args.seed,
+                                     raw=dict(config.raw, seed=args.seed))
+    if args.out is not None:
+        config = dataclasses.replace(config, output_path=os.path.join(
+            args.out, os.path.basename(config.output_path)))
     for w in sanity_warnings(config):
         print(f"warning: {w}", file=sys.stderr)
+    try:  # the sweep may write side files into the output directory
+        os.makedirs(os.path.dirname(config.output_path) or ".", exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return EXIT_IO
     rows, columns, n_failures = run_sweep(config, workers=args.workers)
     try:
-        path = write_outputs(config, rows, columns, out_dir=args.out)
+        path = write_outputs(config, rows, columns)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

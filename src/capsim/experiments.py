@@ -1,8 +1,9 @@
 """Experiment registry: one entry point per scenario type.
 
-Each experiment is a pure function of its (unit-normalized) parameter map
-plus a per-point RNG; it returns a list of output rows.  Schemas drive
-config validation and the CLI's physical-sanity report.
+Each experiment is a pure function of its (unit-normalized) parameter map;
+it returns a list of output rows.  The Monte-Carlo experiments draw from
+the config seed.  Schemas drive config validation and the CLI's
+physical-sanity report.
 """
 
 import math
@@ -39,6 +40,7 @@ _CHECKS = {
     "posint": lambda v: (isinstance(v, (int, float)) and v > 0
                          and float(v).is_integer()),
     "str": lambda v: isinstance(v, str),
+    "outfile": lambda v: isinstance(v, str),   # relative to the CSV's directory
 }
 
 
@@ -81,7 +83,7 @@ def _mode_from(p, sigma_t):
 
 # --------------------------------------------------------------------------
 
-def _reflection_scan(p, rng):
+def _reflection_scan(p):
     params = _cavity_from(p)
     delta = p["delta"]
     r0 = cav.reflection_r0(params, delta)
@@ -94,7 +96,7 @@ def _reflection_scan(p, rng):
     }]
 
 
-def _longpulse_metrics(p, rng):
+def _longpulse_metrics(p):
     params = _cavity_from(p)
     conventional = caps_longpulse(params, cav.matched_optics(params, r_m=1.0))
     matched = caps_longpulse(params, cav.matched_optics(params))
@@ -106,7 +108,7 @@ def _longpulse_metrics(p, rng):
     }]
 
 
-def _bandwidth_scan(p, rng):
+def _bandwidth_scan(p):
     # optics stay calibrated at the nominal point; a static length deviation
     # only rescales the installed cavity rates
     nominal = _cavity_from(p)
@@ -119,7 +121,7 @@ def _bandwidth_scan(p, rng):
              "p_success": out.p_success}]
 
 
-def _robustness(p, rng):
+def _robustness(p):
     params = _cavity_from(p)
     optics = _optics_from(p, params)
     mode = _mode_from(p, p["sigma_t"])
@@ -152,7 +154,7 @@ def _write_samples(path, samples):
             writer.writerow([int(row[0])] + [repr(float(v)) for v in row[1:]])
 
 
-def _crosstalk_scan(p, rng):
+def _crosstalk_scan(p):
     gamma = p["gamma"]
     n_atoms = int(p["n_atoms"])
     delta_a = p["delta_ratio"] * n_atoms * gamma if "delta_ratio" in p else p["delta_a"]
@@ -164,7 +166,7 @@ def _crosstalk_scan(p, rng):
              "per_atom_infidelity": ct.per_atom_infidelity(exact.infidelity, n_atoms)}]
 
 
-def _source_characterize(p, rng):
+def _source_characterize(p):
     params = _cavity_from(p)
     spec = src.SourceSpec(params=params, p_br=p.get("p_br", 0.0),
                           target_sigma_t=p["sigma_t"],
@@ -183,7 +185,7 @@ def _source_characterize(p, rng):
              "overlap_target": overlap}]
 
 
-def _protocol_eval(p, rng):
+def _protocol_eval(p):
     gamma = p["gamma"]
     protocol = p["protocol"]
     sigma_t = p["sigma_t"]
@@ -240,38 +242,30 @@ def _wvm_system(p):
                         c_over_vg=p["c_over_vg"], f_int=p["f_int"])
 
 
-def _tm_spectrum(p, rng):
+def _tm_spectrum(p):
     system = _wvm_system(p)
     n_ch = int(p.get("n_channels", 0))
     state = int(p.get("atom_state", 1))
     t_ex, _ = tm.calibrated_coupler(system) if n_ch else (system.t_ex, None)
-    if n_ch:
-        offsets = tm.channel_offsets(n_ch)
-        positions = []
-        for off in offsets:
-            n_mode = system.n0 + off
-            k = int(round(0.5 * n_mode - 0.5))
-            positions.append((k + 0.5) / n_mode)
-        order = np.argsort(positions)
-        cavity = tm.TmCavity(
-            omega_fsr=system.omega_fsr, n0=system.n0, t_ex=t_ex, t_in=system.t_in,
-            atom_positions=np.array(positions)[order],
-            atom_gamma_1d=np.full(n_ch, system.gamma_1d),
-            atom_gamma_total=np.full(n_ch, 2.0 * system.gamma),
-            atom_delta_a=np.array(offsets, dtype=float)[order] * system.omega_fsr)
-        states = [state] * n_ch
-    else:
-        cavity = tm.TmCavity(
-            omega_fsr=system.omega_fsr, n0=system.n0, t_ex=t_ex, t_in=system.t_in,
-            atom_positions=np.array([]), atom_gamma_1d=np.array([]),
-            atom_gamma_total=np.array([]), atom_delta_a=np.array([]))
-        states = None
-    r = tm.tm_reflectance(cavity, p["delta"], atom_states=states)
+    offsets = tm.channel_offsets(n_ch)
+    positions = []
+    for off in offsets:
+        n_mode = system.n0 + off
+        k = int(round(0.5 * n_mode - 0.5))
+        positions.append((k + 0.5) / n_mode)
+    order = np.argsort(positions)
+    cavity = tm.TmCavity(
+        omega_fsr=system.omega_fsr, n0=system.n0, t_ex=t_ex, t_in=system.t_in,
+        atom_positions=np.array(positions)[order],
+        atom_gamma_1d=np.full(n_ch, system.gamma_1d),
+        atom_gamma_total=np.full(n_ch, 2.0 * system.gamma),
+        atom_delta_a=np.array(offsets, dtype=float)[order] * system.omega_fsr)
+    r = tm.tm_reflectance(cavity, p["delta"], atom_states=[state] * n_ch)
     return [{"delta_rad_s": p["delta"], "re_r": r.real, "im_r": r.imag,
              "abs2_r": abs(r) ** 2}]
 
 
-def _wvm_crosstalk(p, rng):
+def _wvm_crosstalk(p):
     system = _wvm_system(p)
     res = tm.wvm_crosstalk(system, n_channels=int(p["n_channels"]),
                            trials=int(p.get("trials", 50)),
@@ -284,7 +278,7 @@ def _wvm_crosstalk(p, rng):
     return rows
 
 
-def _rate_tables(p, rng):
+def _rate_tables(p):
     s = rt.MuxScenario(n_atoms=int(p["n_atoms"]), tau_s=p["tau_shuttle"],
                        sigma_t=p["sigma_t"], p_success=p["p_success"],
                        pulse_spacing_factor=p.get("pulse_spacing_factor", 5.0),
@@ -355,7 +349,7 @@ EXPERIMENTS = {
         "robustness", _robustness,
         required={"gamma": "positive", "sigma_t": "positive", "target": "str"},
         optional=dict(_CAVITY_OPT, fwhm="nonneg", samples="posint",
-                      length_dev="real", seed="any", samples_out="str"),
+                      length_dev="real", seed="any", samples_out="outfile"),
         columns=("mean_infidelity", "mean_success", "n_resampled"),
         sanity=_sanity_bandwidth),
     "crosstalk_scan": ExperimentDef(
@@ -369,7 +363,7 @@ EXPERIMENTS = {
         required={"gamma": "positive", "sigma_t": "positive"},
         optional=dict(_CAVITY_OPT, p_br="prob", level_scheme="str",
                       fock_cutoff="posint", kernel_points="posint",
-                      kernel_out="str"),
+                      kernel_out="outfile"),
         columns=("p_gen", "purity", "lambda_1", "lambda_2", "overlap_target")),
     "protocol_eval": ExperimentDef(
         "protocol_eval", _protocol_eval,

@@ -271,10 +271,6 @@ _RESAMPLE_CAP = 10
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
-def _draw(rng, sigma):
-    return rng.normal(0.0, sigma)
-
-
 def robustness_mc(base, spec):
     """Monte-Carlo average of the gate metrics under one fluctuating knob.
 
@@ -292,7 +288,7 @@ def robustness_mc(base, spec):
     for i in range(spec.samples):
         rng = np.random.default_rng([spec.seed, i])
         for attempt in range(_RESAMPLE_CAP + 1):
-            x = _draw(rng, sigma) if spec.fwhm > 0.0 else 0.0
+            x = rng.normal(0.0, sigma) if spec.fwhm > 0.0 else 0.0
             try:
                 outcome = _perturbed_outcome(base, spec.target, x, sigma_w)
             except DomainError:

@@ -1,10 +1,10 @@
 """Sweep execution and tabular output.
 
-The sweep grid is flattened row-major; every point is evaluated with a
-dedicated counter-derived RNG stream (experiments that take the config
-seed instead share common random numbers across points), so results are
-byte-identical for any worker count.  A point that raises becomes an
-error row.  Rows are written as CSV with shortest-roundtrip float
+The sweep grid is flattened row-major; a point depends only on its
+parameters (the Monte-Carlo experiments draw from the config seed), so
+results are byte-identical for any worker count.  A point that raises
+becomes an error row.  Relative "outfile" parameters are placed in the
+CSV's directory.  Rows are written as CSV with shortest-roundtrip float
 formatting; run metadata (config hash, code version, seed, timestamp)
 goes to a JSON sidecar so the CSV body stays reproducible.
 """
@@ -27,9 +27,8 @@ def _eval_point(args):
     exp = EXPERIMENTS[experiment]
     p = dict(params)
     p.setdefault("seed", seed)
-    rng = np.random.default_rng([seed, index])
     try:
-        rows = exp.fn(p, rng)
+        rows = exp.fn(p)
         return index, rows, None
     except Exception as exc:  # any failure becomes an error row, never a lost sweep
         return index, None, f"{type(exc).__name__}: {exc}"
@@ -44,8 +43,15 @@ def run_sweep(config, workers=1):
     exp = EXPERIMENTS[config.experiment]
     axis_names = config.axis_names()
     n = config.grid_size()
-    tasks = [(config.experiment, config.point_parameters(i), config.seed, i)
-             for i in range(n)]
+    out_dir = os.path.dirname(config.output_path)
+    out_files = [name for name, kind in exp.optional.items() if kind == "outfile"]
+    tasks = []
+    for i in range(n):
+        p = config.point_parameters(i)
+        for name in out_files:
+            if p.get(name):
+                p[name] = os.path.join(out_dir, p[name])
+        tasks.append((config.experiment, p, config.seed, i))
     if workers > 1 and n > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_eval_point, tasks,
@@ -96,14 +102,9 @@ def table_bytes(rows, columns):
     return buf.getvalue().encode()
 
 
-def write_outputs(config, rows, columns, out_dir=None, workers=1):
+def write_outputs(config, rows, columns):
     """Write the CSV table and its metadata sidecar; returns the CSV path."""
     path = config.output_path
-    if out_dir is not None:
-        path = os.path.join(out_dir, os.path.basename(path))
-        os.makedirs(out_dir, exist_ok=True)
-    elif os.path.dirname(path):
-        os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(table_bytes(rows, columns))
     meta = {

@@ -25,38 +25,8 @@ HIDDEN_DETUNING_FACTOR = 1e10
 
 
 @dataclass(frozen=True)
-class TmElement:
-    """One chain element: 'mirror_in', 'mirror_out', 'propagation', 'atom'.
-
-    parameters per kind:
-      mirror_in    t_ex
-      mirror_out   t_in
-      propagation  length_frac (fraction of the cavity length)
-      atom         gamma_1d, gamma_total, delta_a
-    """
-
-    kind: str
-    parameters: dict
-
-    _KINDS = ("mirror_in", "mirror_out", "propagation", "atom")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise DomainError(f"unknown element kind {self.kind!r}")
-        p = self.parameters
-        if self.kind == "mirror_in" and not (0.0 < p["t_ex"] < 1.0):
-            raise DomainError("mirror transmittance must lie in (0, 1)")
-        if self.kind == "mirror_out" and not (0.0 < p["t_in"] < 1.0):
-            raise DomainError("mirror transmittance must lie in (0, 1)")
-        if self.kind == "propagation" and p["length_frac"] < 0.0:
-            raise DomainError("propagation length must be non-negative")
-        if self.kind == "atom" and (p["gamma_1d"] < 0.0 or p["gamma_total"] <= 0.0):
-            raise DomainError("atomic rates must be positive")
-
-
-@dataclass(frozen=True)
 class TmCavity:
-    """Ordered element chain with the mode bookkeeping of the resonator.
+    """Mirrors, atoms and the mode bookkeeping of the resonator.
 
     omega_fsr is the free spectral range (rad/s); omega_0 = n0 * omega_fsr
     is the reference mode all detunings are measured from.  Atom positions
@@ -80,6 +50,9 @@ class TmCavity:
             if arr.shape != pos.shape:
                 raise DomainError("per-atom arrays must share the positions' shape")
             object.__setattr__(self, name, arr)
+        if np.any(self.atom_gamma_1d < 0.0) or np.any(self.atom_gamma_total <= 0.0):
+            raise DomainError("atomic rates: gamma_1d must be non-negative, "
+                              "gamma_total positive")
         if pos.size and (np.any(pos < 0.0) or np.any(pos > 1.0)):
             raise DomainError("atom positions must lie inside the cavity")
         if pos.size > 1 and np.any(np.diff(pos) < 0.0):
@@ -89,25 +62,6 @@ class TmCavity:
             raise DomainError("omega_fsr must be positive and n0 a positive mode index")
         if not (0.0 < self.t_ex < 1.0 and 0.0 < self.t_in < 1.0):
             raise DomainError("mirror transmittances must lie in (0, 1)")
-
-    def elements(self, atom_states=None):
-        """Element chain for a given tuple of atom states (1 = coupled)."""
-        chain = [TmElement("mirror_in", {"t_ex": self.t_ex})]
-        prev = 0.0
-        n = self.atom_positions.size
-        states = np.ones(n, dtype=int) if atom_states is None else np.asarray(atom_states)
-        for i in range(n):
-            chain.append(TmElement("propagation",
-                                   {"length_frac": self.atom_positions[i] - prev}))
-            delta_a = (self.atom_delta_a[i] if states[i] == 1
-                       else HIDDEN_DETUNING_FACTOR * self.atom_gamma_total[i])
-            chain.append(TmElement("atom", {"gamma_1d": self.atom_gamma_1d[i],
-                                            "gamma_total": self.atom_gamma_total[i],
-                                            "delta_a": delta_a}))
-            prev = self.atom_positions[i]
-        chain.append(TmElement("propagation", {"length_frac": 1.0 - prev}))
-        chain.append(TmElement("mirror_out", {"t_in": self.t_in}))
-        return chain
 
 
 def tm_atom(gamma_1d, gamma_total, delta, delta_a):
@@ -149,15 +103,28 @@ def tm_propagation(length_frac, delta, omega_fsr, n0):
     return out
 
 
-def _element_matrix(element, delta, omega_fsr, n0):
-    kind, p = element.kind, element.parameters
-    if kind == "mirror_in":
-        return tm_mirror_in(p["t_ex"])
-    if kind == "mirror_out":
-        return tm_mirror_out(p["t_in"])
-    if kind == "propagation":
-        return tm_propagation(p["length_frac"], delta, omega_fsr, n0)
-    return tm_atom(p["gamma_1d"], p["gamma_total"], delta, p["delta_a"])
+def _chain_reflectance(cavity, delta, states):
+    """Chain-product reflection M21 / M11 along one batch axis.
+
+    delta is a scalar or a (k,) array and states a (k, n_atoms) or
+    (1, n_atoms) matrix of atom states; the two broadcast along the batch
+    axis.  Atoms in state 0 are detuned HIDDEN_DETUNING_FACTOR linewidths.
+    """
+    m = tm_mirror_in(cavity.t_ex)
+    prev = 0.0
+    for i, x in enumerate(cavity.atom_positions):
+        m = m @ tm_propagation(x - prev, delta, cavity.omega_fsr, cavity.n0)
+        gamma_total = cavity.atom_gamma_total[i]
+        delta_a = np.where(states[:, i] == 1, cavity.atom_delta_a[i],
+                           HIDDEN_DETUNING_FACTOR * gamma_total)
+        m = m @ tm_atom(cavity.atom_gamma_1d[i], gamma_total, delta, delta_a)
+        prev = x
+    m = m @ tm_propagation(1.0 - prev, delta, cavity.omega_fsr, cavity.n0)
+    m = m @ tm_mirror_out(cavity.t_in)
+    m11 = m[..., 0, 0]
+    if np.any(np.abs(m11) < 1e-300):
+        raise DomainError("singular transfer chain: vanishing M11")
+    return m[..., 1, 0] / m11
 
 
 def tm_reflectance(cavity, delta, atom_states=None):
@@ -166,43 +133,11 @@ def tm_reflectance(cavity, delta, atom_states=None):
     delta may be scalar or an array (vectorized chain product); atom_states
     selects which atoms are coupled (state 1) versus hidden (state 0).
     """
-    delta_arr = np.atleast_1d(np.asarray(delta, dtype=float))
-    m = None
-    for element in cavity.elements(atom_states):
-        em = _element_matrix(element, delta_arr, cavity.omega_fsr, cavity.n0)
-        if em.ndim == 2:
-            em = np.broadcast_to(em, delta_arr.shape + (2, 2))
-        m = em if m is None else m @ em
-    m11 = m[..., 0, 0]
-    if np.any(np.abs(m11) < 1e-300):
-        raise DomainError("singular transfer chain: vanishing M11")
-    r = m[..., 1, 0] / m11
+    n = cavity.atom_positions.size
+    states = (np.ones((1, n), dtype=int) if atom_states is None
+              else np.asarray(atom_states).reshape(1, n))
+    r = _chain_reflectance(cavity, np.atleast_1d(np.asarray(delta, dtype=float)), states)
     return r if np.ndim(delta) else complex(r[0])
-
-
-def _batched_reflectance(cavity, delta, states_matrix):
-    """Reflection for every row of a (n_cases, n_atoms) state matrix."""
-    n_cases = states_matrix.shape[0]
-    m = np.broadcast_to(tm_mirror_in(cavity.t_ex), (n_cases, 2, 2)).copy()
-    prev = 0.0
-    for i in range(cavity.atom_positions.size):
-        frac = cavity.atom_positions[i] - prev
-        m = m @ tm_propagation(frac, delta, cavity.omega_fsr, cavity.n0)
-        da_on = cavity.atom_delta_a[i]
-        da_off = HIDDEN_DETUNING_FACTOR * cavity.atom_gamma_total[i]
-        da = np.where(states_matrix[:, i] == 1, da_on, da_off)
-        zeta = cavity.atom_gamma_1d[i] / (
-            2.0 * (delta - da) + 1j * cavity.atom_gamma_total[i])
-        am = np.empty((n_cases, 2, 2), dtype=complex)
-        am[:, 0, 0] = 1.0 + 1j * zeta
-        am[:, 0, 1] = 1j * zeta
-        am[:, 1, 0] = -1j * zeta
-        am[:, 1, 1] = 1.0 - 1j * zeta
-        m = m @ am
-        prev = cavity.atom_positions[i]
-    m = m @ tm_propagation(1.0 - prev, delta, cavity.omega_fsr, cavity.n0)
-    m = m @ tm_mirror_out(cavity.t_in)
-    return m[:, 1, 0] / m[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -318,7 +253,7 @@ def _chain_infidelity(cavity, probe_delta, r_m, target_index):
     if n > 20:
         raise DomainError("bit-string enumeration limited to 20 atoms")
     cases = np.array(np.meshgrid(*[[0, 1]] * n, indexing="ij")).reshape(n, -1).T
-    refl = _batched_reflectance(cavity, probe_delta, cases)
+    refl = _chain_reflectance(cavity, probe_delta, cases)
     target_bit = cases[:, target_index]
     total_abs2 = float(np.sum(np.abs(refl) ** 2))
     signed = np.where(target_bit == 1, 1.0, -1.0)

@@ -151,10 +151,10 @@ def test_numeric_failures_recorded_as_rows(tmp_path):
 def test_unexpected_exception_becomes_error_row(tmp_path, monkeypatch):
     exp = EXPERIMENTS["longpulse_metrics"]
 
-    def flaky(p, rng):
+    def flaky(p):
         if math.isclose(p["c_in"], 10.0):
             raise ValueError("boom")
-        return exp.fn(p, rng)
+        return exp.fn(p)
 
     monkeypatch.setitem(EXPERIMENTS, "longpulse_metrics", dataclasses.replace(exp, fn=flaky))
     cfg = {"experiment": "longpulse_metrics", "seed": 1,
@@ -236,6 +236,20 @@ def test_per_sample_records_export(tmp_path):
     assert len(lines) == 9
     first = lines[1].split(",")
     assert first[0] == "0" and 0.0 < float(first[3]) <= 1.0
+
+
+def test_side_files_follow_the_output_directory(tmp_path, monkeypatch):
+    cwd, out = tmp_path / "cwd", tmp_path / "out"
+    cwd.mkdir()
+    cfg = _write(tmp_path, "kernel.json", {
+        "experiment": "source_characterize", "seed": 1,
+        "parameters": dict(GAMMA_KEY, c_in=10, p_br=0.5, sigma_t_ns=663.15,
+                           kernel_points=41, kernel_out="kernel.txt"),
+        "output": {"path": "kernel.csv"}})
+    monkeypatch.chdir(cwd)
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    assert (out / "kernel.txt").is_file() and (out / "kernel.csv").is_file()
+    assert list(cwd.iterdir()) == []
 
 
 def test_reproducible_across_worker_counts():

@@ -11,6 +11,7 @@ from capsim.crosstalk import (MultiAtomScenario, crosstalk_fidelity_approx,
                               required_detuning)
 from capsim.errors import DomainError
 from capsim.gate import caps_longpulse
+from capsim.transfer_matrix import TmCavity, tm_reflectance
 
 GAMMA = 2 * math.pi * 0.24e6
 
@@ -91,6 +92,28 @@ def test_regrouped_sum_equals_enumeration(n_atoms):
     slow = crosstalk_fidelity_enumerated(sc)
     assert fast.f_c == pytest.approx(slow.f_c, abs=1e-12)
     assert fast.p_success == pytest.approx(slow.p_success, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_atoms", [2, 3, 4])
+def test_transfer_chain_oracle_for_spectators(n_atoms):
+    # independent of _reflections_all_m: N atoms on neighbouring central
+    # antinodes of one mode of the transfer chain, mapped onto the single-mode
+    # parameters as in criterion 09's single-atom oracle
+    c_in, detuning = 10, 30.0
+    sc = matched_scenario(c_in, 1.0, n_atoms, detuning)
+    p = sc.params
+    t_ex, n0 = 1e-3, 1001
+    omega_fsr = 4 * math.pi * p.kappa_ex / t_ex
+    k0 = (n0 - 1) // 2
+    cav = TmCavity(omega_fsr=omega_fsr, n0=n0, t_ex=t_ex,
+                   t_in=4 * math.pi * p.kappa_in / omega_fsr,
+                   atom_positions=(k0 + np.arange(n_atoms) + 0.5) / n0,
+                   atom_gamma_1d=np.full(n_atoms, math.pi * p.g**2 / omega_fsr),
+                   atom_gamma_total=np.full(n_atoms, 2 * p.gamma),
+                   atom_delta_a=np.r_[0.0, np.full(n_atoms - 1, detuning)])
+    for bits in np.ndindex(*[2] * n_atoms):
+        chain = tm_reflectance(cav, 0.0, atom_states=list(bits))
+        assert abs(chain - reflection_multi(sc, bits[0], sum(bits[1:]))) < 1e-3
 
 
 def test_per_atom_composition_round_trip():

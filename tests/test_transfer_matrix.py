@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from capsim.cavity import delay_matched_params, reflection_r0, reflection_r1
 from capsim.errors import DomainError
-from capsim.transfer_matrix import (TmCavity, TmElement, WvmSystem,
+from capsim.transfer_matrix import (TmCavity, WvmSystem,
                                     calibrated_coupler, channel_offsets,
                                     single_mode_equivalent, tm_atom,
                                     tm_mirror_in, tm_mirror_out,
@@ -136,9 +136,16 @@ def test_single_mode_oracle(kex_scale):
         assert np.max(np.abs(chain - reference(params, deltas))) < 1e-3
 
 
-def test_singular_chain_reported():
+@pytest.mark.parametrize("change", [{"t_ex": 1.5}, {"atom_gamma_1d": [-0.1]},
+                                    {"atom_gamma_total": [0.0]}],
+                         ids=["t_ex", "gamma_1d", "gamma_total"])
+def test_invalid_cavity_rejected_at_construction(change):
+    fields = dict(omega_fsr=1.0, n0=1001, t_ex=0.01, t_in=0.01,
+                  atom_positions=[0.5], atom_gamma_1d=[0.1],
+                  atom_gamma_total=[2.0], atom_delta_a=[0.0])
+    TmCavity(**fields)
     with pytest.raises(DomainError):
-        TmElement("mirror_in", {"t_ex": 1.5})
+        TmCavity(**dict(fields, **change))
 
 
 # --------------------------------------------------------------------------
