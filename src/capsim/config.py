@@ -168,5 +168,6 @@ def sanity_warnings(config):
     p.setdefault("seed", config.seed)
     try:
         return list(exp.sanity(p))
-    except Exception:
-        return []
+    except Exception as exc:  # a failed check is reported, never fatal
+        return [f"sanity check {exp.sanity.__name__} failed: "
+                f"{type(exc).__name__}: {exc}"]

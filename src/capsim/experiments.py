@@ -108,32 +108,32 @@ def _longpulse_metrics(p):
     }]
 
 
-def _bandwidth_scan(p):
-    # optics stay calibrated at the nominal point; a static length deviation
-    # only rescales the installed cavity rates
+def _installed(p):
+    """(params, optics) of the installed system.
+
+    Optics stay calibrated at the nominal point; a static length_dev only
+    rescales the installed cavity rates.
+    """
     nominal = _cavity_from(p)
     optics = _optics_from(p, nominal)
     params = nominal
     if p.get("length_dev", 0.0):
         params = cav.scaled_by_length_deviation(nominal, p["length_dev"])
+    return params, optics
+
+
+def _bandwidth_scan(p):
+    params, optics = _installed(p)
     out = caps_finite_bandwidth(params, optics, _mode_from(p, p["sigma_t"]))
     return [{"f_c": out.f_c, "infidelity": out.infidelity,
              "p_success": out.p_success}]
 
 
 def _robustness(p):
-    params = _cavity_from(p)
-    optics = _optics_from(p, params)
+    params, optics = _installed(p)
     mode = _mode_from(p, p["sigma_t"])
-    target = p.get("target", "coupling_g")
-    fwhm = p.get("fwhm", 0.0)
-    if target == "length" and fwhm == 0.0:
-        dev = p.get("length_dev", 0.0)
-        out = caps_finite_bandwidth(cav.scaled_by_length_deviation(params, dev),
-                                    optics, mode)
-        return [{"mean_infidelity": out.infidelity, "mean_success": out.p_success,
-                 "n_resampled": 0}]
-    spec = FluctuationSpec(target=target, fwhm=fwhm,
+    spec = FluctuationSpec(target=p.get("target", "coupling_g"),
+                           fwhm=p.get("fwhm", 0.0),
                            samples=int(p.get("samples", 10_000)),
                            seed=int(p["seed"]))
     summary = robustness_mc(GateScenario(params=params, optics=optics, mode=mode), spec)
@@ -299,8 +299,9 @@ def _sanity_bandwidth(p):
     if "sigma_t" in p and "c_in" in p and isinstance(p["sigma_t"], (int, float)):
         try:
             floor = min_sigma_t(p["c_in"], p["gamma"], target_infidelity=1e-4)
-        except Exception:
-            return warnings
+        except Exception as exc:  # a failed check is reported, never fatal
+            return [f"parameters.sigma_t: minimum-pulse-width check failed: "
+                    f"{type(exc).__name__}: {exc}"]
         if p["sigma_t"] < floor:
             warnings.append(
                 "parameters.sigma_t: below the minimum-pulse-width criterion "
@@ -312,8 +313,9 @@ def _sanity_tm(p):
     warnings = []
     try:
         system = _wvm_system(p)
-    except Exception:
-        return warnings
+    except Exception as exc:  # a failed check is reported, never fatal
+        return [f"parameters: coupler-transmittance check failed: "
+                f"{type(exc).__name__}: {exc}"]
     if system.t_ex >= 1.0:
         warnings.append("parameters.f_int: balanced coupler transmittance "
                         "reaches 1; external rate must stay below omega_fsr/(4 pi)")

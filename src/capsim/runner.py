@@ -46,8 +46,10 @@ def run_sweep(config, workers=1):
     out_dir = os.path.dirname(config.output_path)
     out_files = [name for name, kind in exp.optional.items() if kind == "outfile"]
     tasks = []
+    axis_rows = []
     for i in range(n):
         p = config.point_parameters(i)
+        axis_rows.append({name: p[name] for name in axis_names})
         for name in out_files:
             if p.get(name):
                 p[name] = os.path.join(out_dir, p[name])
@@ -64,8 +66,7 @@ def run_sweep(config, workers=1):
     rows = []
     n_failures = 0
     for index, point_rows, error in results:
-        point = config.point_parameters(index)
-        axis_values = {name: point[name] for name in axis_names}
+        axis_values = axis_rows[index]
         if error is not None:
             n_failures += 1
             row = dict(axis_values)

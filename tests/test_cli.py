@@ -1,13 +1,18 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import capsim
+from capsim import experiments
 from capsim.cli import main
 from capsim.config import parse_config, sanity_warnings, validate_raw
+from capsim.errors import ConvergenceError
 from capsim.experiments import EXPERIMENTS
 from capsim.runner import run_sweep, table_bytes
 from capsim.units import normalize, strip_suffix
@@ -101,6 +106,30 @@ def test_short_pulse_triggers_bandwidth_warning():
            "parameters": dict(GAMMA_KEY, c_in=100, sigma_t_ns=50.0)}
     warnings = sanity_warnings(parse_config(cfg))
     assert any("minimum-pulse-width" in w for w in warnings)
+
+
+def test_failing_sanity_check_becomes_warning(monkeypatch):
+    exp = EXPERIMENTS["bandwidth_scan"]
+
+    def broken(p):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(EXPERIMENTS, "bandwidth_scan", dataclasses.replace(exp, sanity=broken))
+    cfg = {"experiment": "bandwidth_scan", "seed": 1,
+           "parameters": dict(GAMMA_KEY, c_in=100, sigma_t_ns=500.0)}
+    assert sanity_warnings(parse_config(cfg)) == ["sanity check broken failed: ValueError: boom"]
+
+
+def test_failing_pulse_width_check_becomes_warning(monkeypatch):
+    def no_floor(*args, **kwargs):
+        raise ConvergenceError("no pulse width")
+
+    monkeypatch.setattr(experiments, "min_sigma_t", no_floor)
+    cfg = {"experiment": "bandwidth_scan", "seed": 1,
+           "parameters": dict(GAMMA_KEY, c_in=100, sigma_t_ns=500.0)}
+    warnings = sanity_warnings(parse_config(cfg))
+    assert warnings == ["parameters.sigma_t: minimum-pulse-width check failed: "
+                        "ConvergenceError: no pulse width"]
 
 
 # --------------------------------------------------------------------------
@@ -252,6 +281,17 @@ def test_side_files_follow_the_output_directory(tmp_path, monkeypatch):
     assert list(cwd.iterdir()) == []
 
 
+@pytest.mark.parametrize("target", ["coupling_g", "cavity_freq", "length"])
+def test_static_length_deviation_applies_to_every_target(target):
+    p = normalize(dict(GAMMA_KEY, c_in=100, sigma_t_ns=217.58, length_dev=0.2))
+    [static] = EXPERIMENTS["bandwidth_scan"].fn(dict(p))
+    [robust] = EXPERIMENTS["robustness"].fn(dict(p, target=target, fwhm=0.0,
+                                                 samples=3, seed=1))
+    assert robust["mean_infidelity"] == pytest.approx(static["infidelity"], abs=1e-15)
+    assert robust["mean_success"] == pytest.approx(static["p_success"], abs=1e-15)
+    assert robust["n_resampled"] == 0
+
+
 def test_reproducible_across_worker_counts():
     cfg = parse_config(_robustness_config(samples=24))
     rows_1, cols, _ = run_sweep(cfg, workers=1)
@@ -260,7 +300,12 @@ def test_reproducible_across_worker_counts():
 
 
 def test_cli_entry_point_runs_in_subprocess(tmp_path):
+    # the child imports the capsim under test, also when only pytest's
+    # pythonpath setting (not the environment) puts it on the path
+    src = str(Path(capsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-m", "capsim", "list-experiments"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "rate_tables" in out.stdout

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from capsim import gate
 from capsim.cavity import (CavityParams, InterfaceOptics, delay_matched_params,
-                           kappa_ex_opt, matched_optics, pulse_delays, r_opt)
-from capsim.errors import DomainError
+                           kappa_ex_opt, matched_optics, pulse_delays, r_opt,
+                           reflection_r0, reflection_r1,
+                           scaled_by_length_deviation)
+from capsim.errors import ConvergenceError, DomainError
 from capsim.gate import (FluctuationSpec, GateOutcome, GateScenario,
                          SpectralMode, caps_finite_bandwidth, caps_longpulse,
                          gaussian_mode, min_sigma_t, robustness_mc)
@@ -221,3 +226,150 @@ def test_gate_outcome_validation():
     out = GateOutcome(f_c=1.0 + 5e-13, p_success=1e-13)
     assert out.f_c == 1.0
     assert out.p_success == 0.0
+
+
+# --------------------------------------------------------------------------
+# Blocked kernel against a per-sample reference loop
+# --------------------------------------------------------------------------
+
+def _reference_metrics(params, optics, f, grid, weights, cavity_shift):
+    # one sample, one pass: the filtered responses summed on the given grid
+    delta = grid - cavity_shift
+    filt = np.exp(-1j * optics.tau_m * grid)
+    f0 = filt * reflection_r0(params, delta) * f
+    f1 = filt * reflection_r1(params, delta) * f
+    n00 = np.sum(weights * np.abs(f0) ** 2).real
+    n11 = np.sum(weights * np.abs(f1) ** 2).real
+    o0 = np.sum(weights * np.conj(f) * f0)
+    o1 = np.sum(weights * np.conj(f) * f1)
+    one_minus_l = (2.0 * optics.r_m**2 + n00 + n11) / 4.0
+    f_pro = abs(2.0 * optics.r_m - o0 + o1) ** 2 / 16.0
+    if one_minus_l <= 0.0:
+        raise DomainError("zero heralding probability")
+    return 1.0 - 0.8 * (1.0 - f_pro / one_minus_l), one_minus_l
+
+
+def _reference_outcome(base, target, x, sigma_w):
+    params, shift = base.params, 0.0
+    if target == "coupling_g":
+        if params.g * (1.0 + x) <= 0.0:
+            raise DomainError("non-positive coupling draw")
+        params = params.with_(g=params.g * (1.0 + x))
+    elif target == "length":
+        params = scaled_by_length_deviation(params, x)
+    else:
+        shift = x * sigma_w
+        params = params.with_(delta_a=-shift)
+    mode = base.mode
+    grid_c = mode.grid[::2]
+    w_c = np.ones(grid_c.size)
+    w_c[1:-1:2] = 4.0
+    w_c[2:-2:2] = 2.0
+    w_c *= (grid_c[1] - grid_c[0]) / 3.0
+    f_c_coarse, _ = _reference_metrics(params, base.optics, mode.amplitude[::2],
+                                       grid_c, w_c, shift)
+    f_c, p = _reference_metrics(params, base.optics, mode.amplitude, mode.grid,
+                                mode.weights, shift)
+    if abs(f_c_coarse - f_c) > 1e-8:
+        raise ConvergenceError("quadrature not converged")
+    return GateOutcome(f_c=f_c, p_success=p)
+
+
+def _reference_robustness(base, spec):
+    """Records and resample count of a plain one-sample-at-a-time loop."""
+    sigma = spec.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    a2 = np.abs(base.mode.amplitude) ** 2
+    w = base.mode.weights
+    sigma_w = math.sqrt(2.0 * np.sum(w * a2 * base.mode.grid**2) / np.sum(w * a2))
+    records = np.empty((spec.samples, 4))
+    n_resampled = 0
+    for i in range(spec.samples):
+        rng = np.random.default_rng([spec.seed, i])
+        for _ in range(11):
+            x = rng.normal(0.0, sigma) if spec.fwhm > 0.0 else 0.0
+            try:
+                out = _reference_outcome(base, spec.target, x, sigma_w)
+            except DomainError:
+                n_resampled += 1
+                continue
+            break
+        else:
+            raise DomainError(f"sample {i}: no valid draw")
+        records[i] = (i, x, out.f_c, out.p_success)
+    return records, n_resampled
+
+
+@pytest.mark.parametrize("target, fwhm", [("coupling_g", 0.2), ("coupling_g", 2.5),
+                                          ("cavity_freq", 0.5), ("length", 0.3)])
+def test_blocked_kernel_matches_per_sample_loop(target, fwhm):
+    base = _scenario()
+    spec = FluctuationSpec(target=target, fwhm=fwhm, samples=61, seed=3)
+    summary = robustness_mc(base, spec)
+    records, n_resampled = _reference_robustness(base, spec)
+    assert np.array_equal(summary.samples[:, :2], records[:, :2])
+    assert summary.n_resampled == n_resampled
+    assert np.max(np.abs(summary.samples[:, 2:] - records[:, 2:])) <= 1e-14
+    if fwhm > 1.0:
+        assert n_resampled > 0
+
+
+@pytest.mark.parametrize("target, fwhm", [("coupling_g", 2.5), ("cavity_freq", 0.5)])
+def test_records_independent_of_sample_count(target, fwhm):
+    base = _scenario()
+    short = robustness_mc(base, FluctuationSpec(target, fwhm, samples=7, seed=9))
+    long = robustness_mc(base, FluctuationSpec(target, fwhm, samples=64, seed=9))
+    assert np.array_equal(short.samples, long.samples[:7])
+
+
+def test_under_resolved_mode_raises_convergence_error():
+    p, optics = _matched(100)
+    base = GateScenario(params=p, optics=optics, mode=gaussian_mode(0.05, n_points=17))
+    with pytest.raises(ConvergenceError):
+        robustness_mc(base, FluctuationSpec("coupling_g", 0.2, samples=8, seed=1))
+
+
+def test_lowest_failing_sample_raises(monkeypatch):
+    # sample 1 fails its quadrature check on the first attempt, but sample
+    # 0 runs out of valid draws first in index order
+    calls = []
+
+    def outcome(f_pro, one_minus_l):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ConvergenceError("sample 1")
+        raise DomainError("invalid")
+
+    monkeypatch.setattr(gate, "_outcome", outcome)
+    with pytest.raises(DomainError, match="sample 0: no valid draw"):
+        robustness_mc(_scenario(), FluctuationSpec("coupling_g", 0.2, samples=3, seed=1))
+
+
+# --------------------------------------------------------------------------
+# Properties
+# --------------------------------------------------------------------------
+
+_RATE = st.floats(1e-3, 1e3)
+_DETUNING = st.floats(-1e4, 1e4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.floats(0.0, 1e3), kappa_in=_RATE, kappa_ex=_RATE, gamma=_RATE,
+       delta_a=_DETUNING, delta=_DETUNING)
+def test_passive_reflection_bounded(g, kappa_in, kappa_ex, gamma, delta_a, delta):
+    p = CavityParams(g=g, kappa_in=kappa_in, kappa_ex=kappa_ex, gamma=gamma,
+                     delta_a=delta_a)
+    assert abs(reflection_r0(p, delta)) <= 1.0 + 1e-12
+    assert abs(reflection_r1(p, delta)) <= 1.0 + 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(f_c=st.floats(-0.5, 1.5), p=st.floats(-0.5, 1.5))
+def test_gate_outcome_bounds(f_c, p):
+    try:
+        out = GateOutcome(f_c=f_c, p_success=p)
+    except DomainError:
+        assert not (-1e-12 <= f_c <= 1.0 + 1e-12 and -1e-12 <= p <= 1.0 + 1e-12)
+        return
+    for value in (out.f_c, out.p_success, out.leakage):
+        assert 0.0 <= value <= 1.0
+    assert out.p_success + out.leakage == pytest.approx(1.0, abs=1e-12)
