@@ -9,6 +9,7 @@ base units (rad/s, s, m); see units.py for the suffix table.
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,10 +28,13 @@ class SweepAxis:
     points: int
     scale: str = "lin"
 
+    @cached_property
     def values(self):
-        if self.scale == "log":
-            return np.geomspace(self.start, self.stop, self.points)
-        return np.linspace(self.start, self.stop, self.points)
+        """The axis grid, built once per axis and read-only."""
+        space = np.geomspace if self.scale == "log" else np.linspace
+        grid = space(self.start, self.stop, self.points)
+        grid.setflags(write=False)
+        return grid
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ class ScenarioConfig:
             axis = self.sweep[axis_i]
             idx = remaining % shape[axis_i]
             remaining //= shape[axis_i]
-            p[axis.name] = float(axis.values()[idx])
+            p[axis.name] = float(axis.values[idx])
         return p
 
     def axis_names(self):

@@ -396,8 +396,8 @@ def _perturbed_rates(params, target, x, sigma_w):
     else:  # cavity_freq
         # a cavity moved by +shift leaves atom and photon in place: photon
         # detuning from the cavity becomes d - shift and the atom-cavity
-        # detuning becomes -shift
+        # detuning falls by shift
         shift = x * sigma_w
-        delta_a = -shift
+        delta_a = params.delta_a - shift
         valid = np.ones(x.shape, dtype=bool)
     return valid, (g, kappa_in, kappa_ex, params.gamma, delta_a, shift)

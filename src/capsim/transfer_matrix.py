@@ -109,22 +109,29 @@ def _chain_reflectance(cavity, delta, states):
     delta is a scalar or a (k,) array and states a (k, n_atoms) or
     (1, n_atoms) matrix of atom states; the two broadcast along the batch
     axis.  Atoms in state 0 are detuned HIDDEN_DETUNING_FACTOR linewidths.
+    Only the column v = M e0 enters M21 / M11; it is built from the output
+    mirror inwards by the actions of tm_propagation and tm_atom on v.
     """
-    m = tm_mirror_in(cavity.t_ex)
-    prev = 0.0
-    for i, x in enumerate(cavity.atom_positions):
-        m = m @ tm_propagation(x - prev, delta, cavity.omega_fsr, cavity.n0)
+    wavenumber = math.pi * (delta / cavity.omega_fsr + cavity.n0)
+    v0, v1 = tm_mirror_out(cavity.t_in)[:, 0]
+    end = 1.0
+    for i in reversed(range(cavity.atom_positions.size)):
+        x = cavity.atom_positions[i]
+        phase = wavenumber * (end - x)
+        v0, v1 = v0 * np.exp(-1j * phase), v1 * np.exp(1j * phase)
         gamma_total = cavity.atom_gamma_total[i]
         delta_a = np.where(states[:, i] == 1, cavity.atom_delta_a[i],
                            HIDDEN_DETUNING_FACTOR * gamma_total)
-        m = m @ tm_atom(cavity.atom_gamma_1d[i], gamma_total, delta, delta_a)
-        prev = x
-    m = m @ tm_propagation(1.0 - prev, delta, cavity.omega_fsr, cavity.n0)
-    m = m @ tm_mirror_out(cavity.t_in)
-    m11 = m[..., 0, 0]
+        zeta = cavity.atom_gamma_1d[i] / (2.0 * (delta - delta_a) + 1j * gamma_total)
+        t = 1j * zeta * (v0 + v1)
+        v0, v1 = v0 + t, v1 - t
+        end = x
+    phase = wavenumber * end
+    v0, v1 = v0 * np.exp(-1j * phase), v1 * np.exp(1j * phase)
+    m11, m21 = tm_mirror_in(cavity.t_ex) @ np.array([v0, v1])
     if np.any(np.abs(m11) < 1e-300):
         raise DomainError("singular transfer chain: vanishing M11")
-    return m[..., 1, 0] / m11
+    return m21 / m11
 
 
 def tm_reflectance(cavity, delta, atom_states=None):
@@ -232,19 +239,12 @@ def calibrated_coupler(system):
     return t_star, r_m
 
 
-def _antinode_fractions(mode_index, window):
-    """Antinode positions x/L = (k + 1/2)/N inside the window."""
-    lo = math.ceil(window[0] * mode_index - 0.5)
-    hi = math.floor(window[1] * mode_index - 0.5)
-    return [(k + 0.5) / mode_index for k in range(lo, hi + 1)]
-
-
 @dataclass(frozen=True)
 class WvmResult:
     mean_infidelity: float
     per_channel: dict          # offset -> mean infidelity over trials
     rows: list                 # (trial, channel offset, infidelity)
-    n_resampled_trials: int
+    n_resampled_trials: int    # always 0: whether a trial fits is decided before any draw
 
 
 def _chain_infidelity(cavity, probe_delta, r_m, target_index):
@@ -274,8 +274,9 @@ def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None,
     atoms share an antinode).  For every target atom the conditional
     channel infidelity is evaluated at that channel's bare mode center by
     enumerating the spectator reflection set; results are averaged over
-    targets and trials.  Trials without enough distinct antinodes are
-    resampled and counted.  Rounding below zero is snapped to 0.
+    targets and trials.  A channel with fewer antinodes in the window
+    than atoms raises DomainError before any draw.  Rounding below zero
+    is snapped to 0.
     """
     from .gate import _snap_unit
 
@@ -285,30 +286,30 @@ def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None,
         raise DomainError("n_channels must not exceed n_atoms")
     offsets = channel_offsets(n_channels)
     atom_channel = [offsets[i % n_channels] for i in range(n_atoms)]
+    # antinodes k of mode N sit at x = (k + 1/2) / N; those in the window
+    # are the integers lo..hi
+    antinodes = {}
+    for off in offsets:
+        lo = math.ceil(window[0] * (system.n0 + off) - 0.5)
+        hi = math.floor(window[1] * (system.n0 + off) - 0.5)
+        if atom_channel.count(off) > hi - lo + 1:
+            raise DomainError("antinode sampling failed; widen the window")
+        antinodes[off] = (lo, hi)
     t_ex, r_m = calibrated_coupler(system)
     rows = []
-    n_resampled = 0
     per_channel_sums = {off: [] for off in offsets}
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        for _ in range(20):
-            taken = {off: set() for off in offsets}
-            positions = np.empty(n_atoms)
-            ok = True
-            for i, off in enumerate(atom_channel):
-                candidates = _antinode_fractions(system.n0 + off, window)
-                free = [x for x in candidates if x not in taken[off]]
-                if not free:
-                    ok = False
-                    break
-                x = free[rng.integers(len(free))]
-                taken[off].add(x)
-                positions[i] = x
-            if ok:
-                break
-            n_resampled += 1
-        else:
-            raise DomainError("antinode sampling failed; widen the window")
+        taken = {off: set() for off in offsets}   # antinode indices k
+        positions = np.empty(n_atoms)
+        for i, off in enumerate(atom_channel):
+            lo, hi = antinodes[off]
+            # the j-th free antinode: step past each taken one at or below it
+            k = lo + int(rng.integers(hi - lo + 1 - len(taken[off])))
+            for k_taken in sorted(taken[off]):
+                k += k_taken <= k
+            taken[off].add(k)
+            positions[i] = (k + 0.5) / (system.n0 + off)
         order = np.argsort(positions)
         cavity = TmCavity(
             omega_fsr=system.omega_fsr, n0=system.n0,
@@ -330,7 +331,7 @@ def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None,
     per_channel = {off: float(np.mean(v)) for off, v in per_channel_sums.items()}
     mean = float(np.mean([r[2] for r in rows]))
     return WvmResult(mean_infidelity=mean, per_channel=per_channel, rows=rows,
-                     n_resampled_trials=n_resampled)
+                     n_resampled_trials=0)
 
 
 def single_mode_equivalent(system):

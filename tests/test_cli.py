@@ -292,6 +292,17 @@ def test_static_length_deviation_applies_to_every_target(target):
     assert robust["n_resampled"] == 0
 
 
+@pytest.mark.parametrize("target", ["coupling_g", "cavity_freq", "length"])
+def test_static_atom_detuning_kept_by_every_target(target):
+    # with no spread each target evaluates the nominal system, whose atom
+    # sits delta_a away from the cavity
+    p = normalize(dict(GAMMA_KEY, c_in=100, sigma_t_ns=217.58, delta_a_2pi_MHz=0.05))
+    [static] = EXPERIMENTS["bandwidth_scan"].fn(dict(p))
+    [robust] = EXPERIMENTS["robustness"].fn(dict(p, target=target, fwhm=0.0,
+                                                 samples=3, seed=1))
+    assert robust["mean_infidelity"] == pytest.approx(static["infidelity"], abs=1e-15)
+
+
 def test_reproducible_across_worker_counts():
     cfg = parse_config(_robustness_config(samples=24))
     rows_1, cols, _ = run_sweep(cfg, workers=1)

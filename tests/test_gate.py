@@ -259,7 +259,7 @@ def _reference_outcome(base, target, x, sigma_w):
         params = scaled_by_length_deviation(params, x)
     else:
         shift = x * sigma_w
-        params = params.with_(delta_a=-shift)
+        params = params.with_(delta_a=params.delta_a - shift)
     mode = base.mode
     grid_c = mode.grid[::2]
     w_c = np.ones(grid_c.size)

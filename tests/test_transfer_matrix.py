@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capsim.transfer_matrix as tmod
 from capsim.cavity import delay_matched_params, reflection_r0, reflection_r1
 from capsim.errors import DomainError
 from capsim.transfer_matrix import (TmCavity, WvmSystem,
@@ -136,6 +137,50 @@ def test_single_mode_oracle(kex_scale):
         assert np.max(np.abs(chain - reference(params, deltas))) < 1e-3
 
 
+def _element_product_reflectance(cavity, delta, state_row):
+    """M21 / M11 of the explicit product of the 2x2 element matrices."""
+    m = tm_mirror_in(cavity.t_ex)
+    prev = 0.0
+    for i, x in enumerate(cavity.atom_positions):
+        m = m @ tm_propagation(x - prev, delta, cavity.omega_fsr, cavity.n0)
+        gamma_total = cavity.atom_gamma_total[i]
+        delta_a = (cavity.atom_delta_a[i] if state_row[i] == 1
+                   else tmod.HIDDEN_DETUNING_FACTOR * gamma_total)
+        m = m @ tm_atom(cavity.atom_gamma_1d[i], gamma_total, delta, delta_a)
+        prev = x
+    m = m @ tm_propagation(1.0 - prev, delta, cavity.omega_fsr, cavity.n0)
+    m = m @ tm_mirror_out(cavity.t_in)
+    return m[..., 1, 0] / m[..., 0, 0]
+
+
+@pytest.mark.parametrize("array_delta", [False, True], ids=["scalar", "array"])
+def test_column_recursion_matches_element_product(array_delta):
+    rng = np.random.default_rng(20 + array_delta)
+    worst = 0.0
+    for _ in range(150):
+        n = int(rng.integers(0, 11))
+        cav = TmCavity(omega_fsr=1.0, n0=int(rng.integers(100, 5000)),
+                       t_ex=float(rng.uniform(1e-3, 0.1)),
+                       t_in=2 * math.pi / rng.uniform(100, 2000),
+                       atom_positions=np.sort(rng.uniform(0.0, 1.0, n)),
+                       atom_gamma_1d=rng.uniform(0.0, 1e-3, n),
+                       atom_gamma_total=rng.uniform(1e-4, 1e-2, n),
+                       atom_delta_a=rng.integers(-3, 4, n).astype(float))
+        states = rng.integers(0, 2, (6, n))
+        if array_delta:
+            delta = rng.uniform(-3.0, 3.0, 6)
+            ref = [_element_product_reflectance(cav, d, row)
+                   for d, row in zip(delta, states)]
+        else:
+            delta = float(rng.uniform(-3.0, 3.0))
+            ref = [_element_product_reflectance(cav, delta, row) for row in states]
+        r = tmod._chain_reflectance(cav, delta, states)
+        # state rows broadcast only through the atoms they describe
+        assert r.shape == ((6,) if n or array_delta else ())
+        worst = max(worst, float(np.max(np.abs(r - np.array(ref)))))
+    assert worst < 1e-11
+
+
 @pytest.mark.parametrize("change", [{"t_ex": 1.5}, {"atom_gamma_1d": [-0.1]},
                                     {"atom_gamma_total": [0.0]}],
                          ids=["t_ex", "gamma_1d", "gamma_total"])
@@ -180,9 +225,66 @@ def test_crosstalk_deterministic_given_seed():
     assert a.rows == b.rows
 
 
-def test_hidden_atom_sentinel_insensitive():
-    import capsim.transfer_matrix as tmod
+def _list_positions(system, n_channels, n_atoms, trial, seed, window):
+    """Sorted positions and detunings of one trial, drawn from explicit lists."""
+    offsets = channel_offsets(n_channels)
+    channel = [offsets[i % n_channels] for i in range(n_atoms)]
+    rng = np.random.default_rng([seed, trial])
+    taken = {off: set() for off in offsets}
+    positions = np.empty(n_atoms)
+    for i, off in enumerate(channel):
+        n_mode = system.n0 + off
+        lo = math.ceil(window[0] * n_mode - 0.5)
+        hi = math.floor(window[1] * n_mode - 0.5)
+        free = [x for x in ((k + 0.5) / n_mode for k in range(lo, hi + 1))
+                if x not in taken[off]]
+        x = free[rng.integers(len(free))]
+        taken[off].add(x)
+        positions[i] = x
+    order = np.argsort(positions)
+    return positions[order], np.array(channel, dtype=float)[order] * system.omega_fsr
 
+
+@pytest.mark.parametrize("n_channels, n_atoms, window",
+                         [(2, 2, (0.45, 0.55)), (3, 9, (0.45, 0.55)),
+                          (10, 10, (0.45, 0.55)), (2, 40, (0.45, 0.55)),
+                          (2, 4, (0.5, 0.500025))],
+                         ids=["2x2", "3x9", "10x10", "2x40", "2x4-narrow"])
+def test_antinode_draws_match_list_reference(monkeypatch, n_channels, n_atoms, window):
+    # (2, 4) on the narrow window fills every antinode of channel -1
+    system = _nanofiber_system()
+    chains = []
+
+    def record(cavity, probe_delta, r_m, target_index):
+        if target_index == 0:
+            chains.append((cavity.atom_positions.copy(), cavity.atom_delta_a.copy()))
+        return 0.0
+
+    monkeypatch.setattr(tmod, "_chain_infidelity", record)
+    for seed in (1, 5, 11):
+        chains.clear()
+        wvm_crosstalk(system, n_channels, trials=4, seed=seed, n_atoms=n_atoms,
+                      window=window)
+        assert len(chains) == 4
+        for trial, (pos, delta_a) in enumerate(chains):
+            ref_pos, ref_delta_a = _list_positions(system, n_channels, n_atoms,
+                                                   trial, seed, window)
+            assert pos.tobytes() == ref_pos.tobytes()
+            assert delta_a.tobytes() == ref_delta_a.tobytes()
+
+
+def test_antinode_capacity_checked_before_any_draw(monkeypatch):
+    # channel -1 has two antinodes in this window and would need three atoms
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew antinodes for a trial that cannot fit")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(DomainError, match="widen the window"):
+        wvm_crosstalk(_nanofiber_system(), 2, trials=3, seed=1, n_atoms=5,
+                      window=(0.5, 0.500025))
+
+
+def test_hidden_atom_sentinel_insensitive():
     system = _nanofiber_system()
     res_a = wvm_crosstalk(system, n_channels=3, trials=2, seed=9)
     original = tmod.HIDDEN_DETUNING_FACTOR
