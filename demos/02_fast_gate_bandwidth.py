@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from capsim import (caps_finite_bandwidth, delay_matched_params, gaussian_mode,
-                    matched_optics, min_sigma_t, pulse_delays)
+from capsim import (caps_finite_bandwidth, delay_matched_params, matched_optics,
+                    min_sigma_t, pulse_delays)
 
 GAMMA = 2 * math.pi * 0.24e6
 
@@ -25,7 +25,7 @@ for c_in in (10, 30, 100):
     optics = matched_optics(params)
     cells = []
     for w in widths:
-        out = caps_finite_bandwidth(params, optics, gaussian_mode(w / GAMMA))
+        out = caps_finite_bandwidth(params, optics, w / GAMMA)
         cells.append(f"{out.infidelity:>10.1e}")
     print(f"{c_in:6d} |                  " + "".join(cells))
 

@@ -8,8 +8,8 @@ fluctuations, and cavity-resonance jitter.
 import math
 
 from capsim import (FluctuationSpec, GateScenario, caps_finite_bandwidth,
-                    delay_matched_params, gaussian_mode, matched_optics,
-                    robustness_mc, scaled_by_length_deviation)
+                    delay_matched_params, matched_optics, robustness_mc,
+                    scaled_by_length_deviation)
 
 GAMMA = 2 * math.pi * 0.24e6
 C_IN = 100
@@ -17,14 +17,13 @@ SIGMA_T = 5.2 * C_IN**-0.60 / GAMMA  # minimum width for 1e-4 infidelity
 
 params = delay_matched_params(C_IN, GAMMA)
 optics = matched_optics(params)
-mode = gaussian_mode(SIGMA_T)
-base = GateScenario(params=params, optics=optics, mode=mode)
+base = GateScenario(params=params, optics=optics, sigma_t=SIGMA_T)
 
 print("Static cavity-length deviation (g -> g/sqrt(1+d), kappas -> /(1+d)):")
 print(f"{'dL/L_opt':>10} {'infidelity':>12}")
 for dev in (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.5):
     out = caps_finite_bandwidth(scaled_by_length_deviation(params, dev),
-                                optics, mode)
+                                optics, SIGMA_T)
     print(f"{dev:10.2f} {out.infidelity:12.2e}")
 
 print("\nCoupling-strength fluctuations (Gaussian, fractional FWHM):")

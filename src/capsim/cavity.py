@@ -107,36 +107,25 @@ class LengthModel:
             raise DomainError("velocities must be positive")
 
 
-def _r0(kappa_in, kappa_ex, delta):
-    """r0 from its rates; broadcasts over arrays of rates and detunings."""
-    i_delta = 1j * delta
-    num = -kappa_ex + kappa_in - i_delta
-    den = kappa_ex + kappa_in - i_delta
-    return num / den
-
-
-def _r1(g, kappa_in, kappa_ex, gamma, delta_a, delta):
-    """r1 from its rates; broadcasts over arrays of rates and detunings."""
-    i_delta = 1j * delta
-    atom = gamma + 1j * delta_a - i_delta
-    num = (-kappa_ex + kappa_in - i_delta) * atom + g**2
-    den = (kappa_ex + kappa_in - i_delta) * atom + g**2
-    return num / den
-
-
 def reflection_r0(params, delta):
     """Cavity reflection amplitude with the atom decoupled (qubit state 0).
 
     Accepts scalar or array detunings; |r0| <= 1 for all real detunings.
     """
-    out = _r0(params.kappa_in, params.kappa_ex, np.asarray(delta, dtype=float))
+    delta = np.asarray(delta, dtype=float)
+    num = -params.kappa_ex + params.kappa_in - 1j * delta
+    den = params.kappa_ex + params.kappa_in - 1j * delta
+    out = num / den
     return out if out.ndim else complex(out)
 
 
 def reflection_r1(params, delta):
     """Reflection amplitude with the atom coupled (qubit state 1)."""
-    out = _r1(params.g, params.kappa_in, params.kappa_ex, params.gamma,
-              params.delta_a, np.asarray(delta, dtype=float))
+    delta = np.asarray(delta, dtype=float)
+    atom = params.gamma + 1j * params.delta_a - 1j * delta
+    num = (-params.kappa_ex + params.kappa_in - 1j * delta) * atom + params.g**2
+    den = (params.kappa_ex + params.kappa_in - 1j * delta) * atom + params.g**2
+    out = num / den
     return out if out.ndim else complex(out)
 
 

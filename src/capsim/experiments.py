@@ -125,19 +125,18 @@ def _installed(p):
 
 def _bandwidth_scan(p):
     params, optics = _installed(p)
-    out = caps_finite_bandwidth(params, optics, _mode_from(p, p["sigma_t"]))
+    out = caps_finite_bandwidth(params, optics, p["sigma_t"])
     return [{"f_c": out.f_c, "infidelity": out.infidelity,
              "p_success": out.p_success}]
 
 
 def _robustness(p):
     params, optics = _installed(p)
-    mode = _mode_from(p, p["sigma_t"])
     spec = FluctuationSpec(target=p.get("target", "coupling_g"),
                            fwhm=p.get("fwhm", 0.0),
                            samples=int(p.get("samples", 10_000)),
                            seed=int(p["seed"]))
-    summary = robustness_mc(GateScenario(params=params, optics=optics, mode=mode), spec)
+    summary = robustness_mc(GateScenario(params=params, optics=optics, sigma_t=p["sigma_t"]), spec)
     if p.get("samples_out"):
         _write_samples(p["samples_out"], summary.samples)
     return [{"mean_infidelity": summary.mean_infidelity,
@@ -331,7 +330,6 @@ def _sanity_tm(p):
 _CAVITY_OPT = {
     "c_in": "positive", "g": "positive", "kappa_in": "positive",
     "kappa_ex": "any", "delta_a": "real", "r_m": "any",
-    "n_points": "posint", "grid_span": "positive",
 }
 
 EXPERIMENTS = {
@@ -379,7 +377,7 @@ EXPERIMENTS = {
                   "c_in": "positive", "protocol": "str"},
         optional=dict({k: v for k, v in _CAVITY_OPT.items() if k != "c_in"},
                       p_br="prob", source="str", source_c_in="positive",
-                      kernel_in="str"),
+                      kernel_in="str", n_points="posint", grid_span="positive"),
         columns=("fidelity", "infidelity", "p_success", "p_gen",
                  "p_gen_times_p_opt"),
         sanity=_sanity_bandwidth),

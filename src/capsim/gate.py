@@ -2,20 +2,26 @@
 
 Covers the long-pulse (monochromatic) limit, finite-bandwidth Gaussian
 pulses filtered by the frequency-dependent cavity response, and seeded
-Monte-Carlo robustness studies under parameter fluctuations.
+Monte-Carlo robustness studies under parameter fluctuations.  The
+finite-bandwidth metrics are exact: the cavity responses are rational in
+the detuning, so their Gaussian averages close in the Faddeeva function.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import wofz
 
-from .cavity import (CavityParams, InterfaceOptics, _r0, _r1, reflection_r0,
-                     reflection_r1)
-from .errors import ConvergenceError, DomainError
+from .cavity import CavityParams, InterfaceOptics, reflection_r0, reflection_r1
+from .errors import DomainError
 
 _BOUND_SNAP = 1e-12  # values this close to the [0, 1] edges are snapped
-_QUAD_TOL = 1e-8     # refinement agreement required of the quadrature
+_SQRT_PI = math.sqrt(math.pi)
+# near the exceptional point (see _cauchy_dd): switch, ring radius and node count
+_EP_SWITCH = 1e-3
+_EP_RING = 1e-2
+_EP_NODES = 4
 
 
 def _snap_unit(x, what):
@@ -112,11 +118,18 @@ class FluctuationSpec:
 
 @dataclass(frozen=True)
 class GateScenario:
-    """Nominal operating point for robustness studies."""
+    """Nominal operating point for robustness studies.
+
+    The photon is a Gaussian of temporal width sigma_t.
+    """
 
     params: CavityParams
     optics: InterfaceOptics
-    mode: SpectralMode
+    sigma_t: float
+
+    def __post_init__(self):
+        if not self.sigma_t > 0.0:
+            raise DomainError("sigma_t must be positive")
 
 
 @dataclass(frozen=True)
@@ -160,8 +173,6 @@ def gaussian_mode(sigma_t, grid_span=8.0, n_points=2049):
         raise DomainError("sigma_t must be positive")
     if n_points < 16:
         raise DomainError("n_points must be at least 16")
-    if (n_points - 1) % 4 != 0:
-        raise DomainError("n_points must be 1 mod 4 (odd Simpson grid that halves cleanly)")
     sigma_w = 1.0 / sigma_t
     grid = np.linspace(-grid_span * sigma_w, grid_span * sigma_w, n_points)
     amp = (math.pi * sigma_w**2) ** -0.25 * np.exp(-(grid**2) / (2.0 * sigma_w**2))
@@ -186,83 +197,103 @@ def caps_longpulse(params, optics):
     return GateOutcome(f_c=_conditional(f_pro, p), p_success=p)
 
 
-class _GateKernel:
-    """Finite-bandwidth gate metrics for blocks of rate rows on one mode.
+def _cauchy(q, tau, sigma_w):
+    """J(q, tau): integral of |f|^2 exp(-i tau d) / (d - q) over d, Im q < 0.
 
-    The per-mode work is done once: the mirror-path filtered amplitude
-    exp(-i tau_m d) f, the fine Simpson weights and the coarse ones on
-    every other grid point, and the products the reflection responses are
-    summed against.  Each call evaluates r0 and r1 once per row on the
-    fine grid; the coarse refinement pass reads them at [::2].  Each row
-    is summed on its own along the grid, so its result does not depend on
-    the block it is evaluated in.
+    For the unit-norm Gaussian |f|^2 = exp(-d^2/sigma_w^2) / (sqrt(pi) sigma_w)
+    this is -i sqrt(pi)/sigma_w exp(-sigma_w^2 tau^2/4) w(-q/sigma_w - i sigma_w tau/2)
+    with w the Faddeeva function.
     """
-
-    def __init__(self, optics, mode):
-        n = mode.grid.size
-        if (n - 1) % 4 != 0:
-            raise DomainError("mode grid size must be 1 mod 4 for the refinement check")
-        grid_c = mode.grid[::2]
-        coarse = SpectralMode(grid=grid_c, amplitude=mode.amplitude[::2],
-                              weights=_simpson_weights(grid_c.size, grid_c[1] - grid_c[0]))
-        f = mode.amplitude
-        filtered = np.exp(-1j * optics.tau_m * mode.grid) * f
-        norm_density = np.abs(f) ** 2          # summed against |r0|^2 + |r1|^2
-        overlap_density = np.conj(f) * filtered  # summed against r1 - r0
-        self._grid = mode.grid
-        self._r_m = optics.r_m
-        self._passes = tuple(
-            (cut, w * norm_density[cut], w * overlap_density[cut])
-            for cut, w in ((slice(None), mode.weights),
-                           (slice(None, None, 2), coarse.weights)))
-
-    def __call__(self, g, kappa_in, kappa_ex, gamma, delta_a, cavity_shift):
-        """(f_pro, one_minus_l), each (rows, 2): the fine pass, then the coarse.
-
-        Every rate broadcasts as one value per row.  cavity_shift moves the
-        cavity resonance relative to the photon carrier.
-        """
-        g, kappa_in, kappa_ex, gamma, delta_a, cavity_shift = (
-            np.asarray(v, dtype=float).reshape(-1, 1)
-            for v in (g, kappa_in, kappa_ex, gamma, delta_a, cavity_shift))
-        delta = self._grid - cavity_shift
-        r0 = _r0(kappa_in, kappa_ex, delta)
-        r1 = _r1(g, kappa_in, kappa_ex, gamma, delta_a, delta)
-        norm = np.abs(r0) ** 2 + np.abs(r1) ** 2
-        diff = r1 - r0
-        r_m = self._r_m
-        one_minus_l = np.stack([(2.0 * r_m**2 + np.sum(norm[:, cut] * w, axis=1)) / 4.0
-                                for cut, w, _ in self._passes], axis=1)
-        f_pro = np.stack([np.abs(2.0 * r_m + np.sum(diff[:, cut] * w, axis=1)) ** 2 / 16.0
-                          for cut, _, w in self._passes], axis=1)
-        return f_pro, one_minus_l
+    return (-1j * _SQRT_PI / sigma_w * math.exp(-0.25 * (sigma_w * tau) ** 2)
+            * wofz(-q / sigma_w - 0.5j * sigma_w * tau))
 
 
-def _outcome(f_pro, one_minus_l):
-    """GateOutcome of one kernel row; the coarse pass must agree to 1e-8."""
-    f_c_coarse = _conditional(f_pro[1], one_minus_l[1])
-    f_c = _conditional(f_pro[0], one_minus_l[0])
-    if abs(f_c_coarse - f_c) > _QUAD_TOL:
-        raise ConvergenceError(
-            f"quadrature not converged: refinement moved f_c by {abs(f_c_coarse - f_c):.3e}")
-    return GateOutcome(f_c=f_c, p_success=one_minus_l[0])
+def _cauchy_dd(m, h, tau, sigma_w):
+    """Divided difference J[m + h, m - h], exact through h = 0.
+
+    The difference quotient cancels as the two poles merge (the
+    exceptional point h = 0).  Where |h| < _EP_SWITCH |Im m|, the divided
+    difference, analytic in h^2, is interpolated in h^2 from its
+    difference quotients on _EP_NODES points of the ring
+    |h| = _EP_RING |Im m|.  J varies on a scale of at least |Im m|, so the
+    interpolant errs by about _EP_RING^(2 _EP_NODES) = 1e-16 relative.  A
+    Taylor series from the derivative recurrence of w is not used: it
+    loses eps |zeta|^2, and |zeta| ~ |m| sigma_t is large for long pulses.
+    """
+    def quotient(m, h):
+        return (_cauchy(m + h, tau, sigma_w) - _cauchy(m - h, tau, sigma_w)) / (2.0 * h)
+
+    near = np.abs(h) < _EP_SWITCH * np.abs(m.imag)
+    dd = np.empty_like(h)
+    dd[~near] = quotient(m[~near], h[~near])
+    if np.any(near):
+        ring = (_EP_RING * np.abs(m[near].imag)[:, None]
+                * np.exp(1j * np.pi * np.arange(_EP_NODES) / _EP_NODES))
+        x = (h[near, None] / ring) ** 2  # ring^2 / |ring|^2 are the M-th roots of unity
+        lagrange = (1.0 - x**_EP_NODES) / (1.0 - x) / _EP_NODES
+        dd[near] = np.sum(quotient(m[near, None], ring) * lagrange, axis=1)
+    return dd
 
 
-def caps_finite_bandwidth(params, optics, mode, cavity_shift=0.0):
-    """Gate metrics for a finite-bandwidth photon.
+def _gate_metrics(optics, sigma_t, g, kappa_in, kappa_ex, gamma, delta_a, cavity_shift):
+    """(f_pro, one_minus_l), one value per row, for a Gaussian photon.
+
+    Every rate broadcasts as one value per row; cavity_shift moves the
+    cavity resonance relative to the photon carrier.  In the photon
+    detuning d, r0 - 1 = c/(d - p0) and r1 - 1 = c (d - a)/((d - q1)(d - q2))
+    with q1,2 = m +- h, all poles below the real axis, so every spectral
+    integral is a sum of J(q, tau) terms.
+    """
+    if not sigma_t > 0.0:
+        raise DomainError("sigma_t must be positive")
+    sigma_w = 1.0 / sigma_t
+    g, kappa_in, kappa_ex, gamma, delta_a, shift = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float))
+          for v in (g, kappa_in, kappa_ex, gamma, delta_a, cavity_shift)))
+    tau, r_m = optics.tau_m, optics.r_m
+    c = -2j * kappa_ex
+    p0 = shift - 1j * (kappa_in + kappa_ex)
+    a = shift + delta_a - 1j * gamma
+    m, e = 0.5 * (p0 + a), 0.5 * (p0 - a)  # e = m - a
+    h = np.sqrt(e**2 + g**2)
+    q2 = m - h
+    j0, j2 = _cauchy(p0, 0.0, sigma_w), _cauchy(q2, 0.0, sigma_w)
+    dd = _cauchy_dd(m, h, 0.0, sigma_w)
+    # (q - a) J(q) over (q1, q2) by the product rule: (e + h) J[q1, q2] + J(q2)
+    lin1 = c * ((e + h) * dd + j2)
+    overlap = c * ((e + h) * _cauchy_dd(m, h, tau, sigma_w) + _cauchy(q2, tau, sigma_w)
+                   - _cauchy(p0, tau, sigma_w))
+    # |r - 1|^2 on the real axis is 2 Re sum_k res_k / (d - q_k) over the
+    # lower poles alone; for r1 that is |c|^2 (R J)[q1, q2] with
+    # R(q) = (q - a)(q - conj a) / ((q - conj q1)(q - conj q2)), taken in t = q - m
+    u = 2j * m.imag                        # m - conj(m)
+    den1, den2 = (u + h) ** 2 - np.conj(h) ** 2, (u - h) ** 2 - np.conj(h) ** 2
+    r_q1 = (e + h) * (u + np.conj(e) + h) / den1
+    r_q2 = (e - h) * (u + np.conj(e) - h) / den2
+    r_dd = (e + u + np.conj(e) - 2.0 * u * r_q2) / den1
+    # r0: |r0 - 1|^2 has residue -c kappa_ex / kappa at p0, so 2 Re(c J) scales by kappa_in / kappa
+    norm0 = 1.0 + 2.0 * np.real(c * j0) * kappa_in / (kappa_in + kappa_ex)
+    norm1 = 1.0 + 2.0 * np.real(lin1 + abs(c) ** 2 * (r_q1 * dd + r_dd * j2))
+    one_minus_l = (2.0 * r_m**2 + norm0 + norm1) / 4.0
+    f_pro = np.abs(2.0 * r_m + overlap) ** 2 / 16.0
+    return f_pro, one_minus_l
+
+
+def caps_finite_bandwidth(params, optics, sigma_t, cavity_shift=0.0):
+    """Gate metrics for a Gaussian photon of temporal width sigma_t.
 
     The input spectrum is filtered by the state-dependent cavity response
-    (and the mirror path by exp(-i tau_m d)); inner products are taken by
-    quadrature on the mode grid.  One refinement pass at doubled
-    resolution must agree to 1e-8 in the fidelity, otherwise a
-    ConvergenceError is raised.  cavity_shift moves the cavity resonance
-    relative to the photon carrier (the caller sets params.delta_a
-    consistently when modeling resonance jitter).
+    (and the mirror path by exp(-i tau_m d)).  The responses are rational
+    in the detuning, so every spectral integral has an exact closed form
+    through the Faddeeva function; nothing is sampled on a grid.
+    cavity_shift moves the cavity resonance relative to the photon carrier
+    (the caller sets params.delta_a consistently when modeling resonance
+    jitter).
     """
-    f_pro, one_minus_l = _GateKernel(optics, mode)(
-        params.g, params.kappa_in, params.kappa_ex, params.gamma, params.delta_a,
-        cavity_shift)
-    return _outcome(f_pro[0], one_minus_l[0])
+    f_pro, one_minus_l = _gate_metrics(
+        optics, sigma_t, params.g, params.kappa_in, params.kappa_ex, params.gamma,
+        params.delta_a, cavity_shift)
+    return GateOutcome(f_c=_conditional(f_pro[0], one_minus_l[0]), p_success=one_minus_l[0])
 
 
 def min_sigma_t(c_in, gamma, target_infidelity=1e-4, rel_tol=1e-3):
@@ -279,10 +310,9 @@ def min_sigma_t(c_in, gamma, target_infidelity=1e-4, rel_tol=1e-3):
     optics = matched_optics(params)
 
     def infid(sig):
-        return caps_finite_bandwidth(params, optics, gaussian_mode(sig)).infidelity
+        return caps_finite_bandwidth(params, optics, sig).infidelity
 
-    # below ~0.05/gamma the default grid no longer resolves the response
-    # and the infidelity is far above any useful target anyway
+    # below ~0.05/gamma the infidelity is far above any useful target
     lo = 0.05 / gamma
     hi = 1.0 / gamma
     for _ in range(60):
@@ -290,7 +320,7 @@ def min_sigma_t(c_in, gamma, target_infidelity=1e-4, rel_tol=1e-3):
             break
         hi *= 2.0
     else:
-        raise ConvergenceError("no pulse width in range meets the target infidelity")
+        raise DomainError("no pulse width in range meets the target infidelity")
     if infid(lo) <= target_infidelity:
         return lo
     while hi / lo - 1.0 > rel_tol:
@@ -303,7 +333,6 @@ def min_sigma_t(c_in, gamma, target_infidelity=1e-4, rel_tol=1e-3):
 
 
 _RESAMPLE_CAP = 10
-_BLOCK_ROWS = 4  # draws per kernel call: wider blocks were no faster and cost memory
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
@@ -312,48 +341,33 @@ def robustness_mc(base, spec):
 
     Optics stay at their nominal calibration while the chosen parameter is
     redrawn per sample from a Gaussian of the given FWHM.  Draws that
-    produce an invalid system (e.g. non-positive coupling) are redrawn up
-    to ten times each; the resample count is reported.  Deterministic for
-    a fixed seed, independent of any execution partitioning: sample i uses
-    the dedicated stream seeded by (seed, i).  Samples are evaluated in
-    index order, a few per kernel call; the first failing sample raises,
-    as in a one-by-one loop.
+    produce an invalid system (non-positive coupling or cavity length) are
+    redrawn up to ten times each; the resample count is reported, and the
+    lowest sample left without a valid draw raises.  Deterministic for a
+    fixed seed, independent of any execution partitioning: sample i uses
+    the dedicated stream seeded by (seed, i), built only when fwhm > 0.
+    All samples are then evaluated in one exact kernel call.
     """
     sigma = spec.fwhm * _FWHM_TO_SIGMA
-    sigma_w = 1.0 / _mode_sigma_t(base.mode)
-    kernel = _GateKernel(base.optics, base.mode)
-    records = np.empty((spec.samples, 4))
+    x = np.zeros(spec.samples)
     n_resampled = 0
-    for start in range(0, spec.samples, _BLOCK_ROWS):
-        pending = list(range(start, min(start + _BLOCK_ROWS, spec.samples)))
-        rngs = {i: np.random.default_rng([spec.seed, i]) for i in pending}
-        errors = {}
+    for i in range(spec.samples):
+        rng = np.random.default_rng([spec.seed, i]) if spec.fwhm > 0.0 else None
         for _ in range(_RESAMPLE_CAP + 1):
-            x = np.array([rngs[i].normal(0.0, sigma) if spec.fwhm > 0.0 else 0.0
-                          for i in pending])
-            valid, rates = _perturbed_rates(base.params, spec.target, x, sigma_w)
-            f_pro, one_minus_l = kernel(*rates)
-            failed = []
-            for row, i in enumerate(pending):
-                try:
-                    if not valid[row]:
-                        raise DomainError("invalid draw")
-                    outcome = _outcome(f_pro[row], one_minus_l[row])
-                except DomainError:
-                    failed.append(i)
-                    continue
-                except ConvergenceError as exc:
-                    errors[i] = exc
-                    continue
-                records[i] = (i, x[row], outcome.f_c, outcome.p_success)
-            n_resampled += len(failed)
-            pending = failed
-            if not pending:
+            if rng is not None:
+                x[i] = rng.normal(0.0, sigma)
+            if _valid_draw(base.params, spec.target, x[i]):
                 break
-        for i in pending:
-            errors[i] = DomainError(f"sample {i}: no valid draw within {_RESAMPLE_CAP} retries")
-        if errors:
-            raise errors[min(errors)]
+            n_resampled += 1
+        else:
+            raise DomainError(f"sample {i}: no valid draw within {_RESAMPLE_CAP} retries")
+    f_pro, one_minus_l = _gate_metrics(
+        base.optics, base.sigma_t, *_perturbed_rates(base.params, spec.target, x,
+                                                     1.0 / base.sigma_t))
+    records = np.empty((spec.samples, 4))
+    for i, (fp, ol) in enumerate(zip(f_pro.tolist(), one_minus_l.tolist())):
+        outcome = GateOutcome(f_c=_conditional(fp, ol), p_success=ol)
+        records[i] = (i, x[i], outcome.f_c, outcome.p_success)
     p = records[:, 3]
     f = records[:, 2]
     total_p = float(np.sum(p))
@@ -368,30 +382,28 @@ def robustness_mc(base, spec):
     )
 
 
-def _mode_sigma_t(mode):
-    """Temporal width implied by the spectral second moment."""
-    w = mode.weights
-    a2 = np.abs(mode.amplitude) ** 2
-    norm = np.sum(w * a2)
-    var = np.sum(w * a2 * mode.grid**2) / norm
-    return 1.0 / math.sqrt(2.0 * var)
+def _valid_draw(params, target, x):
+    """Whether draw x of the knob leaves a physical system."""
+    if target == "coupling_g":
+        return params.g * (1.0 + x) > 0.0
+    if target == "length":
+        return x > -1.0
+    return True
 
 
 def _perturbed_rates(params, target, x, sigma_w):
-    """Kernel rates for draws x of one knob, and which draws are valid.
+    """Kernel rates for valid draws x of one knob.
 
-    Returns (valid, (g, kappa_in, kappa_ex, gamma, delta_a, cavity_shift)).
-    Rates the knob leaves alone stay scalars and broadcast.
+    Returns (g, kappa_in, kappa_ex, gamma, delta_a, cavity_shift); rates
+    the knob leaves alone stay scalars and broadcast.
     """
     g, kappa_in, kappa_ex = params.g, params.kappa_in, params.kappa_ex
     delta_a, shift = params.delta_a, 0.0
     if target == "coupling_g":
         g = params.g * (1.0 + x)
-        valid = g > 0.0
     elif target == "length":
-        # scaled_by_length_deviation for every draw that keeps L positive
-        valid = x > -1.0
-        s = np.where(valid, 1.0 + x, 1.0)
+        # scaled_by_length_deviation for every draw
+        s = 1.0 + x
         g, kappa_in, kappa_ex = params.g / np.sqrt(s), params.kappa_in / s, params.kappa_ex / s
     else:  # cavity_freq
         # a cavity moved by +shift leaves atom and photon in place: photon
@@ -399,5 +411,4 @@ def _perturbed_rates(params, target, x, sigma_w):
         # detuning falls by shift
         shift = x * sigma_w
         delta_a = params.delta_a - shift
-        valid = np.ones(x.shape, dtype=bool)
-    return valid, (g, kappa_in, kappa_ex, params.gamma, delta_a, shift)
+    return g, kappa_in, kappa_ex, params.gamma, delta_a, shift

@@ -17,7 +17,7 @@ from capsim.config import parse_config
 from capsim.crosstalk import (crosstalk_fidelity_approx, crosstalk_fidelity_exact,
                               matched_scenario)
 from capsim.gate import (FluctuationSpec, GateScenario, caps_finite_bandwidth,
-                         caps_longpulse, gaussian_mode, robustness_mc)
+                         caps_longpulse, robustness_mc)
 from capsim.protocols import matched_node, type1, type2, type3
 from capsim.rates import MuxScenario, rate_time_mux, rate_wavelength_mux
 from capsim.runner import run_sweep, table_bytes
@@ -70,8 +70,7 @@ def test_criterion_03_bandwidth_criterion():
     for c_in in (10, 30, 100):
         p = delay_matched_params(c_in, GAMMA_YB)
         t0 = time.perf_counter()
-        out = caps_finite_bandwidth(p, matched_optics(p),
-                                    gaussian_mode(5.2 * c_in**-0.60 / GAMMA_YB))
+        out = caps_finite_bandwidth(p, matched_optics(p), 5.2 * c_in**-0.60 / GAMMA_YB)
         slowest = max(slowest, time.perf_counter() - t0)
         worst = max(worst, out.infidelity)
     _verdict(3, "bandwidth criterion", worst <= 1.5e-4 and slowest < 1.0,
@@ -90,8 +89,7 @@ def test_criterion_04_delay_approximation():
         tau_0, tau_1 = pulse_delays(p)
         for x in (0.15, 0.3):
             sigma_w = x / abs(tau_1 - tau_0)
-            out = caps_finite_bandwidth(p, matched_optics(p),
-                                        gaussian_mode(1 / sigma_w))
+            out = caps_finite_bandwidth(p, matched_optics(p), 1 / sigma_w)
             model = (tau_1 - tau_0) ** 2 * sigma_w**2 / 20
             worst = max(worst, abs(out.infidelity - model) / model)
     elapsed = time.perf_counter() - t0
@@ -227,9 +225,9 @@ def test_criterion_12_robustness_thresholds():
     t0 = time.perf_counter()
     p = delay_matched_params(100, GAMMA_YB)
     optics = matched_optics(p)
-    mode = gaussian_mode(5.2 * 100**-0.60 / GAMMA_YB)
-    base = GateScenario(params=p, optics=optics, mode=mode)
-    nominal = caps_finite_bandwidth(p, optics, mode).infidelity
+    sigma_t = 5.2 * 100**-0.60 / GAMMA_YB
+    base = GateScenario(params=p, optics=optics, sigma_t=sigma_t)
+    nominal = caps_finite_bandwidth(p, optics, sigma_t).infidelity
     g_fluct = robustness_mc(base, FluctuationSpec("coupling_g", 0.20,
                                                   samples=10_000, seed=12))
     jitter = robustness_mc(base, FluctuationSpec("cavity_freq", 0.10,

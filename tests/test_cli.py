@@ -72,6 +72,16 @@ def test_unknown_parameter_named_in_error():
     assert any("parameters.bogus_knob" in e for e in errors)
 
 
+def test_grid_knobs_accepted_only_by_protocol_eval():
+    # the gate experiments are exact; only the protocols sample a mode grid
+    params = dict(GAMMA_KEY, c_in=100, sigma_t_ns=217.6, n_points=4097)
+    errors = validate_raw({"experiment": "bandwidth_scan", "seed": 1,
+                           "parameters": params})
+    assert any("parameters.n_points: not recognized" in e for e in errors)
+    assert validate_raw({"experiment": "protocol_eval", "seed": 1,
+                         "parameters": dict(params, protocol="type2")}) == []
+
+
 def test_negative_rate_field_error():
     raw = {"experiment": "rate_tables",
            "parameters": {"n_atoms": 10, "tau_shuttle_us": 1, "sigma_t_ns": 10,

@@ -1,0 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import capsim
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("script", ["02_fast_gate_bandwidth.py",
+                                    "03_robustness_fluctuations.py"])
+def test_gate_demo_runs(script):
+    src = str(Path(capsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, str(DEMOS / script)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr

@@ -10,10 +10,10 @@ from capsim.cavity import (CavityParams, InterfaceOptics, delay_matched_params,
                            kappa_ex_opt, matched_optics, pulse_delays, r_opt,
                            reflection_r0, reflection_r1,
                            scaled_by_length_deviation)
-from capsim.errors import ConvergenceError, DomainError
+from capsim.errors import DomainError
 from capsim.gate import (FluctuationSpec, GateOutcome, GateScenario,
-                         SpectralMode, caps_finite_bandwidth, caps_longpulse,
-                         gaussian_mode, min_sigma_t, robustness_mc)
+                         caps_finite_bandwidth, caps_longpulse, gaussian_mode,
+                         min_sigma_t, robustness_mc)
 
 GAMMA = 1.0
 
@@ -110,18 +110,18 @@ def test_longpulse_degenerate_heralding_is_domain_error():
 
 def test_long_pulse_limit_recovers_longpulse_metrics():
     p, optics = _matched(100)
-    fb = caps_finite_bandwidth(p, optics, gaussian_mode(1e4))
     lp = caps_longpulse(p, optics)
-    assert fb.f_c == pytest.approx(lp.f_c, abs=1e-6)
-    assert fb.p_success == pytest.approx(lp.p_success, abs=1e-6)
+    for sigma_t, tol in ((1e4, 1e-6), (1e6, 1e-12)):
+        fb = caps_finite_bandwidth(p, optics, sigma_t / GAMMA)
+        assert fb.f_c == pytest.approx(lp.f_c, abs=tol)
+        assert fb.p_success == pytest.approx(lp.p_success, abs=tol)
 
 
 @pytest.mark.parametrize("c_in", [10, 30, 100])
 def test_minimum_pulse_width_fit_point(c_in):
     # empirical fit sigma_t = 5.2 C^-0.60 / gamma keeps infidelity near 1e-4
     p, optics = _matched(c_in)
-    mode = gaussian_mode(5.2 * c_in**-0.60 / GAMMA)
-    assert caps_finite_bandwidth(p, optics, mode).infidelity <= 1.2e-4
+    assert caps_finite_bandwidth(p, optics, 5.2 * c_in**-0.60 / GAMMA).infidelity <= 1.2e-4
 
 
 @pytest.mark.parametrize("c_in", [10, 30])
@@ -133,44 +133,91 @@ def test_delay_dominated_infidelity_matches_quadratic_model(c_in, delay_bw):
                      kappa_ex=kappa_ex_opt(kappa_in, c_in))
     tau_0, tau_1 = pulse_delays(p)
     sigma_w = delay_bw / abs(tau_1 - tau_0)
-    out = caps_finite_bandwidth(p, matched_optics(p), gaussian_mode(1 / sigma_w))
+    out = caps_finite_bandwidth(p, matched_optics(p), 1 / sigma_w)
     model = (tau_1 - tau_0) ** 2 * sigma_w**2 / 20
     assert out.infidelity == pytest.approx(model, rel=0.1)
 
 
 def test_infidelity_monotone_in_pulse_width():
     p, optics = _matched(30)
-    infs = [caps_finite_bandwidth(p, optics, gaussian_mode(s)).infidelity
+    infs = [caps_finite_bandwidth(p, optics, s).infidelity
             for s in np.geomspace(0.05, 50, 10)]
     assert all(b <= a + 1e-15 for a, b in zip(infs, infs[1:]))
 
 
 def test_grid_reflection_symmetry():
+    # mirroring the detuning axis: r(-d; delta_a) = conj r(d; -delta_a), so
+    # (delta_a, shift) and (-delta_a, -shift) give the same metrics
     p, optics = _matched(20)
-    mode = gaussian_mode(0.8)
-    flipped = SpectralMode(grid=-mode.grid[::-1],
-                           amplitude=mode.amplitude[::-1],
-                           weights=mode.weights[::-1])
-    a = caps_finite_bandwidth(p, optics, mode)
-    b = caps_finite_bandwidth(p, optics, flipped)
-    assert a.f_c == pytest.approx(b.f_c, abs=1e-10)
-    assert a.p_success == pytest.approx(b.p_success, abs=1e-10)
+    for delta_a, shift in ((0.7, 0.3), (-2.0, 1.1), (0.0, 0.5)):
+        a = caps_finite_bandwidth(p.with_(delta_a=delta_a), optics, 0.8, shift)
+        b = caps_finite_bandwidth(p.with_(delta_a=-delta_a), optics, 0.8, -shift)
+        assert a.f_c == pytest.approx(b.f_c, abs=1e-14)
+        assert a.p_success == pytest.approx(b.p_success, abs=1e-14)
 
 
-def test_quadrature_refinement_converged_at_default_resolution():
-    # the public evaluation embeds the refinement check; explicit doubling
-    # of the point count here pins the 1e-8 contract independently
+def _simpson_metrics(params, optics, sigma_t, cavity_shift, n=4097):
+    """(f_pro, one_minus_l) by composite Simpson over +-8 bandwidths."""
+    sigma_w = 1.0 / sigma_t
+    d = np.linspace(-8.0 * sigma_w, 8.0 * sigma_w, n)
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-2:2] = 2.0
+    w *= (d[1] - d[0]) / 3.0 * np.exp(-(d / sigma_w) ** 2) / (math.sqrt(math.pi) * sigma_w)
+    r0 = reflection_r0(params, d - cavity_shift)
+    r1 = reflection_r1(params, d - cavity_shift)
+    one_minus_l = (2.0 * optics.r_m**2 + np.sum(w * (np.abs(r0) ** 2 + np.abs(r1) ** 2))) / 4.0
+    overlap = np.sum(w * np.exp(-1j * optics.tau_m * d) * (r1 - r0))
+    return abs(2.0 * optics.r_m + overlap) ** 2 / 16.0, one_minus_l
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(2024)
+    for _ in range(24):  # random rates, detunings and shifts
+        c_in = 10 ** rng.uniform(0, math.log10(400))
+        sigma_t = 10 ** rng.uniform(math.log10(0.05), math.log10(5))
+        p = delay_matched_params(c_in, GAMMA)
+        p = p.with_(g=p.g * rng.uniform(0.7, 1.3), delta_a=rng.normal(0, 2))
+        yield p, matched_optics(p), sigma_t, rng.normal(0, 0.5) / sigma_t
     p, optics = _matched(10)
-    full = caps_finite_bandwidth(p, optics, gaussian_mode(0.5))
-    dense = caps_finite_bandwidth(p, optics, gaussian_mode(0.5, n_points=4097))
-    assert abs(full.f_c - dense.f_c) < 1e-8
+    for tau_sigma_w in (4.0, 8.0):  # a long mirror delay against the bandwidth
+        yield p, InterfaceOptics(r_m=optics.r_m, tau_m=tau_sigma_w * 0.7), 0.7, 0.2
+    # the r1 poles merge at g = |kappa - gamma|/2: both sides of the switch
+    kappa_in, kappa_ex, gamma = 1.0, 2.0, 1.0
+    g_ep = abs(kappa_in + kappa_ex - gamma) / 2
+    for rel in (0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-4, -1e-4, 1e-3, -1e-3, 1e-2, -1e-2):
+        p = CavityParams(g=g_ep * (1 + rel), kappa_in=kappa_in, kappa_ex=kappa_ex,
+                         gamma=gamma)
+        for sigma_t in (0.05, 1.0, 5.0, 1e3):
+            yield p, InterfaceOptics(r_m=0.7, tau_m=0.4), sigma_t, 0.0
+
+
+def test_closed_form_matches_quadrature_oracle():
+    for params, optics, sigma_t, shift in _oracle_cases():
+        f_pro, one_minus_l = gate._gate_metrics(
+            optics, sigma_t, params.g, params.kappa_in, params.kappa_ex,
+            params.gamma, params.delta_a, shift)
+        ref_f_pro, ref_one_minus_l = _simpson_metrics(params, optics, sigma_t, shift)
+        assert abs(f_pro[0] - ref_f_pro) <= 1e-12
+        assert abs(one_minus_l[0] - ref_one_minus_l) <= 1e-12
+        f_c = caps_finite_bandwidth(params, optics, sigma_t, shift).f_c
+        assert abs(f_c - (1.0 - 0.8 * (1.0 - ref_f_pro / ref_one_minus_l))) <= 1e-12
+
+
+@pytest.mark.parametrize("sigma_t", [0.0, -1.0, float("nan")])
+def test_nonpositive_pulse_width_rejected(sigma_t):
+    p, optics = _matched(10)
+    with pytest.raises(DomainError):
+        caps_finite_bandwidth(p, optics, sigma_t)
+    with pytest.raises(DomainError):
+        GateScenario(params=p, optics=optics, sigma_t=sigma_t)
 
 
 def test_min_sigma_t_inverts_the_infidelity_curve():
     p, optics = _matched(30)
     sigma = min_sigma_t(30, GAMMA, target_infidelity=1e-4)
-    at = caps_finite_bandwidth(p, optics, gaussian_mode(sigma)).infidelity
-    below = caps_finite_bandwidth(p, optics, gaussian_mode(sigma * 0.9)).infidelity
+    at = caps_finite_bandwidth(p, optics, sigma).infidelity
+    below = caps_finite_bandwidth(p, optics, sigma * 0.9).infidelity
     assert at <= 1e-4
     assert below > 1e-4 * 0.9
 
@@ -183,16 +230,31 @@ def _scenario(c_in=100, sigma_t=None):
     p, optics = _matched(c_in)
     if sigma_t is None:
         sigma_t = 5.2 * c_in**-0.60 / GAMMA
-    return GateScenario(params=p, optics=optics, mode=gaussian_mode(sigma_t))
+    return GateScenario(params=p, optics=optics, sigma_t=sigma_t)
 
 
 def test_zero_fwhm_reproduces_nominal():
     base = _scenario()
     summary = robustness_mc(base, FluctuationSpec(target="coupling_g", fwhm=0.0,
                                                   samples=3, seed=1))
-    nominal = caps_finite_bandwidth(base.params, base.optics, base.mode)
+    nominal = caps_finite_bandwidth(base.params, base.optics, base.sigma_t)
     assert summary.mean_fidelity == pytest.approx(nominal.f_c, abs=1e-15)
     assert summary.mean_success == pytest.approx(nominal.p_success, abs=1e-15)
+
+
+def test_zero_fwhm_builds_no_random_streams(monkeypatch):
+    built = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    robustness_mc(_scenario(), FluctuationSpec("coupling_g", 0.0, samples=50, seed=1))
+    assert built == []
+    robustness_mc(_scenario(), FluctuationSpec("coupling_g", 0.1, samples=5, seed=1))
+    assert built == [[1, i] for i in range(5)]
 
 
 def test_mc_deterministic_for_fixed_seed():
@@ -229,27 +291,10 @@ def test_gate_outcome_validation():
 
 
 # --------------------------------------------------------------------------
-# Blocked kernel against a per-sample reference loop
+# One kernel call over all samples against a per-sample reference loop
 # --------------------------------------------------------------------------
 
-def _reference_metrics(params, optics, f, grid, weights, cavity_shift):
-    # one sample, one pass: the filtered responses summed on the given grid
-    delta = grid - cavity_shift
-    filt = np.exp(-1j * optics.tau_m * grid)
-    f0 = filt * reflection_r0(params, delta) * f
-    f1 = filt * reflection_r1(params, delta) * f
-    n00 = np.sum(weights * np.abs(f0) ** 2).real
-    n11 = np.sum(weights * np.abs(f1) ** 2).real
-    o0 = np.sum(weights * np.conj(f) * f0)
-    o1 = np.sum(weights * np.conj(f) * f1)
-    one_minus_l = (2.0 * optics.r_m**2 + n00 + n11) / 4.0
-    f_pro = abs(2.0 * optics.r_m - o0 + o1) ** 2 / 16.0
-    if one_minus_l <= 0.0:
-        raise DomainError("zero heralding probability")
-    return 1.0 - 0.8 * (1.0 - f_pro / one_minus_l), one_minus_l
-
-
-def _reference_outcome(base, target, x, sigma_w):
+def _reference_outcome(base, target, x):
     params, shift = base.params, 0.0
     if target == "coupling_g":
         if params.g * (1.0 + x) <= 0.0:
@@ -258,29 +303,14 @@ def _reference_outcome(base, target, x, sigma_w):
     elif target == "length":
         params = scaled_by_length_deviation(params, x)
     else:
-        shift = x * sigma_w
+        shift = x / base.sigma_t
         params = params.with_(delta_a=params.delta_a - shift)
-    mode = base.mode
-    grid_c = mode.grid[::2]
-    w_c = np.ones(grid_c.size)
-    w_c[1:-1:2] = 4.0
-    w_c[2:-2:2] = 2.0
-    w_c *= (grid_c[1] - grid_c[0]) / 3.0
-    f_c_coarse, _ = _reference_metrics(params, base.optics, mode.amplitude[::2],
-                                       grid_c, w_c, shift)
-    f_c, p = _reference_metrics(params, base.optics, mode.amplitude, mode.grid,
-                                mode.weights, shift)
-    if abs(f_c_coarse - f_c) > 1e-8:
-        raise ConvergenceError("quadrature not converged")
-    return GateOutcome(f_c=f_c, p_success=p)
+    return caps_finite_bandwidth(params, base.optics, base.sigma_t, shift)
 
 
 def _reference_robustness(base, spec):
     """Records and resample count of a plain one-sample-at-a-time loop."""
     sigma = spec.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    a2 = np.abs(base.mode.amplitude) ** 2
-    w = base.mode.weights
-    sigma_w = math.sqrt(2.0 * np.sum(w * a2 * base.mode.grid**2) / np.sum(w * a2))
     records = np.empty((spec.samples, 4))
     n_resampled = 0
     for i in range(spec.samples):
@@ -288,7 +318,7 @@ def _reference_robustness(base, spec):
         for _ in range(11):
             x = rng.normal(0.0, sigma) if spec.fwhm > 0.0 else 0.0
             try:
-                out = _reference_outcome(base, spec.target, x, sigma_w)
+                out = _reference_outcome(base, spec.target, x)
             except DomainError:
                 n_resampled += 1
                 continue
@@ -321,27 +351,17 @@ def test_records_independent_of_sample_count(target, fwhm):
     assert np.array_equal(short.samples, long.samples[:7])
 
 
-def test_under_resolved_mode_raises_convergence_error():
-    p, optics = _matched(100)
-    base = GateScenario(params=p, optics=optics, mode=gaussian_mode(0.05, n_points=17))
-    with pytest.raises(ConvergenceError):
-        robustness_mc(base, FluctuationSpec("coupling_g", 0.2, samples=8, seed=1))
-
-
 def test_lowest_failing_sample_raises(monkeypatch):
-    # sample 1 fails its quadrature check on the first attempt, but sample
-    # 0 runs out of valid draws first in index order
-    calls = []
-
-    def outcome(f_pro, one_minus_l):
-        calls.append(None)
-        if len(calls) == 2:
-            raise ConvergenceError("sample 1")
-        raise DomainError("invalid")
-
-    monkeypatch.setattr(gate, "_outcome", outcome)
-    with pytest.raises(DomainError, match="sample 0: no valid draw"):
-        robustness_mc(_scenario(), FluctuationSpec("coupling_g", 0.2, samples=3, seed=1))
+    # one draw per sample, about half of them invalid: the error names the
+    # lowest sample left without a valid draw
+    monkeypatch.setattr(gate, "_RESAMPLE_CAP", 0)
+    spec = FluctuationSpec("coupling_g", 1e3, samples=8, seed=1)
+    sigma = spec.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    invalid = [i for i in range(spec.samples)
+               if np.random.default_rng([spec.seed, i]).normal(0.0, sigma) <= -1.0]
+    assert len(invalid) >= 2 and invalid[0] > 0
+    with pytest.raises(DomainError, match=f"sample {invalid[0]}: no valid draw"):
+        robustness_mc(_scenario(), spec)
 
 
 # --------------------------------------------------------------------------
