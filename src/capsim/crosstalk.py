@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .cavity import CavityParams, r_opt
 from .errors import DomainError
@@ -70,10 +69,17 @@ def _reflections_all_m(scenario):
 
 
 def _binom_weights(n):
-    """binom(n, m) / 2^n for m = 0..n, computed in log space."""
-    m = np.arange(n + 1)
-    logw = gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1) - n * math.log(2.0)
-    return np.exp(logw)
+    """binom(n, m) / 2^n for m = 0..n, each correctly rounded.
+
+    The binomials run through the exact integer recurrence
+    binom(n, m + 1) = binom(n, m) (n - m) / (m + 1); an int / int true
+    division rounds once.
+    """
+    w, c, scale = np.empty(n + 1), 1, 2**n
+    for m in range(n + 1):
+        w[m] = c / scale
+        c = c * (n - m) // (m + 1)
+    return w
 
 
 def _metrics_from_sums(r_m, mean_abs2, mean_diff, n_atoms):

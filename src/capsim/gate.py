@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import wofz
 
 from .cavity import CavityParams, InterfaceOptics, reflection_r0, reflection_r1
 from .errors import DomainError
@@ -25,13 +24,18 @@ _EP_NODES = 4
 
 
 def _snap_unit(x, what):
-    if -_BOUND_SNAP <= x <= _BOUND_SNAP:
-        return 0.0
-    if 1.0 - _BOUND_SNAP <= x <= 1.0 + _BOUND_SNAP:
-        return 1.0
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"{what} = {x!r} outside [0, 1]")
-    return x
+    """x, a scalar or an array, with values near the [0, 1] edges snapped.
+
+    Values within _BOUND_SNAP of 0 or 1 move onto the edge; a value left
+    outside [0, 1] (or NaN) raises, naming the first one.
+    """
+    a = np.asarray(x, dtype=float)
+    a = np.where((-_BOUND_SNAP <= a) & (a <= _BOUND_SNAP), 0.0,
+                 np.where((1.0 - _BOUND_SNAP <= a) & (a <= 1.0 + _BOUND_SNAP), 1.0, a))
+    outside = ~((0.0 <= a) & (a <= 1.0))
+    if np.any(outside):
+        raise DomainError(f"{what} = {float(a[outside][0])!r} outside [0, 1]")
+    return a if a.ndim else float(a)
 
 
 @dataclass(frozen=True)
@@ -181,8 +185,8 @@ def gaussian_mode(sigma_t, grid_span=8.0, n_points=2049):
 
 
 def _conditional(f_pro, one_minus_l, d_q=4):
-    """Conditional fidelity from process fidelity and leakage."""
-    if one_minus_l <= 0.0:
+    """Conditional fidelity from process fidelity and leakage (scalars or arrays)."""
+    if np.any(np.asarray(one_minus_l) <= 0.0):
         raise DomainError("zero heralding probability: conditional fidelity undefined")
     return 1.0 - d_q / (d_q + 1.0) * (1.0 - f_pro / one_minus_l)
 
@@ -204,6 +208,8 @@ def _cauchy(q, tau, sigma_w):
     this is -i sqrt(pi)/sigma_w exp(-sigma_w^2 tau^2/4) w(-q/sigma_w - i sigma_w tau/2)
     with w the Faddeeva function.
     """
+    from scipy.special import wofz  # at first use: no other path needs scipy
+
     return (-1j * _SQRT_PI / sigma_w * math.exp(-0.25 * (sigma_w * tau) ** 2)
             * wofz(-q / sigma_w - 0.5j * sigma_w * tau))
 
@@ -364,12 +370,9 @@ def robustness_mc(base, spec):
     f_pro, one_minus_l = _gate_metrics(
         base.optics, base.sigma_t, *_perturbed_rates(base.params, spec.target, x,
                                                      1.0 / base.sigma_t))
-    records = np.empty((spec.samples, 4))
-    for i, (fp, ol) in enumerate(zip(f_pro.tolist(), one_minus_l.tolist())):
-        outcome = GateOutcome(f_c=_conditional(fp, ol), p_success=ol)
-        records[i] = (i, x[i], outcome.f_c, outcome.p_success)
-    p = records[:, 3]
-    f = records[:, 2]
+    f = _snap_unit(_conditional(f_pro, one_minus_l), "f_c")
+    p = _snap_unit(one_minus_l, "p_success")
+    records = np.column_stack((np.arange(spec.samples), x, f, p))
     total_p = float(np.sum(p))
     if total_p <= 0.0:
         raise DomainError("all samples failed to herald")

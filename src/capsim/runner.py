@@ -14,7 +14,6 @@ import datetime
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -55,6 +54,8 @@ def run_sweep(config, workers=1):
                 p[name] = os.path.join(out_dir, p[name])
         tasks.append((config.experiment, p, config.seed, i))
     if workers > 1 and n > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay for it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_eval_point, tasks,
                                     chunksize=max(1, n // (4 * workers))))

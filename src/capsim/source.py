@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .cavity import CavityParams
 from .errors import ConvergenceError, DomainError
@@ -29,6 +28,7 @@ ENTANGLER_4LVL = "entangler_4lvl"
 _TRACE_TOL = 1e-6
 _DRIVE_MARGIN = 1e-6
 _STRANDED_LIMIT = 0.5
+_erf = np.vectorize(math.erf, otypes=[float])  # elementwise math.erf, no scipy import
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ class DriveProfile:
         """integral of 2 kappa psi_c^2 + 2 gamma e^2 from -inf to t."""
         s, t0 = self._sigma, self._t0
         tau = (t - t0) / s
-        e0 = 0.5 * (1.0 + erf(tau))
+        e0 = 0.5 * (1.0 + _erf(tau))
         gauss = np.exp(-(tau**2)) / math.sqrt(math.pi)
         e1 = -0.5 * s * gauss
         e2 = 0.5 * s**2 * e0 - 0.5 * s * (t - t0) * gauss

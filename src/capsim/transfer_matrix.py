@@ -202,6 +202,55 @@ def channel_offsets(n_channels):
     return [n - n_channels // 2 for n in range(n_channels)]
 
 
+def _brentq(f, a, b, xtol):
+    """Root of f in the bracket [a, b] by Brent's method.
+
+    Step for step the iteration of scipy.optimize.brentq (Brent 1973,
+    ch. 4): inverse interpolation (secant or inverse quadratic) when it
+    shrinks the bracket fast enough, bisection otherwise, and never a
+    step below the tolerance delta = (xtol + rtol |x|) / 2, with the same
+    rtol = 4 eps and 100 iterations, so it returns the same root bit for
+    bit.
+    """
+    rtol, maxiter = 4.0 * np.finfo(float).eps, 100
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise DomainError(f"no sign change to bracket a root in [{a!r}, {b!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise DomainError(f"root search did not converge in {maxiter} iterations")
+
+
 @lru_cache(maxsize=64)
 def calibrated_coupler(system):
     """Coupler transmittance and mirror reflectivity balanced on the chain.
@@ -210,10 +259,9 @@ def calibrated_coupler(system):
     no spectators; t_ex is tuned until the two target-state reflection
     magnitudes at the bare mode center coincide (the chain-level analogue
     of the closed-form external-rate rule, which seeds the search).
-    Returns (t_ex, r_m).
+    Returns (t_ex, r_m); raises DomainError when the search bracket holds
+    no balance point.
     """
-    from scipy.optimize import brentq
-
     x = (system.n0 // 2 + 0.5) / system.n0
 
     def build(t_ex):
@@ -232,9 +280,7 @@ def calibrated_coupler(system):
 
     seed_t = system.t_ex
     lo, hi = system.t_in * 1.0001, min(0.9, 10.0 * seed_t)
-    if imbalance(lo) * imbalance(hi) > 0.0:
-        raise DomainError("coupler calibration failed to bracket the balance point")
-    t_star = brentq(imbalance, lo, hi, xtol=1e-14)
+    t_star = _brentq(imbalance, lo, hi, xtol=1e-14)
     r_m = abs(tm_reflectance(build(t_star), 0.0, atom_states=[1]))
     return t_star, r_m
 

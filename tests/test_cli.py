@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capsim
 from capsim import experiments
@@ -15,7 +17,7 @@ from capsim.config import parse_config, sanity_warnings, validate_raw
 from capsim.errors import ConvergenceError
 from capsim.experiments import EXPERIMENTS
 from capsim.runner import run_sweep, table_bytes
-from capsim.units import normalize, strip_suffix
+from capsim.units import _SUFFIXES, normalize, strip_suffix
 
 GAMMA_KEY = {"gamma_2pi_MHz": 0.24}
 
@@ -54,6 +56,56 @@ def test_unit_suffix_conversion():
 def test_reserved_names_not_stripped():
     assert strip_suffix("r_m", reserved=("r_m",)) == ("r_m", 1.0)
     assert strip_suffix("tau_shuttle_us")[0] == "tau_shuttle"
+
+
+# bases without "_" cannot end in part of a suffix such as "_rad_s"
+_BASE = st.from_regex(r"[a-z][a-z0-9]{0,11}", fullmatch=True)
+_SUFFIX = st.sampled_from(sorted(_SUFFIXES))
+_NUMBER = st.one_of(st.integers(-10**15, 10**15),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=_BASE, suf=_SUFFIX, value=_NUMBER)
+def test_every_suffix_round_trips(base, suf, value):
+    assert normalize({base + suf: value}) == {base: value * _SUFFIXES[suf]}
+
+
+_NESTED = [(short, long) for short in _SUFFIXES for long in _SUFFIXES
+           if long != short and long.endswith(short)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=_BASE, pair=st.sampled_from(_NESTED), value=_NUMBER)
+def test_longest_suffix_wins(base, pair, value):
+    # "x_rad_s" strips "_rad_s", never "_s" leaving base "x_rad"
+    _, long = pair
+    assert normalize({base + long: value}) == {base: value * _SUFFIXES[long]}
+    assert normalize({base + "_ms": value}) == {base: value * 1e-3}
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=_BASE, suf=_SUFFIX, value=_NUMBER)
+def test_reserved_keys_pass_through_unscaled(base, suf, value):
+    key = base + suf
+    assert normalize({key: value}, reserved=(key,)) == {key: value}
+    assert normalize({"r_m": value}, reserved=("r_m",)) == {"r_m": value}
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=_BASE, sufs=st.lists(_SUFFIX, min_size=2, max_size=2, unique=True),
+       bare=st.booleans())
+def test_keys_collapsing_onto_one_base_rejected(base, sufs, bare):
+    keys = [base, base + sufs[0]] if bare else [base + s for s in sufs]
+    with pytest.raises(ValueError, match="duplicate parameter"):
+        normalize(dict.fromkeys(keys, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=_BASE, suf=_SUFFIX, value=st.one_of(st.booleans(), st.text(max_size=8)))
+def test_bools_and_strings_untouched(base, suf, value):
+    assert normalize({base + suf: value}) == {base: value}
+    assert normalize({base + suf: value})[base] is value
 
 
 def test_invalid_enum_named_in_error(tmp_path):
@@ -320,13 +372,61 @@ def test_reproducible_across_worker_counts():
     assert table_bytes(rows_1, cols) == table_bytes(rows_4, cols)
 
 
-def test_cli_entry_point_runs_in_subprocess(tmp_path):
+_WVM_PARAMETERS = {"gamma_2pi_MHz": 0.24, "omega_fsr_2pi_GHz": 2.7, "omega_a_2pi_THz": 220,
+                   "sigma0_over_aeff": 0.1, "c_over_vg": 1.4, "f_int": 2000}
+
+# run in a fresh interpreter: main() on each argv, then the scipy modules loaded
+_COLD_START = """
+import json, sys
+from capsim.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _child_env():
     # the child imports the capsim under test, also when only pytest's
     # pythonpath setting (not the environment) puts it on the path
     src = str(Path(capsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _cold_start_modules(argvs):
+    out = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(argvs)],
+                         capture_output=True, text=True, env=_child_env())
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_transfer_matrix_runs_import_no_scipy(tmp_path):
+    spectrum = _write(tmp_path, "spectrum.json", {
+        "experiment": "tm_spectrum",
+        "parameters": dict(_WVM_PARAMETERS, n_channels=3),
+        "sweep": [{"name": "delta_2pi_GHz", "start": -4.0, "stop": 4.0, "points": 5}],
+        "output": {"path": "spectrum.csv"}})
+    crosstalk = _write(tmp_path, "crosstalk.json", {
+        "experiment": "wvm_crosstalk", "seed": 2,
+        "parameters": dict(_WVM_PARAMETERS, n_channels=3, trials=2),
+        "output": {"path": "crosstalk.csv"}})
+    argvs = [[cmd, cfg] + (["--out", str(tmp_path)] if cmd == "run" else [])
+             for cfg in (spectrum, crosstalk) for cmd in ("validate", "run")]
+    assert _cold_start_modules(argvs) == []
+    assert (tmp_path / "spectrum.csv").is_file() and (tmp_path / "crosstalk.csv").is_file()
+
+
+def test_gate_run_loads_scipy_special_and_matches_in_process(tmp_path):
+    raw = _robustness_config(samples=8)
+    cfg = _write(tmp_path, "rob.json", raw)
+    loaded = _cold_start_modules([["validate", cfg], ["run", cfg, "--out", str(tmp_path)]])
+    assert "scipy.special" in loaded
+    rows, cols, _ = run_sweep(parse_config(raw))
+    assert (tmp_path / "rob.csv").read_bytes() == table_bytes(rows, cols)
+
+
+def test_cli_entry_point_runs_in_subprocess(tmp_path):
     out = subprocess.run([sys.executable, "-m", "capsim", "list-experiments"],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=_child_env())
     assert out.returncode == 0
     assert "rate_tables" in out.stdout

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +93,14 @@ def test_regrouped_sum_equals_enumeration(n_atoms):
     slow = crosstalk_fidelity_enumerated(sc)
     assert fast.f_c == pytest.approx(slow.f_c, abs=1e-12)
     assert fast.p_success == pytest.approx(slow.p_success, abs=1e-12)
+
+
+def test_binomial_weights_correctly_rounded():
+    from capsim.crosstalk import _binom_weights
+
+    for n in range(301):
+        exact = [float(Fraction(math.comb(n, m), 2**n)) for m in range(n + 1)]
+        assert _binom_weights(n).tolist() == exact, n
 
 
 @pytest.mark.parametrize("n_atoms", [2, 3, 4])

@@ -364,6 +364,37 @@ def test_lowest_failing_sample_raises(monkeypatch):
         robustness_mc(_scenario(), spec)
 
 
+def _stub_metrics(monkeypatch, bad_row):
+    """Make the kernel return nominal rows, with bad_row = (f_pro, 1 - L) at row 2."""
+    def metrics(optics, sigma_t, g, *rates):
+        f_pro, one_minus_l = np.full(g.shape, 0.9), np.full(g.shape, 0.95)
+        f_pro[2], one_minus_l[2] = bad_row
+        return f_pro, one_minus_l
+
+    monkeypatch.setattr(gate, "_gate_metrics", metrics)
+
+
+@pytest.mark.parametrize("bad_row", [(0.6, 0.5), (-0.2, 0.5), (1.485, 1.5), (0.5, 0.0),
+                                     (0.5, -0.1), (np.nan, 0.5)])
+def test_rows_outside_unit_interval_raise_as_one_outcome(monkeypatch, bad_row):
+    with pytest.raises(DomainError) as scalar:
+        GateOutcome(f_c=gate._conditional(*bad_row), p_success=bad_row[1])
+    _stub_metrics(monkeypatch, bad_row)
+    with pytest.raises(DomainError) as rows:
+        robustness_mc(_scenario(), FluctuationSpec("coupling_g", 0.2, samples=5, seed=1))
+    assert str(rows.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("bad_row", [(0.95 + 4e-13, 0.95), (1.0 + 5e-13, 1.0 + 5e-13),
+                                     (5e-13, 5e-13)])
+def test_rows_near_the_edges_snap_as_one_outcome(monkeypatch, bad_row):
+    scalar = GateOutcome(f_c=gate._conditional(*bad_row), p_success=bad_row[1])
+    _stub_metrics(monkeypatch, bad_row)
+    summary = robustness_mc(_scenario(), FluctuationSpec("coupling_g", 0.2, samples=5, seed=1))
+    assert summary.samples[2, 2:].tolist() == [scalar.f_c, scalar.p_success]
+    assert scalar.f_c in (0.0, 1.0) or scalar.p_success in (0.0, 1.0)
+
+
 # --------------------------------------------------------------------------
 # Properties
 # --------------------------------------------------------------------------

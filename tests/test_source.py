@@ -33,6 +33,19 @@ def test_drive_vanishes_before_the_pulse():
     assert abs(omega[0]) < 1e-4 * np.max(np.abs(omega))
 
 
+def test_loss_integral_erf_within_4_ulp_of_scipy():
+    from scipy.special import erf
+
+    from capsim.source import _erf
+
+    # a uniform grid over the range, plus log-spaced points down to the
+    # smallest arguments where erf(x) ~ 2x / sqrt(pi)
+    tiny = np.geomspace(1e-300, 6.0, 2_001)
+    x = np.concatenate([np.linspace(-40.0, 40.0, 80_001), tiny, -tiny])
+    ref = erf(x)
+    assert np.all(np.abs(_erf(x) - ref) <= 4.0 * np.spacing(np.abs(ref)))
+
+
 def test_drive_rejects_unreachable_pulse_widths():
     with pytest.raises(DomainError):
         DriveProfile(PARAMS10, 1e-4 / GAMMA)

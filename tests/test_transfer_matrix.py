@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 import capsim.transfer_matrix as tmod
 from capsim.cavity import delay_matched_params, reflection_r0, reflection_r1
+from capsim.config import parse_config
 from capsim.errors import DomainError
+from capsim.experiments import _wvm_system
 from capsim.transfer_matrix import (TmCavity, WvmSystem,
                                     calibrated_coupler, channel_offsets,
                                     single_mode_equivalent, tm_atom,
@@ -191,6 +194,89 @@ def test_invalid_cavity_rejected_at_construction(change):
     TmCavity(**fields)
     with pytest.raises(DomainError):
         TmCavity(**dict(fields, **change))
+
+
+# --------------------------------------------------------------------------
+# Brent root search against scipy.optimize.brentq
+# --------------------------------------------------------------------------
+
+def _scipy_brentq(f, a, b, xtol):
+    from scipy.optimize import brentq
+
+    return brentq(f, a, b, xtol=xtol)
+
+
+def _bracketed_function(rng, kind):
+    """A function with one sign change at a random root, and its bracket."""
+    root = rng.uniform(-2.0, 2.0)
+    c = rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0])
+    f = [lambda x: math.tanh(c * (x - root)),
+         lambda x: (x - root) * (1.5 + math.sin(c * x)),
+         lambda x: math.expm1(c * (x - root)),
+         lambda x: (x - root) ** 3 + 1e-3 * abs(c) * (x - root),
+         lambda x: math.atan(c * (x - root) ** 5)][kind]
+    a, b = root - rng.uniform(1e-3, 5.0), root + rng.uniform(1e-3, 5.0)
+    return f, *((a, b) if rng.random() < 0.5 else (b, a))
+
+
+def test_brentq_bitwise_equals_scipy_on_random_brackets():
+    # the flat quintic (kind 4) exhausts the 100 iterations at small xtol
+    # in both searches; every other case must return the same root
+    rng = np.random.default_rng(20)
+    converged = 0
+    for i in range(1200):
+        f, a, b = _bracketed_function(rng, i % 5)
+        xtol = 10.0 ** rng.uniform(-15.0, -2.0)
+        try:
+            ref = _scipy_brentq(f, a, b, xtol)
+        except RuntimeError:
+            with pytest.raises(DomainError, match="did not converge"):
+                tmod._brentq(f, a, b, xtol)
+            continue
+        assert tmod._brentq(f, a, b, xtol).hex() == ref.hex(), (i, a, b, xtol)
+        converged += 1
+    assert converged >= 1000
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 3.0), (-2.0, 1.0)])
+def test_brentq_returns_an_endpoint_root(a, b):
+    # f(a) == 0 or f(b) == 0 ends the search before any step
+    def f(x):
+        return x - 1.0
+
+    assert tmod._brentq(f, a, b, 1e-14) == _scipy_brentq(f, a, b, 1e-14) == 1.0
+
+
+def test_brentq_rejects_a_bracket_without_sign_change():
+    with pytest.raises(DomainError, match="no sign change"):
+        tmod._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14)
+
+
+def _bundled_wvm_systems():
+    """Every WvmSystem the bundled fig7 recipes and benchmark configs build."""
+    from capsim.cli import _resolve_config
+
+    root = Path(__file__).resolve().parents[1]
+    raws = [_resolve_config(name) for name in ("fig7b", "fig7c")]
+    raws += [_resolve_config(str(path))
+             for path in sorted((root / "perfbench" / "configs").glob("*.json"))]
+    systems = set()
+    for raw in raws:
+        if raw["experiment"] in ("tm_spectrum", "wvm_crosstalk"):
+            config = parse_config(raw)
+            systems.update(_wvm_system(config.point_parameters(i))
+                           for i in range(config.grid_size()))
+    return sorted(systems, key=repr)
+
+
+def test_calibrated_coupler_bitwise_equals_scipy_root(monkeypatch):
+    systems = _bundled_wvm_systems()
+    assert systems
+    systems += [_nanofiber_system(f_int) for f_int in (100, 500, 8000)]
+    ours = [calibrated_coupler.__wrapped__(s) for s in systems]
+    monkeypatch.setattr(tmod, "_brentq", _scipy_brentq)
+    ref = [calibrated_coupler.__wrapped__(s) for s in systems]
+    assert [(t.hex(), r.hex()) for t, r in ours] == [(t.hex(), r.hex()) for t, r in ref]
 
 
 # --------------------------------------------------------------------------
