@@ -31,6 +31,9 @@ class ExperimentDef:
     optional: dict
     columns: tuple
     sanity: callable = None
+    # parameter that fn also accepts as a 1-D array, returning one row per
+    # element in order; the runner then hands it a whole sweep line at once
+    array_param: str = None
 
 
 _CHECKS = {
@@ -265,9 +268,10 @@ def _tm_spectrum(p):
     n_ch = int(p.get("n_channels", 0))
     state = int(p.get("atom_state", 1))
     cavity = _spectrum_cavity(_wvm_system(p), n_ch)
-    r = tm.tm_reflectance(cavity, p["delta"], atom_states=[state] * n_ch)
-    return [{"delta_rad_s": p["delta"], "re_r": r.real, "im_r": r.imag,
-             "abs2_r": abs(r) ** 2}]
+    deltas = np.atleast_1d(np.asarray(p["delta"], dtype=float))
+    r = tm.tm_reflectance(cavity, deltas, atom_states=[state] * n_ch)
+    return [{"delta_rad_s": d, "re_r": x.real, "im_r": x.imag, "abs2_r": abs(x) ** 2}
+            for d, x in zip(deltas.tolist(), r.tolist())]
 
 
 def _wvm_crosstalk(p):
@@ -388,7 +392,7 @@ EXPERIMENTS = {
                   "c_over_vg": "positive", "f_int": "positive", "delta": "real"},
         optional={"n_channels": "posint", "atom_state": "any"},
         columns=("delta_rad_s", "re_r", "im_r", "abs2_r"),
-        sanity=_sanity_tm),
+        sanity=_sanity_tm, array_param="delta"),
     "wvm_crosstalk": ExperimentDef(
         "wvm_crosstalk", _wvm_crosstalk,
         required={"gamma": "positive", "omega_fsr": "positive",

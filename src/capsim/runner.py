@@ -1,18 +1,25 @@
 """Sweep execution and tabular output.
 
-The sweep grid is flattened row-major; a point depends only on its
-parameters (the Monte-Carlo experiments draw from the config seed), so
-results are byte-identical for any worker count.  A point that raises
-becomes an error row.  Relative "outfile" parameters are placed in the
-CSV's directory.  Rows are written as CSV with shortest-roundtrip float
-formatting; run metadata (config hash, code version, seed, timestamp)
-goes to a JSON sidecar so the CSV body stays reproducible.
+The sweep grid is flattened row-major.  A point depends only on its
+parameters (the Monte-Carlo experiments draw from the config seed), never
+on which other points share its task, so results are byte-identical for
+any worker count.  When an experiment accepts one parameter as an array
+and the sweep has that axis, the points that differ only along it form a
+line, and each line is one task: the experiment evaluates the whole line
+in one call.  A point that raises becomes an error row; a line that raises
+is evaluated again point by point, so each failing point keeps its own
+row.  Relative "outfile" parameters are placed in the CSV's directory.
+Rows are written as CSV with shortest-roundtrip float formatting; run
+metadata (config hash, code version, seed, timestamp) goes to a JSON
+sidecar so the CSV body stays reproducible.
 """
 
 import csv
 import datetime
 import io
+import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -21,16 +28,48 @@ from . import __version__
 from .experiments import EXPERIMENTS
 
 
-def _eval_point(args):
-    experiment, params, seed, index = args
-    exp = EXPERIMENTS[experiment]
-    p = dict(params)
-    p.setdefault("seed", seed)
+def _call(fn, params):
     try:
-        rows = exp.fn(p)
-        return index, rows, None
+        return fn(dict(params)), None
     except Exception as exc:  # any failure becomes an error row, never a lost sweep
-        return index, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _eval_task(task):
+    """(flat index, rows, error) for each grid point of one task.
+
+    A task is one point (axis None) or one line, whose axis parameter
+    holds the line's values as an array and yields one row per value.  A
+    line that raises, or returns another number of rows, is evaluated
+    again point by point.
+    """
+    experiment, params, indices, axis = task
+    fn = EXPERIMENTS[experiment].fn
+    if axis is None:
+        return [(indices[0], *_call(fn, params))]
+    rows, error = _call(fn, params)
+    if error is None and len(rows) == len(indices):
+        return [(i, [row], None) for i, row in zip(indices, rows)]
+    return [(i, *_call(fn, dict(params, **{axis: value})))
+            for i, value in zip(indices, params[axis].tolist())]
+
+
+def _tasks(config, exp):
+    """(params, flat indices, array axis or None) per task, in row-major order."""
+    n = config.grid_size()
+    axis = exp.array_param
+    if axis not in config.axis_names():
+        return [(config.point_parameters(i), [i], None) for i in range(n)]
+    a = config.axis_names().index(axis)
+    shape = config.grid_shape()
+    stride = math.prod(shape[a + 1:])
+    span = shape[a] * stride
+    tasks = []
+    for first in (o + i for o in range(0, n, span) for i in range(stride)):
+        p = config.point_parameters(first)
+        p[axis] = config.sweep[a].values
+        tasks.append((p, range(first, first + span, stride), axis))
+    return tasks
 
 
 def run_sweep(config, workers=1):
@@ -41,33 +80,31 @@ def run_sweep(config, workers=1):
     """
     exp = EXPERIMENTS[config.experiment]
     axis_names = config.axis_names()
-    n = config.grid_size()
     out_dir = os.path.dirname(config.output_path)
     out_files = [name for name, kind in exp.optional.items() if kind == "outfile"]
     tasks = []
-    axis_rows = []
-    for i in range(n):
-        p = config.point_parameters(i)
-        axis_rows.append({name: p[name] for name in axis_names})
+    for p, indices, axis in _tasks(config, exp):
+        p.setdefault("seed", config.seed)
         for name in out_files:
             if p.get(name):
                 p[name] = os.path.join(out_dir, p[name])
-        tasks.append((config.experiment, p, config.seed, i))
-    if workers > 1 and n > 1:
+        tasks.append((config.experiment, p, indices, axis))
+    if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay for it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_eval_point, tasks,
-                                    chunksize=max(1, n // (4 * workers))))
+            results = list(pool.map(_eval_task, tasks,
+                                    chunksize=max(1, len(tasks) // (4 * workers))))
     else:
-        results = [_eval_point(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+        results = [_eval_task(t) for t in tasks]
+    results = sorted(itertools.chain.from_iterable(results), key=lambda r: r[0])
 
     columns = list(axis_names) + list(exp.columns) + ["error"]
     rows = []
     n_failures = 0
-    for index, point_rows, error in results:
-        axis_values = axis_rows[index]
+    grid = itertools.product(*(axis.values.tolist() for axis in config.sweep))
+    for (_, point_rows, error), values in zip(results, grid):
+        axis_values = dict(zip(axis_names, values))
         if error is not None:
             n_failures += 1
             row = dict(axis_values)

@@ -110,7 +110,10 @@ def _chain_reflectance(cavity, delta, states):
     (1, n_atoms) matrix of atom states; the two broadcast along the batch
     axis.  Atoms in state 0 are detuned HIDDEN_DETUNING_FACTOR linewidths.
     Only the column v = M e0 enters M21 / M11; it is built from the output
-    mirror inwards by the actions of tm_propagation and tm_atom on v.
+    mirror inwards by the actions of tm_propagation and tm_atom on v.  The
+    input mirror's action is written out elementwise: a BLAS (2, 2) @ (2, k)
+    product rounds differently for k > 1, which would make a detuning's
+    reflection depend on how many detunings share its batch.
     """
     wavenumber = math.pi * (delta / cavity.omega_fsr + cavity.n0)
     v0, v1 = tm_mirror_out(cavity.t_in)[:, 0]
@@ -128,7 +131,8 @@ def _chain_reflectance(cavity, delta, states):
         end = x
     phase = wavenumber * end
     v0, v1 = v0 * np.exp(-1j * phase), v1 * np.exp(1j * phase)
-    m11, m21 = tm_mirror_in(cavity.t_ex) @ np.array([v0, v1])
+    (a, b), (c, d) = tm_mirror_in(cavity.t_ex)
+    m11, m21 = a * v0 + b * v1, c * v0 + d * v1
     if np.any(np.abs(m11) < 1e-300):
         raise DomainError("singular transfer chain: vanishing M11")
     return m21 / m11

@@ -6,13 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsim
 from capsim import experiments
-from capsim.cli import main
+from capsim.cli import _resolve_config, main
 from capsim.config import parse_config, sanity_warnings, validate_raw
 from capsim.errors import ConvergenceError
 from capsim.experiments import EXPERIMENTS
@@ -204,6 +205,9 @@ def test_every_experiment_has_one_entry_point_and_schema():
         assert callable(exp.fn)
         assert exp.columns
         assert set(exp.required).isdisjoint(set(exp.optional))
+        if exp.array_param is not None:
+            assert exp.array_param in set(exp.required) | set(exp.optional), name
+    assert EXPERIMENTS["tm_spectrum"].array_param == "delta"
 
 
 def test_run_produces_expected_table(tmp_path):
@@ -365,6 +369,25 @@ def test_static_atom_detuning_kept_by_every_target(target):
     assert robust["mean_infidelity"] == pytest.approx(static["infidelity"], abs=1e-15)
 
 
+_WVM_PARAMETERS = {"gamma_2pi_MHz": 0.24, "omega_fsr_2pi_GHz": 2.7, "omega_a_2pi_THz": 220,
+                   "sigma0_over_aeff": 0.1, "c_over_vg": 1.4, "f_int": 2000}
+
+
+def _spectrum_config(sweep):
+    return {"experiment": "tm_spectrum", "seed": 1, "parameters": dict(_WVM_PARAMETERS),
+            "sweep": sweep, "output": {"path": "spectrum.csv"}}
+
+
+_DELTA_INNER = [{"name": "n_channels", "start": 2, "stop": 4, "points": 2},
+                {"name": "atom_state", "start": 0, "stop": 1, "points": 2},
+                {"name": "delta_2pi_GHz", "start": -4.0, "stop": 4.0, "points": 41}]
+
+
+def _csv(raw, workers=1):
+    rows, cols, _ = run_sweep(parse_config(raw), workers=workers)
+    return table_bytes(rows, cols)
+
+
 def test_reproducible_across_worker_counts():
     cfg = parse_config(_robustness_config(samples=24))
     rows_1, cols, _ = run_sweep(cfg, workers=1)
@@ -372,8 +395,56 @@ def test_reproducible_across_worker_counts():
     assert table_bytes(rows_1, cols) == table_bytes(rows_4, cols)
 
 
-_WVM_PARAMETERS = {"gamma_2pi_MHz": 0.24, "omega_fsr_2pi_GHz": 2.7, "omega_a_2pi_THz": 220,
-                   "sigma0_over_aeff": 0.1, "c_over_vg": 1.4, "f_int": 2000}
+def test_detuning_lines_reproducible_across_worker_counts():
+    raw = _spectrum_config(_DELTA_INNER)
+    assert _csv(raw, workers=1) == _csv(raw, workers=4)
+
+
+@pytest.mark.parametrize("recipe", [None, "fig7b"], ids=["delta_inner", "fig7b_delta_outer"])
+def test_detuning_lines_match_the_per_point_path(recipe, monkeypatch):
+    raw = _resolve_config(recipe) if recipe else _spectrum_config(_DELTA_INNER)
+    batched = _csv(raw)
+    exp = EXPERIMENTS["tm_spectrum"]
+    monkeypatch.setitem(EXPERIMENTS, "tm_spectrum", dataclasses.replace(exp, array_param=None))
+    assert batched == _csv(raw)
+
+
+def test_failing_detuning_becomes_its_own_error_row(monkeypatch):
+    exp = EXPERIMENTS["tm_spectrum"]
+    calls = []
+
+    def flaky(p):
+        calls.append(np.ndim(p["delta"]))
+        if np.any(np.asarray(p["delta"]) == 0.0):
+            raise ValueError("boom")
+        return exp.fn(p)
+
+    raw = _spectrum_config([{"name": "delta_2pi_GHz", "start": -4.0, "stop": 4.0,
+                             "points": 5}])
+    raw["parameters"]["n_channels"] = 3
+    good = run_sweep(parse_config(raw))[0]
+    monkeypatch.setitem(EXPERIMENTS, "tm_spectrum", dataclasses.replace(exp, fn=flaky))
+    rows, _, n_failures = run_sweep(parse_config(raw))
+    # one call for the line, then one per point once the line raised
+    assert calls == [1, 0, 0, 0, 0, 0]
+    assert n_failures == 1
+    assert rows[2]["error"] == "ValueError: boom" and rows[2]["re_r"] == ""
+    assert rows[2]["delta"] == 0.0
+    assert rows[:2] + rows[3:] == good[:2] + good[3:]
+
+
+def test_short_line_is_rerun_point_by_point(monkeypatch):
+    exp = EXPERIMENTS["tm_spectrum"]
+    raw = _spectrum_config(_DELTA_INNER)
+    good = _csv(raw)
+
+    def short(p):  # a line that loses a row must not shift the rows after it
+        rows = exp.fn(p)
+        return rows[1:] if np.ndim(p["delta"]) else rows
+
+    monkeypatch.setitem(EXPERIMENTS, "tm_spectrum", dataclasses.replace(exp, fn=short))
+    assert _csv(raw) == good
+
 
 # run in a fresh interpreter: main() on each argv, then the scipy modules loaded
 _COLD_START = """

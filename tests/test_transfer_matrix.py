@@ -140,6 +140,45 @@ def test_single_mode_oracle(kex_scale):
         assert np.max(np.abs(chain - reference(params, deltas))) < 1e-3
 
 
+def test_single_atom_chain_converges_to_single_mode_model():
+    # the chain's single-mode limit: the error of the coupled-mode r0/r1
+    # near resonance falls in proportion to the mirror transmittances
+    params = delay_matched_params(10, 1.0)
+    deltas = np.linspace(-2 * params.kappa, 2 * params.kappa, 201)
+    for states, reference in (([1], reflection_r1), ([0], reflection_r0)):
+        errors = []
+        for t_ex in (1e-2, 1e-3, 1e-4):
+            cav = _single_atom_cavity(params, t_ex_target=t_ex)
+            chain = tm_reflectance(cav, deltas, atom_states=states)
+            errors.append(float(np.max(np.abs(chain - reference(params, deltas)))))
+            assert errors[-1] < 0.5 * t_ex
+        assert errors[1] < 0.2 * errors[0] and errors[2] < 0.2 * errors[1]
+
+
+def _random_cavity(rng, n):
+    return TmCavity(omega_fsr=1.0, n0=int(rng.integers(100, 5000)),
+                    t_ex=float(rng.uniform(1e-3, 0.1)),
+                    t_in=2 * math.pi / rng.uniform(100, 2000),
+                    atom_positions=np.sort(rng.uniform(0.0, 1.0, n)),
+                    atom_gamma_1d=rng.uniform(0.0, 1e-3, n),
+                    atom_gamma_total=rng.uniform(1e-4, 1e-2, n),
+                    atom_delta_a=rng.integers(-3, 4, n).astype(float))
+
+
+def test_detuning_batch_is_bitwise_the_per_detuning_scan():
+    # the runner evaluates a sweep line as one batch; each detuning's
+    # reflection must not depend on how many others share the batch
+    rng = np.random.default_rng(7)
+    for n in range(11):
+        for _ in range(6):
+            cav = _random_cavity(rng, n)
+            deltas = np.concatenate([rng.uniform(-3.0, 3.0, 40), cav.atom_delta_a])
+            for states in ([0] * n, [1] * n, rng.integers(0, 2, n).tolist()):
+                batch = tm_reflectance(cav, deltas, states)
+                single = np.array([tm_reflectance(cav, d, states) for d in deltas])
+                assert np.array_equal(batch, single)
+
+
 def _element_product_reflectance(cavity, delta, state_row):
     """M21 / M11 of the explicit product of the 2x2 element matrices."""
     m = tm_mirror_in(cavity.t_ex)
@@ -161,14 +200,8 @@ def test_column_recursion_matches_element_product(array_delta):
     rng = np.random.default_rng(20 + array_delta)
     worst = 0.0
     for _ in range(150):
-        n = int(rng.integers(0, 11))
-        cav = TmCavity(omega_fsr=1.0, n0=int(rng.integers(100, 5000)),
-                       t_ex=float(rng.uniform(1e-3, 0.1)),
-                       t_in=2 * math.pi / rng.uniform(100, 2000),
-                       atom_positions=np.sort(rng.uniform(0.0, 1.0, n)),
-                       atom_gamma_1d=rng.uniform(0.0, 1e-3, n),
-                       atom_gamma_total=rng.uniform(1e-4, 1e-2, n),
-                       atom_delta_a=rng.integers(-3, 4, n).astype(float))
+        cav = _random_cavity(rng, int(rng.integers(0, 11)))
+        n = cav.atom_positions.size
         states = rng.integers(0, 2, (6, n))
         if array_delta:
             delta = rng.uniform(-3.0, 3.0, 6)
