@@ -29,8 +29,8 @@ from .gate import (FluctuationSpec, GateOutcome, GateScenario, RobustnessSummary
                    gaussian_mode, min_sigma_t, robustness_mc)
 from .protocols import (IdealNode, NodeConfig, ProtocolResult,
                         components_from_kernel, components_from_mode,
-                        kernel_weighted_integral, matched_node, memory_load,
-                        type1, type2, type2_mismatched, type2_pair, type3)
+                        matched_node, memory_load, type1, type2,
+                        type2_mismatched, type2_pair, type3)
 from .rates import (MuxScenario, dark_count_error, rate_time_mux,
                     rate_wavelength_mux, remainder_atoms)
 from .source import (ENTANGLER_4LVL, LAMBDA_3LVL, DriveProfile, MasterEvolution,

@@ -7,9 +7,9 @@ type3         hybrid: emission at node A, memory loading at node B
 type1         two-photon-interference reference (emission at both nodes)
 
 Photon inputs are either pure spectral modes or temporal kernels from the
-photon-source module; kernels are decomposed into eigenmodes first and
-every protocol integral is evaluated mode by mode with the populations as
-weights.
+photon-source module.  Every protocol integral is a quadrature of the
+photon's spectral density W(d) = sum_l p_l |u_l(d)|^2; for a kernel, W is
+evaluated from the lag sums of its eigenmodes (components_from_kernel).
 """
 
 import math
@@ -87,54 +87,56 @@ def _aggregate(outcomes):
 
 
 # --------------------------------------------------------------------------
-# Photon input -> weighted spectral components
+# Photon input -> spectral density
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SpectralComponents:
-    """Weighted spectral modes on a common quadrature grid.
+    """Photon spectral density on a quadrature grid.
 
-    Represents sum_l p_l |u_l(d)|^2 with sum p_l <= 1; the vacuum remainder
-    carries no heralding weight.
+    density is W(d) = sum_l p_l |u_l(d)|^2 over the photon's spectral
+    modes, with sum p_l <= 1; the vacuum remainder carries no heralding
+    weight.  Every protocol integral is a weighted sum of W.
     """
 
     grid: np.ndarray
     weights: np.ndarray
-    populations: np.ndarray   # p_l
-    amplitudes: np.ndarray    # shape (n_modes, n_grid), unit-norm rows
-
-    @property
-    def total_weight(self):
-        return float(np.sum(self.populations))
-
-    def density(self):
-        """sum_l p_l |u_l|^2 on the grid."""
-        return np.einsum("l,lk->k", self.populations,
-                         np.abs(self.amplitudes) ** 2).real
+    density: np.ndarray
 
 
 def components_from_mode(mode):
     return SpectralComponents(grid=mode.grid, weights=mode.weights,
-                              populations=np.array([1.0]),
-                              amplitudes=mode.amplitude[None, :])
+                              density=np.abs(mode.amplitude) ** 2)
 
 
 def components_from_kernel(kernel, n_points=2049, rel_cutoff=1e-8,
                            coverage=1.0 - 1e-4, max_doublings=6):
-    """Fourier transform of the kernel eigenmodes onto a quadrature grid.
+    """Spectral density of a kernel's eigenmodes on a quadrature grid.
+
+    W(d) sums p_l |u_l(d)|^2 over the eigenmodes above rel_cutoff of the
+    population, u_l(d) = (2 pi)^(-1/2) integral u_l(t) exp(i d t) dt.  On
+    the uniform kernel time grid (step dt) W is a trigonometric polynomial
+    in d dt: with M the weighted two-time matrix of the kept modes and
+    A_m = sum_i M_(i,i+m) its lag sums,
+    W(d) = (2 Re sum_m A_m z^m - A_0) / 2 pi,  z = exp(i d dt),
+    evaluated by Horner's rule at one complex exponential per grid point.
 
     The grid spans a multiple of the principal mode's bandwidth and is
     widened (doubling, keeping resolution) until it captures the requested
-    fraction of the total mode population, so spectrally broad re-excited
-    components are not clipped.
+    fraction of the kept population, so spectrally broad re-excited
+    components are not clipped; a widening evaluates only the new outer
+    points.  A time grid that is not uniform raises DomainError.
     """
+    t = kernel.times
+    dt = (t[-1] - t[0]) / (t.size - 1)
+    if np.max(np.abs(t - np.linspace(t[0], t[-1], t.size))) > 1e-9 * dt:
+        raise DomainError("spectral transform needs a uniform kernel time grid")
     decomp = decompose(kernel)
     keep = decomp.eigenvalues > rel_cutoff * max(decomp.p_gen, 1e-300)
     if not np.any(keep):
         raise DomainError("kernel carries no photon population")
     lams = decomp.eigenvalues[keep]
     modes = decomp.eigenmodes[keep]
-    t = decomp.times
     w_t = decomp.weights
 
     # bandwidth estimate from the principal mode's temporal spread
@@ -143,22 +145,32 @@ def components_from_kernel(kernel, n_points=2049, rel_cutoff=1e-8,
     t_var = float(np.sum(a2 * (t - t_mean) ** 2) / np.sum(a2))
     sigma_w = 1.0 / math.sqrt(2.0 * t_var)
 
+    # M_ij = w_i w_j K_ij over the kept modes: the physical temporal modes
+    # are the conjugates of the eigh vectors, K_ij = sum_l p_l u_l*(t_i) u_l(t_j)
+    wu = modes * w_t
+    two_time = wu.T @ (lams[:, None] * np.conj(wu))
+    lag_sums = np.array([np.trace(two_time, m) for m in range(t.size)])
+
+    def density(d):
+        horner = np.polyval(lag_sums[::-1], np.exp(1j * dt * d))
+        return (2.0 * horner.real - lag_sums[0].real) / (2.0 * math.pi)
+
     span = 8.0 * sigma_w
     n = n_points
-    for _ in range(max_doublings + 1):
-        grid = np.linspace(-span, span, n)
+    grid = np.linspace(-span, span, n)
+    dens = density(grid)
+    for doubling in range(max_doublings + 1):
+        if doubling:
+            # same spacing: the middle n points are the previous grid to rounding
+            side = (n - 1) // 2
+            span *= 2.0
+            n = 2 * n - 1
+            grid = np.linspace(-span, span, n)
+            dens = np.concatenate([density(grid[:side]), dens,
+                                   density(grid[-side:])])
         w = _simpson_weights(n, grid[1] - grid[0])
-        # physical temporal modes are the conjugates of the eigh vectors
-        # (the kernel is K_ij = sum_l p_l u_l*(t_i) u_l(t_j));
-        # u_l(d) = (2 pi)^(-1/2) integral u_l(t) exp(i d t) dt
-        ft = np.exp(1j * np.outer(grid, t)) * w_t
-        amps = (np.conj(modes) @ ft.T) / math.sqrt(2.0 * math.pi)
-        captured = np.sum(w * np.abs(amps) ** 2, axis=1)
-        if np.sum(lams * captured) >= coverage * np.sum(lams):
-            return SpectralComponents(grid=grid, weights=w, populations=lams,
-                                      amplitudes=amps)
-        span *= 2.0
-        n = 2 * n - 1
+        if np.sum(w * dens) >= coverage * np.sum(lams):
+            return SpectralComponents(grid=grid, weights=w, density=dens)
     raise ConvergenceError("spectral window did not capture the kernel population")
 
 
@@ -170,24 +182,6 @@ def _components(photon):
     if isinstance(photon, TemporalKernel):
         return components_from_kernel(photon)
     raise DomainError(f"unsupported photon input {type(photon).__name__}")
-
-
-def kernel_weighted_integral(kernel, h_values, grid):
-    """Double-Fourier evaluation of integral W(d) h(d) dd for a kernel.
-
-    W(d) = sum_l p_l |u_l(d)|^2.  Direct two-time form: the kernel is
-    contracted against the transform of h evaluated on time differences,
-    sum_ij w_i w_j K_ij h_hat(t_i - t_j).  Cost grows as the squared grid
-    size; intended as an independent cross-check of the eigenmode
-    pipeline, not as the production path.
-    """
-    t = kernel.times
-    w = kernel.weights
-    wq = _simpson_weights(grid.size, grid[1] - grid[0])
-    tdiff = (t[:, None] - t[None, :]).reshape(-1)
-    h_hat = np.exp(-1j * np.outer(tdiff, grid)) @ (wq * h_values)
-    h_hat = h_hat.reshape(t.size, t.size) / (2.0 * math.pi)
-    return complex(np.sum(kernel.kernel * h_hat * np.outer(w, w)))
 
 
 # --------------------------------------------------------------------------
@@ -217,7 +211,7 @@ def memory_load(node, photon, input_state=(1.0 / math.sqrt(2), 1.0 / math.sqrt(2
     state; outcome keys are the photon measurement results 0 and 1.
     """
     comps = _components(photon)
-    dens = comps.weights * comps.density()
+    dens = comps.weights * comps.density
     e00, e01, e11 = _loading_matrix_elements(node, comps.grid)
     alpha, beta = complex(input_state[0]), complex(input_state[1])
     norm = abs(alpha) ** 2 + abs(beta) ** 2
@@ -247,7 +241,7 @@ def type2(node_a, node_b, photon):
     Outcome j = 0 heralds the (00-11) Bell state, j = 1 the (01-10) one.
     """
     comps = _components(photon)
-    dens = comps.weights * comps.density()
+    dens = comps.weights * comps.density
     a0, a1 = node_a.bold_r(comps.grid)
     b0, b1 = node_b.bold_r(comps.grid)
     rma, rmb = node_a.r_m, node_b.r_m
@@ -348,7 +342,7 @@ def type3(source, node_b):
     else:
         photon = source
     comps = _components(photon)
-    dens = comps.weights * comps.density()
+    dens = comps.weights * comps.density
     e00, e01, e11 = _loading_matrix_elements(node_b, comps.grid)
     # Bell-diagonal elements: <Phi_id| (1 x E) |Phi_id> = (e00 + e11)/2 for both
     overlap = 0.5 * (e00 + e11)

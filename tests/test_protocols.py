@@ -1,29 +1,30 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from capsim.cavity import r_opt
-from capsim.errors import DomainError
+from capsim.cavity import delay_matched_params, r_opt
+from capsim.errors import ConvergenceError, DomainError
 from capsim.gate import gaussian_mode
 from capsim.protocols import (IdealNode, NodeConfig, components_from_kernel,
-                              components_from_mode, kernel_weighted_integral,
-                              matched_node, memory_load, type1, type2,
-                              type2_mismatched, type2_pair, type3)
-from capsim.source import TemporalKernel, decompose
+                              components_from_mode, matched_node, memory_load,
+                              type1, type2, type2_mismatched, type2_pair, type3)
+from capsim.source import SourceSpec, TemporalKernel, decompose, source_kernel
 
 GAMMA = 1.0
 LONG = gaussian_mode(5e3)
 
 
-def _gaussian_rank1_kernel(sigma=1.0, n=401, lam=1.0):
+def _gaussian_rank1_kernel(sigma=1.0, n=401, lam=1.0, carrier=0.0):
     t = np.linspace(-8 * sigma, 8 * sigma, n)
     w = np.full(n, t[1] - t[0])
     w[0] *= 0.5
     w[-1] *= 0.5
     v = (math.pi * sigma**2) ** -0.25 * np.exp(-(t**2) / (2 * sigma**2))
-    v /= math.sqrt(np.sum(w * v**2))
-    return TemporalKernel(times=t, kernel=lam * np.outer(v, v).astype(complex),
+    v = v * np.exp(1j * carrier * t)
+    v /= math.sqrt(np.sum(w * np.abs(v) ** 2))
+    return TemporalKernel(times=t, kernel=lam * np.outer(v, np.conj(v)),
                           weights=w)
 
 
@@ -182,25 +183,90 @@ def test_type1_rejects_mismatched_grids():
 # kernel -> spectrum pipeline
 # --------------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def kernel_1990ns():
+    """Lambda-source kernel of the fig6a long-pulse end, sigma_t = 1990 ns."""
+    gamma = 2 * math.pi * 0.24e6
+    spec = SourceSpec(params=delay_matched_params(100, gamma), p_br=0.5,
+                      target_sigma_t=1990e-9)
+    return source_kernel(spec)
+
+
+def _eigenmode_density(kernel, grid, rel_cutoff=1e-8, rows=2048):
+    """Oracle: sum_l p_l |u_l(d)|^2 by the explicit Fourier transform of each
+    kept eigenmode, u_l(d) = (2 pi)^(-1/2) sum_j w_j conj(v_l(t_j)) exp(i d t_j),
+    taken over blocks of grid rows."""
+    decomp = decompose(kernel)
+    keep = decomp.eigenvalues > rel_cutoff * decomp.p_gen
+    lams = decomp.eigenvalues[keep]
+    conj_modes = (decomp.weights * np.conj(decomp.eigenmodes[keep])).T
+    dens = np.empty(grid.size)
+    for lo in range(0, grid.size, rows):
+        ft = np.exp(1j * np.outer(grid[lo:lo + rows], decomp.times))
+        dens[lo:lo + rows] = (np.abs(ft @ conj_modes) ** 2) @ lams
+    return dens / (2.0 * math.pi)
+
+
 def test_components_capture_population(kernel_c10_golden):
     comps = components_from_kernel(kernel_c10_golden)
-    total = kernel_c10_golden.p_gen
-    captured = float(np.sum(comps.populations
-                            * np.sum(comps.weights * np.abs(comps.amplitudes) ** 2,
-                                     axis=1)))
-    assert captured == pytest.approx(total, rel=2e-4)
+    captured = float(np.sum(comps.weights * comps.density))
+    assert captured == pytest.approx(kernel_c10_golden.p_gen, rel=2e-4)
 
 
-def test_double_fourier_rule_agrees_with_eigenmode_integrals(kernel_c10_golden):
-    comps = components_from_kernel(kernel_c10_golden)
-    h = np.exp(-comps.grid**2 / 18.0) * (1.0 + 0.2 * np.sin(comps.grid))
-    direct = float(np.sum(comps.weights * comps.density() * h))
-    dual = kernel_weighted_integral(kernel_c10_golden, h, comps.grid).real
-    assert dual == pytest.approx(direct, abs=1e-6)
+@pytest.mark.parametrize("case", ["c10_golden", "1990ns", "carrier"])
+def test_lag_sum_density_matches_eigenmode_oracle(case, request):
+    if case == "carrier":
+        # W(d) is peaked at the carrier, so a sign error in d shows
+        kernel = _gaussian_rank1_kernel(carrier=3.0, lam=0.9)
+    else:
+        kernel = request.getfixturevalue(f"kernel_{case}")
+    comps = components_from_kernel(kernel)
+    oracle = _eigenmode_density(kernel, comps.grid)
+    scale = oracle.max()
+    if case == "1990ns":  # the inner grid is reused over two or more widenings
+        assert comps.grid.size >= 4 * 2048 + 1
+    if case == "carrier":
+        assert np.max(np.abs(oracle - oracle[::-1])) > 0.5 * scale
+    assert np.max(np.abs(comps.density - oracle)) <= 1e-12 * scale
+
+
+def test_components_from_kernel_memory_is_bounded(kernel_1990ns):
+    # a modes x grid Fourier matrix at 16,385 grid points needs > 50 MB
+    tracemalloc.start()
+    try:
+        comps = components_from_kernel(kernel_1990ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert comps.grid.size == 16385
+    assert peak < 16e6
+
+
+def test_components_reject_zero_kernel():
+    t = np.linspace(-4.0, 4.0, 101)
+    zero = TemporalKernel(times=t, kernel=np.zeros((t.size, t.size)),
+                          weights=np.full(t.size, t[1] - t[0]))
+    with pytest.raises(DomainError, match="no photon population"):
+        components_from_kernel(zero)
+
+
+def test_components_raise_when_window_cannot_widen(kernel_c10_golden):
+    with pytest.raises(ConvergenceError):
+        components_from_kernel(kernel_c10_golden, max_doublings=0)
+
+
+def test_components_reject_non_uniform_time_grid():
+    uniform = _gaussian_rank1_kernel()
+    s = uniform.times / 8.0
+    kernel = TemporalKernel(times=8.0 * (s + 0.2 * s**3), kernel=uniform.kernel,
+                            weights=uniform.weights)
+    with pytest.raises(DomainError, match="uniform"):
+        components_from_kernel(kernel)
 
 
 def test_components_from_mode_is_identity():
     mode = gaussian_mode(1.0)
     comps = components_from_mode(mode)
-    assert comps.total_weight == 1.0
+    assert np.array_equal(comps.density, np.abs(mode.amplitude) ** 2)
     assert np.array_equal(comps.grid, mode.grid)
+    assert np.array_equal(comps.weights, mode.weights)
