@@ -52,10 +52,7 @@ def reflection_multi(scenario, j, m):
         raise DomainError("target state j must be 0 or 1")
     if not (0 <= m <= scenario.n_atoms - 1):
         raise DomainError("spectator count m out of range")
-    p = scenario.params
-    g2 = p.g**2
-    denom = p.kappa + j * g2 / p.gamma + m * g2 / (p.gamma + 1j * scenario.detuning_spectators)
-    return 1.0 - 2.0 * p.kappa_ex / denom
+    return _reflections_all_m(scenario)[j][m]
 
 
 def _reflections_all_m(scenario):

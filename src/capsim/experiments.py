@@ -80,11 +80,6 @@ def _optics_from(p, params):
     return cav.matched_optics(params, r_m=float(r_m))
 
 
-def _mode_from(p, sigma_t):
-    return gaussian_mode(sigma_t, grid_span=p.get("grid_span", 8.0),
-                         n_points=int(p.get("n_points", 2049)))
-
-
 # --------------------------------------------------------------------------
 
 def _reflection_scan(p):
@@ -174,7 +169,6 @@ def _source_characterize(p):
     spec = src.SourceSpec(params=params, p_br=p.get("p_br", 0.0),
                           target_sigma_t=p["sigma_t"],
                           level_scheme=p.get("level_scheme", src.LAMBDA_3LVL),
-                          fock_cutoff=int(p.get("fock_cutoff", 2)),
                           kernel_points=int(p.get("kernel_points", 201)))
     kernel = src.source_kernel(spec)
     decomp = src.decompose(kernel)
@@ -209,22 +203,22 @@ def _protocol_eval(p):
     use_cavity_source = p.get("source", "cavity") == "cavity"
     if protocol == "memory_load":
         photon = cavity_kernel(src.LAMBDA_3LVL) if use_cavity_source else \
-            _mode_from(p, sigma_t)
+            gaussian_mode(sigma_t)
         p_gen = photon.p_gen if use_cavity_source else 1.0
         result = proto.memory_load(node_b, photon)
     elif protocol == "type2":
         photon = cavity_kernel(src.LAMBDA_3LVL) if use_cavity_source else \
-            _mode_from(p, sigma_t)
+            gaussian_mode(sigma_t)
         p_gen = photon.p_gen if use_cavity_source else 1.0
         na = proto.matched_node(c_in, gamma, r_m=1.0, label="A")
         nb = proto.matched_node(c_in, gamma, r_m=1.0, label="B")
         result = proto.type2(na, nb, photon)
     elif protocol == "type2_pair":
-        mode = _mode_from(p, sigma_t)
+        mode = gaussian_mode(sigma_t)
         result = proto.type2_pair(node_a, node_b, (mode, mode))
     elif protocol == "type3":
         photon = cavity_kernel(src.ENTANGLER_4LVL) if use_cavity_source else \
-            _mode_from(p, sigma_t)
+            gaussian_mode(sigma_t)
         p_gen = photon.p_gen if use_cavity_source else 1.0
         result = proto.type3(photon, node_b)
     elif protocol == "type1":
@@ -372,8 +366,7 @@ EXPERIMENTS = {
         "source_characterize", _source_characterize,
         required={"gamma": "positive", "sigma_t": "positive"},
         optional=dict(_CAVITY_OPT, p_br="prob", level_scheme="str",
-                      fock_cutoff="posint", kernel_points="posint",
-                      kernel_out="outfile"),
+                      kernel_points="posint", kernel_out="outfile"),
         columns=("p_gen", "purity", "lambda_1", "lambda_2", "overlap_target")),
     "protocol_eval": ExperimentDef(
         "protocol_eval", _protocol_eval,
@@ -381,7 +374,7 @@ EXPERIMENTS = {
                   "c_in": "positive", "protocol": "str"},
         optional=dict({k: v for k, v in _CAVITY_OPT.items() if k != "c_in"},
                       p_br="prob", source="str", source_c_in="positive",
-                      kernel_in="str", n_points="posint", grid_span="positive"),
+                      kernel_in="str"),
         columns=("fidelity", "infidelity", "p_success", "p_gen",
                  "p_gen_times_p_opt"),
         sanity=_sanity_bandwidth),

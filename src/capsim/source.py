@@ -6,11 +6,12 @@ coupler.  The drive that shapes the emitted wavepacket into a Gaussian is
 obtained by exact inversion of the single-excitation equations.  The full
 open-system dynamics, including re-excitation after spontaneous decay back
 to the initial state, is integrated as a Lindblad master equation on the
-states reachable from the initial state, with the RK4 step maps of each
-kernel-grid interval multiplied into one dense propagator; the two-time
-field autocorrelation follows from propagating jump-dressed states with
-the same propagators, and its eigendecomposition yields mode
-populations, generation probability, and trace purity.
+single-excitation basis, which excitation-number conservation closes
+exactly.  The RK4 step maps of each kernel-grid interval are multiplied
+into one dense propagator; the two-time field autocorrelation follows
+from propagating jump-dressed states with the same propagators, and its
+eigendecomposition yields mode populations, generation probability, and
+trace purity.
 """
 
 import json
@@ -45,7 +46,6 @@ class SourceSpec:
     p_br: float
     target_sigma_t: float
     level_scheme: str = LAMBDA_3LVL
-    fock_cutoff: int = 2
     time_window: tuple = None
     dt: float = None
     kernel_points: int = 201
@@ -57,8 +57,6 @@ class SourceSpec:
             raise DomainError("target_sigma_t must be positive")
         if self.level_scheme not in (LAMBDA_3LVL, ENTANGLER_4LVL):
             raise DomainError(f"unknown level scheme {self.level_scheme!r}")
-        if self.fock_cutoff < 1:
-            raise DomainError("fock_cutoff must be at least 1")
         if self.time_window is None:
             object.__setattr__(self, "time_window",
                                (-5.0 * self.target_sigma_t, 6.0 * self.target_sigma_t))
@@ -73,7 +71,8 @@ class SourceSpec:
 
 
 class DriveProfile:
-    """Drive amplitude shaping the emitted wavepacket into a Gaussian.
+    """Drive amplitude shaping the emitted wavepacket into a Gaussian
+    centred at t = 0.
 
     Exact inversion in the single-excitation sector: the cavity amplitude
     is fixed by the target output via the input-output relation, the
@@ -85,8 +84,7 @@ class DriveProfile:
     pulse in the adiabatic regime.
     """
 
-    def __init__(self, params, sigma_t, level_scheme=LAMBDA_3LVL, t_center=0.0,
-                 window=None):
+    def __init__(self, params, sigma_t, level_scheme=LAMBDA_3LVL, window=None):
         if level_scheme == ENTANGLER_4LVL:
             # two polarization pathways: inversion runs on doubled rates
             g, kex, kin = 2.0 * params.g, 2.0 * params.kappa_ex, 2.0 * params.kappa_in
@@ -99,9 +97,8 @@ class DriveProfile:
         self._kappa = kex + kin
         self._gamma = params.gamma
         self._sigma = sigma_t
-        self._t0 = t_center
         if window is None:
-            window = (t_center - 5.0 * sigma_t, t_center + 6.0 * sigma_t)
+            window = (-5.0 * sigma_t, 6.0 * sigma_t)
         self.window = window
         # amplitude scale from the maximum of the norm-cost function
         t_dense = np.linspace(window[0], window[1], 4001)
@@ -116,24 +113,24 @@ class DriveProfile:
 
     # per-unit-amplitude shapes ------------------------------------------
     def _v(self, t):
-        s, t0 = self._sigma, self._t0
-        return (math.pi * s**2) ** -0.25 * np.exp(-((t - t0) ** 2) / (2.0 * s**2))
+        s = self._sigma
+        return (math.pi * s**2) ** -0.25 * np.exp(-(t**2) / (2.0 * s**2))
 
     def _psi_c(self, t):
         return self._v(t) / math.sqrt(2.0 * self._kex)
 
     def _e(self, t):
-        s, t0 = self._sigma, self._t0
-        return self._psi_c(t) * (self._kappa - (t - t0) / s**2) / self._g
+        s = self._sigma
+        return self._psi_c(t) * (self._kappa - t / s**2) / self._g
 
     def _loss_integral(self, t):
         """integral of 2 kappa psi_c^2 + 2 gamma e^2 from -inf to t."""
-        s, t0 = self._sigma, self._t0
-        tau = (t - t0) / s
+        s = self._sigma
+        tau = t / s
         e0 = 0.5 * (1.0 + _erf(tau))
         gauss = np.exp(-(tau**2)) / math.sqrt(math.pi)
         e1 = -0.5 * s * gauss
-        e2 = 0.5 * s**2 * e0 - 0.5 * s * (t - t0) * gauss
+        e2 = 0.5 * s**2 * e0 - 0.5 * s * t * gauss
         kap, gam, g, kex = self._kappa, self._gamma, self._g, self._kex
         int_psi2 = e0 / (2.0 * kex)
         int_e2 = (kap**2 * e0 - 2.0 * kap * e1 / s**2 + e2 / s**4) / (2.0 * kex * g**2)
@@ -145,11 +142,10 @@ class DriveProfile:
     def __call__(self, t):
         """Drive amplitude (rad/s) at time(s) t."""
         t = np.asarray(t, dtype=float)
-        s, t0 = self._sigma, self._t0
-        tau = t - t0
+        s = self._sigma
         psi_c = self._psi_c(t)
         e = self._e(t)
-        e_dot = psi_c * (-(tau / s**2) * (self._kappa - tau / s**2) - 1.0 / s**2) / self._g
+        e_dot = psi_c * (-(t / s**2) * (self._kappa - t / s**2) - 1.0 / s**2) / self._g
         psi_u = np.sqrt(np.maximum(1.0 - self.amplitude2 * self._cost(t), 1e-12))
         omega = math.sqrt(self.amplitude2) * (e_dot + self._gamma * e + self._g * psi_c) / psi_u
         return omega if omega.ndim else float(omega)
@@ -166,13 +162,11 @@ def drive_profile(spec):
 # Lindblad model and propagator engine
 # --------------------------------------------------------------------------
 
-def _destroy(n):
-    return np.diag(np.sqrt(np.arange(1, n)), k=1)
-
-
-def _proj(dim, i, j):
+def _unit(dim, *entries):
+    """dim x dim real matrix with 1 at each (row, column) entry, 0 elsewhere."""
     m = np.zeros((dim, dim))
-    m[i, j] = 1.0
+    for i, j in entries:
+        m[i, j] = 1.0
     return m
 
 
@@ -180,9 +174,9 @@ def _proj(dim, i, j):
 class LindbladModel:
     """Hamiltonian pieces, jump operators, and output channels.
 
-    The operators act on the states reachable from rho0; labels[i] is the
-    atomic level of kept state i and channels[j] the loss-budget channel
-    of lindblads[j].
+    The operators act on the single-excitation basis of build_model;
+    labels[i] is the atomic level of basis state i and channels[j] the
+    loss-budget channel of lindblads[j].
     """
 
     dim: int
@@ -195,97 +189,42 @@ class LindbladModel:
     labels: tuple
 
 
-def _reachable(rho0, hamiltonians, jumps):
-    """Indices of the states reachable from the support of rho0.
-
-    Graph closure over the nonzero patterns: a Hamiltonian links states
-    both ways, a jump operator L (and L^dag L) from column to row.
-    """
-    link = np.zeros(rho0.shape, dtype=bool)
-    for h in hamiltonians:
-        link |= (h != 0) | (h.T != 0)
-    for lop in jumps:
-        link |= (lop != 0) | (lop.conj().T @ lop != 0)
-    keep = np.any(rho0 != 0, axis=0) | np.any(rho0 != 0, axis=1)
-    while True:
-        grown = keep | np.any(link[:, keep], axis=1)
-        if np.array_equal(grown, keep):
-            return np.flatnonzero(keep)
-        keep = grown
-
-
 def build_model(spec):
-    """Assemble the level scheme, restricted to the states reachable from rho0.
+    """Assemble the level scheme on its single-excitation basis.
 
-    The Fock-truncated product space is built first; the dynamics started
-    in |u, 0> never leaves the single-excitation manifold and the atomic
-    ground levels with an empty cavity, so the restriction is exact and
-    independent of fock_cutoff >= 1.
+    Basis (atomic level, photons in the cavity mode of that level):
+    Lambda (u,0), (e,0), (g,0), (g,1); entangler (u,0), (e,0), (q0,0),
+    (q0,1), (q1,0), (q1,1), where q_m couples to polarization mode m.
+    The drive |u><e| and the coupling |e,0><q,1| conserve the number of
+    excitations (atom in u or e, plus photons), and every jump keeps or
+    lowers it, so dynamics started in |u,0> never leaves these states:
+    the model is exact for any Fock truncation of the cavity modes.
     """
     p = spec.params
-    n_f = spec.fock_cutoff + 1
     if spec.level_scheme == LAMBDA_3LVL:
-        na = 3  # |u>, |e>, |g>
-        a = _destroy(n_f)
-        ident_f = np.eye(n_f)
-        c = np.kron(np.eye(na), a)
-        h_static = p.g * (np.kron(_proj(na, 1, 2), a) + np.kron(_proj(na, 2, 1), a.T))
-        h_drive = np.kron(_proj(na, 1, 0) + _proj(na, 0, 1), ident_f)
-        lindblads = [
-            math.sqrt(2.0 * p.kappa_ex) * c,
-            math.sqrt(2.0 * p.kappa_in) * c,
-        ]
-        channels = ["emitted", "internal"]
-        if spec.p_br > 0.0:
-            lindblads.append(math.sqrt(2.0 * spec.p_br * p.gamma)
-                             * np.kron(_proj(na, 0, 1), ident_f))
-            channels.append("decay_initial")
-        if spec.p_br < 1.0:
-            lindblads.append(math.sqrt(2.0 * (1.0 - spec.p_br) * p.gamma)
-                             * np.kron(_proj(na, 2, 1), ident_f))
-            channels.append("decay_other")
-        collectors = [math.sqrt(2.0 * p.kappa_ex) * c]
-        names = ("u", "e", "g")
+        labels = ("u", "e", "g", "g")
+        qubits = (2,)  # index of (q,0) for each qubit level q
     else:
-        na = 4  # |u>, |e>, |0>, |1>
-        a = _destroy(n_f)
-        i_f = np.eye(n_f)
-        c0 = np.kron(np.kron(np.eye(na), a), i_f)
-        c1 = np.kron(np.kron(np.eye(na), i_f), a)
-        up0 = np.kron(np.kron(_proj(na, 1, 2), a), i_f)    # |e><0| c0
-        up1 = np.kron(np.kron(_proj(na, 1, 3), i_f), a)    # |e><1| c1
-        h_static = p.g * (up0 + up0.T + up1 + up1.T)
-        h_drive = np.kron(np.kron(_proj(na, 1, 0) + _proj(na, 0, 1), i_f), i_f)
-        lindblads = [
-            math.sqrt(2.0 * p.kappa_ex) * c0,
-            math.sqrt(2.0 * p.kappa_ex) * c1,
-            math.sqrt(2.0 * p.kappa_in) * c0,
-            math.sqrt(2.0 * p.kappa_in) * c1,
-        ]
-        channels = ["emitted", "emitted", "internal", "internal"]
-        if spec.p_br > 0.0:
-            lindblads.append(math.sqrt(2.0 * spec.p_br * p.gamma)
-                             * np.kron(np.kron(_proj(na, 0, 1), i_f), i_f))
-            channels.append("decay_initial")
-        if spec.p_br < 1.0:
-            lindblads.append(math.sqrt((1.0 - spec.p_br) * p.gamma)
-                             * np.kron(np.kron(_proj(na, 2, 1), i_f), i_f))
-            lindblads.append(math.sqrt((1.0 - spec.p_br) * p.gamma)
-                             * np.kron(np.kron(_proj(na, 3, 1), i_f), i_f))
-            channels += ["decay_other", "decay_other"]
-        collectors = [math.sqrt(2.0 * p.kappa_ex) * c0,
-                      math.sqrt(2.0 * p.kappa_ex) * c1]
-        names = ("u", "e", "q0", "q1")
-    dim = h_static.shape[0]
-    rho0 = np.zeros((dim, dim))
-    rho0[0, 0] = 1.0
-    keep = _reachable(rho0, [h_static, h_drive], lindblads + collectors)
-    sub = np.ix_(keep, keep)
-    labels = np.repeat(names, dim // na)[keep]
-    return LindbladModel(dim=keep.size, h_static=h_static[sub], h_drive=h_drive[sub],
-                         lindblads=[lop[sub] for lop in lindblads], channels=channels,
-                         collectors=[cop[sub] for cop in collectors],
-                         rho0=rho0[sub], labels=tuple(labels.tolist()))
+        labels = ("u", "e", "q0", "q0", "q1", "q1")
+        qubits = (2, 4)
+    dim = len(labels)
+    up = _unit(dim, *((1, q + 1) for q in qubits))     # |e,0><q,1|
+    cavity = [_unit(dim, (q, q + 1)) for q in qubits]  # |q,0><q,1|
+    emitted = [math.sqrt(2.0 * p.kappa_ex) * c for c in cavity]
+    lindblads = emitted + [math.sqrt(2.0 * p.kappa_in) * c for c in cavity]
+    channels = ["emitted"] * len(qubits) + ["internal"] * len(qubits)
+    if spec.p_br > 0.0:
+        lindblads.append(math.sqrt(2.0 * spec.p_br * p.gamma) * _unit(dim, (0, 1)))
+        channels.append("decay_initial")
+    if spec.p_br < 1.0:
+        # the other decay splits evenly over the qubit levels
+        rate = math.sqrt(2.0 * (1.0 - spec.p_br) * p.gamma / len(qubits))
+        lindblads += [rate * _unit(dim, (q, 1)) for q in qubits]
+        channels += ["decay_other"] * len(qubits)
+    return LindbladModel(dim=dim, h_static=p.g * (up + up.T),
+                         h_drive=_unit(dim, (0, 1), (1, 0)),
+                         lindblads=lindblads, channels=channels, collectors=emitted,
+                         rho0=_unit(dim, (0, 0)), labels=labels)
 
 
 def _liouvillian(model):
@@ -563,9 +502,8 @@ def mode_overlap(decomp, target, mode_index=0):
     return abs(np.sum(decomp.weights * np.conj(v) * tgt)) / tgt_norm
 
 
-def gaussian_target(sigma_t, t_center=0.0):
-    """Normalized Gaussian temporal amplitude."""
+def gaussian_target(sigma_t):
+    """Normalized Gaussian temporal amplitude centred at t = 0."""
     def target(t):
-        return (math.pi * sigma_t**2) ** -0.25 * np.exp(
-            -((t - t_center) ** 2) / (2.0 * sigma_t**2))
+        return (math.pi * sigma_t**2) ** -0.25 * np.exp(-(t**2) / (2.0 * sigma_t**2))
     return target

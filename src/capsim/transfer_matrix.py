@@ -41,7 +41,6 @@ class TmCavity:
     atom_gamma_1d: np.ndarray
     atom_gamma_total: np.ndarray
     atom_delta_a: np.ndarray        # detuning of each atom's resonance from omega_0
-    l_cav: float = 1.0
 
     def __post_init__(self):
         pos = np.atleast_1d(np.asarray(self.atom_positions, dtype=float))

@@ -126,13 +126,19 @@ def test_unknown_parameter_named_in_error():
 
 
 def test_grid_knobs_accepted_only_by_protocol_eval():
-    # the gate experiments are exact; only the protocols sample a mode grid
-    params = dict(GAMMA_KEY, c_in=100, sigma_t_ns=217.6, n_points=4097)
-    errors = validate_raw({"experiment": "bandwidth_scan", "seed": 1,
-                           "parameters": params})
-    assert any("parameters.n_points: not recognized" in e for e in errors)
+    # no experiment takes a mode-grid knob: the gate is exact and the
+    # protocols use the default Gaussian mode grid
+    for name in EXPERIMENTS:
+        for knob, value in (("n_points", 4097), ("grid_span", 10.0)):
+            errors = validate_raw({"experiment": name, "parameters": {knob: value}})
+            assert f"parameters.{knob}: not recognized by {name}" in errors
+    params = dict(GAMMA_KEY, c_in=100, sigma_t_ns=217.6, protocol="type2")
     assert validate_raw({"experiment": "protocol_eval", "seed": 1,
-                         "parameters": dict(params, protocol="type2")}) == []
+                         "parameters": params}) == []
+    # the source model lives on its single-excitation basis: no Fock cutoff
+    errors = validate_raw({"experiment": "source_characterize",
+                           "parameters": dict(GAMMA_KEY, sigma_t_ns=217.6, fock_cutoff=2)})
+    assert errors == ["parameters.fock_cutoff: not recognized by source_characterize"]
 
 
 def test_negative_rate_field_error():
