@@ -24,13 +24,12 @@ from .crosstalk import (MultiAtomScenario, crosstalk_fidelity_approx,
                         matched_scenario, per_atom_infidelity, reflection_multi,
                         required_detuning)
 from .errors import CapsError, ConfigError, ConvergenceError, DomainError
-from .gate import (FluctuationSpec, GateOutcome, GateScenario, RobustnessSummary,
-                   SpectralMode, caps_finite_bandwidth, caps_longpulse,
-                   gaussian_mode, min_sigma_t, robustness_mc)
+from .gate import (FluctuationSpec, GateOutcome, GateScenario, GaussianPhoton,
+                   RobustnessSummary, caps_finite_bandwidth, caps_longpulse,
+                   min_sigma_t, robustness_mc)
 from .protocols import (IdealNode, NodeConfig, ProtocolResult,
-                        components_from_kernel, components_from_mode,
-                        matched_node, memory_load, type1, type2,
-                        type2_mismatched, type2_pair, type3)
+                        components_from_kernel, matched_node, memory_load,
+                        type1, type2, type2_mismatched, type2_pair, type3)
 from .rates import (MuxScenario, dark_count_error, rate_time_mux,
                     rate_wavelength_mux, remainder_atoms)
 from .source import (ENTANGLER_4LVL, LAMBDA_3LVL, DriveProfile, MasterEvolution,

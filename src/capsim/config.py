@@ -152,7 +152,7 @@ def validate_raw(raw):
             errors.append(f"parameters.{name}: not recognized by {exp_name}")
             continue
         kind = exp.required.get(name, exp.optional.get(name, "any"))
-        if not isinstance(value, str) or kind == "str":
+        if not isinstance(value, str) or isinstance(kind, tuple):
             check_value(name, kind, value, errors)
     for name in axis_names:
         if name not in known:

@@ -19,8 +19,8 @@ from . import rates as rt
 from . import source as src
 from . import transfer_matrix as tm
 from .errors import ConfigError
-from .gate import (FluctuationSpec, GateScenario, caps_finite_bandwidth,
-                   caps_longpulse, gaussian_mode, min_sigma_t, robustness_mc)
+from .gate import (FluctuationSpec, GateScenario, GaussianPhoton, caps_finite_bandwidth,
+                   caps_longpulse, min_sigma_t, robustness_mc)
 
 
 @dataclass(frozen=True)
@@ -182,51 +182,49 @@ def _source_characterize(p):
              "overlap_target": overlap}]
 
 
+_PROTOCOLS = ("memory_load", "type2", "type2_pair", "type3", "type1")
+_SOURCES = ("cavity", "gaussian")
+
+
 def _protocol_eval(p):
     gamma = p["gamma"]
     protocol = p["protocol"]
     sigma_t = p["sigma_t"]
     c_in = p["c_in"]
+    if protocol not in _PROTOCOLS:
+        raise ConfigError(f"unknown protocol {protocol!r}")
     node_a = proto.matched_node(c_in, gamma, label="A")
     node_b = proto.matched_node(c_in, gamma, label="B")
     p_opt = cav.r_opt(c_in) ** 2
-    p_gen = 1.0
 
-    def cavity_kernel(scheme):
+    # type1 interferes two emitted photons; type2_pair loads a Gaussian pair
+    if protocol == "type1" or (protocol != "type2_pair"
+                               and p.get("source", "cavity") == "cavity"):
         if p.get("kernel_in"):  # a kernel exported by the source model
-            return src.TemporalKernel.load(p["kernel_in"])
-        params = cav.delay_matched_params(p.get("source_c_in", c_in), gamma)
-        spec = src.SourceSpec(params=params, p_br=p.get("p_br", 0.5),
-                              target_sigma_t=sigma_t, level_scheme=scheme)
-        return src.source_kernel(spec)
+            photon = src.TemporalKernel.load(p["kernel_in"])
+        else:
+            params = cav.delay_matched_params(p.get("source_c_in", c_in), gamma)
+            scheme = (src.ENTANGLER_4LVL if protocol in ("type3", "type1")
+                      else src.LAMBDA_3LVL)
+            photon = src.source_kernel(src.SourceSpec(
+                params=params, p_br=p.get("p_br", 0.5), target_sigma_t=sigma_t,
+                level_scheme=scheme))
+        p_gen = photon.p_gen
+    else:
+        photon, p_gen = GaussianPhoton(sigma_t), 1.0
 
-    use_cavity_source = p.get("source", "cavity") == "cavity"
     if protocol == "memory_load":
-        photon = cavity_kernel(src.LAMBDA_3LVL) if use_cavity_source else \
-            gaussian_mode(sigma_t)
-        p_gen = photon.p_gen if use_cavity_source else 1.0
         result = proto.memory_load(node_b, photon)
     elif protocol == "type2":
-        photon = cavity_kernel(src.LAMBDA_3LVL) if use_cavity_source else \
-            gaussian_mode(sigma_t)
-        p_gen = photon.p_gen if use_cavity_source else 1.0
         na = proto.matched_node(c_in, gamma, r_m=1.0, label="A")
         nb = proto.matched_node(c_in, gamma, r_m=1.0, label="B")
         result = proto.type2(na, nb, photon)
     elif protocol == "type2_pair":
-        mode = gaussian_mode(sigma_t)
-        result = proto.type2_pair(node_a, node_b, (mode, mode))
+        result = proto.type2_pair(node_a, node_b, (photon, photon))
     elif protocol == "type3":
-        photon = cavity_kernel(src.ENTANGLER_4LVL) if use_cavity_source else \
-            gaussian_mode(sigma_t)
-        p_gen = photon.p_gen if use_cavity_source else 1.0
         result = proto.type3(photon, node_b)
-    elif protocol == "type1":
-        kernel = cavity_kernel(src.ENTANGLER_4LVL)
-        p_gen = kernel.p_gen
-        result = proto.type1(kernel, kernel)
     else:
-        raise ConfigError(f"unknown protocol {protocol!r}")
+        result = proto.type1(photon, photon)
     return [{"fidelity": result.fidelity, "infidelity": 1.0 - result.fidelity,
              "p_success": result.p_success, "p_gen": p_gen,
              "p_gen_times_p_opt": p_gen * p_opt}]
@@ -351,7 +349,8 @@ EXPERIMENTS = {
         sanity=_sanity_bandwidth),
     "robustness": ExperimentDef(
         "robustness", _robustness,
-        required={"gamma": "positive", "sigma_t": "positive", "target": "str"},
+        required={"gamma": "positive", "sigma_t": "positive",
+                  "target": FluctuationSpec._TARGETS},
         optional=dict(_CAVITY_OPT, fwhm="nonneg", samples="posint",
                       length_dev="real", seed="any", samples_out="outfile"),
         columns=("mean_infidelity", "mean_success", "n_resampled"),
@@ -365,15 +364,16 @@ EXPERIMENTS = {
     "source_characterize": ExperimentDef(
         "source_characterize", _source_characterize,
         required={"gamma": "positive", "sigma_t": "positive"},
-        optional=dict(_CAVITY_OPT, p_br="prob", level_scheme="str",
+        optional=dict(_CAVITY_OPT, p_br="prob",
+                      level_scheme=(src.LAMBDA_3LVL, src.ENTANGLER_4LVL),
                       kernel_points="posint", kernel_out="outfile"),
         columns=("p_gen", "purity", "lambda_1", "lambda_2", "overlap_target")),
     "protocol_eval": ExperimentDef(
         "protocol_eval", _protocol_eval,
         required={"gamma": "positive", "sigma_t": "positive",
-                  "c_in": "positive", "protocol": "str"},
+                  "c_in": "positive", "protocol": _PROTOCOLS},
         optional=dict({k: v for k, v in _CAVITY_OPT.items() if k != "c_in"},
-                      p_br="prob", source="str", source_c_in="positive",
+                      p_br="prob", source=_SOURCES, source_c_in="positive",
                       kernel_in="str"),
         columns=("fidelity", "infidelity", "p_success", "p_gen",
                  "p_gen_times_p_opt"),
@@ -407,6 +407,11 @@ EXPERIMENTS = {
 
 
 def check_value(name, kind, value, errors):
+    if isinstance(kind, tuple):
+        if value not in kind:
+            errors.append(f"parameters.{name}: expected one of {', '.join(kind)}, "
+                          f"got {value!r}")
+        return
     if kind == "any":
         return
     check = _CHECKS.get(kind)

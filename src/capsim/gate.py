@@ -9,6 +9,7 @@ the detuning, so their Gaussian averages close in the Faddeeva function.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .errors import DomainError
 
 _BOUND_SNAP = 1e-12  # values this close to the [0, 1] edges are snapped
 _SQRT_PI = math.sqrt(math.pi)
-# near the exceptional point (see _cauchy_dd): switch, ring radius and node count
+# near the exceptional point (see _dd): switch, ring radius and node count
 _EP_SWITCH = 1e-3
 _EP_RING = 1e-2
 _EP_NODES = 4
@@ -67,33 +68,47 @@ class GateOutcome:
 
 
 @dataclass(frozen=True)
-class SpectralMode:
-    """Complex spectral amplitude sampled on a strictly increasing grid.
+class GaussianPhoton:
+    """Unit-norm Gaussian photon of temporal width sigma_t.
 
-    weights are quadrature weights for the grid; the squared norm
-    sum(w * |f|^2) may be below one (sub-normalized modes are allowed).
+    Its spectral density is exp(-d^2/sigma_w^2) / (sqrt(pi) sigma_w) with
+    sigma_w = 1/sigma_t; every average over it closes exactly
+    (gaussian_average).
     """
 
-    grid: np.ndarray
-    amplitude: np.ndarray
-    weights: np.ndarray
+    sigma_t: float
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        amp = np.asarray(self.amplitude, dtype=complex)
-        w = np.asarray(self.weights, dtype=float)
-        if grid.ndim != 1 or grid.shape != amp.shape or grid.shape != w.shape:
-            raise DomainError("grid, amplitude and weights must be 1-d and equal length")
-        if np.any(np.diff(grid) <= 0.0):
-            raise DomainError("grid must be strictly increasing")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "amplitude", amp)
-        object.__setattr__(self, "weights", w)
-        if self.norm2() > 1.0 + 1e-9:
-            raise DomainError("mode norm exceeds one")
+        if not self.sigma_t > 0.0:
+            raise DomainError("sigma_t must be positive")
 
-    def norm2(self):
-        return float(np.sum(self.weights * np.abs(self.amplitude) ** 2))
+
+class Response(NamedTuple):
+    """Reflection path (k + X(d)) exp(-i tau d) in the photon detuning d.
+
+    X is rational with every pole below the real axis: X = 0 when c is
+    None, c/(d - m) when h is None, and otherwise c (d - a)/((d - m)^2 - h^2)
+    with the pole pair m +- h.  Fields broadcast as one value per row.
+    """
+
+    k: complex
+    tau: float = 0.0
+    c: complex = None
+    m: complex = None
+    a: complex = None
+    h: complex = None
+
+    def rational(self, q):
+        """k + X(q) at complex q off the poles."""
+        if self.c is None:
+            return self.k
+        if self.h is None:
+            return self.k + self.c / (q - self.m)
+        return self.k + self.c * (q - self.a) / ((q - self.m - self.h) * (q - self.m + self.h))
+
+    def __call__(self, d):
+        """The path on a real detuning array d."""
+        return self.rational(d) * np.exp(-1j * self.tau * d)
 
 
 @dataclass(frozen=True)
@@ -157,33 +172,6 @@ class RobustnessSummary:
         return 1.0 - self.mean_fidelity
 
 
-def _simpson_weights(n, h):
-    if n < 3 or n % 2 == 0:
-        raise DomainError("composite Simpson rule needs an odd point count >= 3")
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    return w * (h / 3.0)
-
-
-def gaussian_mode(sigma_t, grid_span=8.0, n_points=2049):
-    """Unit-norm Gaussian spectral mode of temporal width sigma_t.
-
-    The spectrum (pi sigma_w^2)^(-1/4) exp(-d^2 / 2 sigma_w^2) with
-    sigma_w = 1/sigma_t is sampled on a uniform grid over +-grid_span
-    bandwidths with composite-Simpson weights.
-    """
-    if sigma_t <= 0.0:
-        raise DomainError("sigma_t must be positive")
-    if n_points < 16:
-        raise DomainError("n_points must be at least 16")
-    sigma_w = 1.0 / sigma_t
-    grid = np.linspace(-grid_span * sigma_w, grid_span * sigma_w, n_points)
-    amp = (math.pi * sigma_w**2) ** -0.25 * np.exp(-(grid**2) / (2.0 * sigma_w**2))
-    weights = _simpson_weights(n_points, grid[1] - grid[0])
-    return SpectralMode(grid=grid, amplitude=amp.astype(complex), weights=weights)
-
-
 def _conditional(f_pro, one_minus_l, d_q=4):
     """Conditional fidelity from process fidelity and leakage (scalars or arrays)."""
     if np.any(np.asarray(one_minus_l) <= 0.0):
@@ -214,74 +202,110 @@ def _cauchy(q, tau, sigma_w):
             * wofz(-q / sigma_w - 0.5j * sigma_w * tau))
 
 
-def _cauchy_dd(m, h, tau, sigma_w):
-    """Divided difference J[m + h, m - h], exact through h = 0.
+def _dd(f, m, h):
+    """Divided difference f[m + h, m - h], exact through h = 0.
 
-    The difference quotient cancels as the two poles merge (the
+    The difference quotient cancels as the two points merge (for r1, the
     exceptional point h = 0).  Where |h| < _EP_SWITCH |Im m|, the divided
     difference, analytic in h^2, is interpolated in h^2 from its
     difference quotients on _EP_NODES points of the ring
-    |h| = _EP_RING |Im m|.  J varies on a scale of at least |Im m|, so the
-    interpolant errs by about _EP_RING^(2 _EP_NODES) = 1e-16 relative.  A
-    Taylor series from the derivative recurrence of w is not used: it
-    loses eps |zeta|^2, and |zeta| ~ |m| sigma_t is large for long pulses.
+    |h| = _EP_RING |Im m|.  f varies on a scale of at least |Im m| (the
+    distance of m from the real axis), so the interpolant errs by about
+    _EP_RING^(2 _EP_NODES) = 1e-16 relative.  A Taylor series from the
+    derivative recurrence of w is not used: it loses eps |zeta|^2, and
+    |zeta| ~ |m| sigma_t is large for long pulses.  f broadcasts against
+    m; the ring nodes arrive along a new leading axis.
     """
-    def quotient(m, h):
-        return (_cauchy(m + h, tau, sigma_w) - _cauchy(m - h, tau, sigma_w)) / (2.0 * h)
-
-    near = np.abs(h) < _EP_SWITCH * np.abs(m.imag)
-    dd = np.empty_like(h)
-    dd[~near] = quotient(m[~near], h[~near])
+    with np.errstate(divide="ignore", invalid="ignore"):  # h = 0 rows are replaced below
+        dd = (f(m + h) - f(m - h)) / (2.0 * h)
+    radius = np.abs(np.imag(m))
+    near = np.abs(h) < _EP_SWITCH * radius
     if np.any(near):
-        ring = (_EP_RING * np.abs(m[near].imag)[:, None]
-                * np.exp(1j * np.pi * np.arange(_EP_NODES) / _EP_NODES))
-        x = (h[near, None] / ring) ** 2  # ring^2 / |ring|^2 are the M-th roots of unity
+        ring = np.multiply.outer(np.exp(1j * np.pi * np.arange(_EP_NODES) / _EP_NODES),
+                                 _EP_RING * radius)
+        # far rows get x = 0; ring^2 / |ring|^2 are the M-th roots of unity
+        x = (np.where(near, h, 0.0) / ring) ** 2
         lagrange = (1.0 - x**_EP_NODES) / (1.0 - x) / _EP_NODES
-        dd[near] = np.sum(quotient(m[near, None], ring) * lagrange, axis=1)
+        dd = np.where(near, np.sum((f(m + ring) - f(m - ring)) / (2.0 * ring) * lagrange,
+                                   axis=0), dd)
     return dd
+
+
+def _lower(x, y, tau, sigma_w):
+    """L_X[ybar](tau) = sum_k Res_k ybar(q_k) J(q_k, tau) over the poles q_k of X.
+
+    ybar(q) = conj(k_y + Y(conj q)) is analytic below the real axis.  For
+    the pole pair the residue sum is c times the divided difference of
+    (q - a) ybar(q) J(q, tau) over m +- h.
+    """
+    if x.c is None:
+        return 0.0
+
+    def f(q):
+        return np.conj(y.rational(np.conj(q))) * _cauchy(q, tau, sigma_w)
+
+    if x.h is None:
+        return x.c * f(x.m)
+    return x.c * _dd(lambda q: (q - x.a) * f(q), x.m, x.h)
+
+
+def gaussian_average(x, y, sigma_t):
+    """Mean of x(d) conj(y(d)) over a Gaussian photon of width sigma_t.
+
+    x and y are Responses.  In the partial fractions of
+    (k_x + X) conj(k_y + Y) the lower poles are those of X, weighted by
+    ybar, and the upper poles those of conj(Y), weighted by conj(xbar);
+    the latter close through conj(J(q, -tau)).  With tau = tau_x - tau_y:
+
+        G = k_x conj(k_y) exp(-sigma_w^2 tau^2 / 4)
+            + L_X[ybar](tau) + conj(L_Y[xbar](-tau)).
+
+    For y is x the two pole sums coincide and the mean of |x|^2 is real.
+    """
+    sigma_w = 1.0 / sigma_t
+    tau = x.tau - y.tau
+    lower = _lower(x, y, tau, sigma_w)
+    if y is x:
+        return abs(x.k) ** 2 + 2.0 * np.real(lower)
+    return (x.k * np.conj(y.k) * math.exp(-0.25 * (sigma_w * tau) ** 2)
+            + lower + np.conj(_lower(y, x, -tau, sigma_w)))
+
+
+def _pole_form(g, kappa_in, kappa_ex, gamma, delta_a, cavity_shift, tau):
+    """(r0, r1) as Responses delayed by tau, in the photon detuning d.
+
+    cavity_shift moves the cavity resonance relative to the photon
+    carrier.  r0 - 1 = c/(d - p0) and r1 - 1 = c (d - a)/((d - m)^2 - h^2)
+    with c = -2i kappa_ex; every pole lies below the real axis.
+    """
+    c = -2j * kappa_ex
+    p0 = cavity_shift - 1j * (kappa_in + kappa_ex)
+    a = cavity_shift + delta_a - 1j * gamma
+    m, e = 0.5 * (p0 + a), 0.5 * (p0 - a)
+    h = np.sqrt(e**2 + g**2)
+    return Response(1.0, tau, c, p0), Response(1.0, tau, c, m, a, h)
 
 
 def _gate_metrics(optics, sigma_t, g, kappa_in, kappa_ex, gamma, delta_a, cavity_shift):
     """(f_pro, one_minus_l), one value per row, for a Gaussian photon.
 
     Every rate broadcasts as one value per row; cavity_shift moves the
-    cavity resonance relative to the photon carrier.  In the photon
-    detuning d, r0 - 1 = c/(d - p0) and r1 - 1 = c (d - a)/((d - q1)(d - q2))
-    with q1,2 = m +- h, all poles below the real axis, so every spectral
-    integral is a sum of J(q, tau) terms.
+    cavity resonance relative to the photon carrier.  The overlap of the
+    delayed responses with the incident photon and their norms are
+    Gaussian averages.
     """
     if not sigma_t > 0.0:
         raise DomainError("sigma_t must be positive")
-    sigma_w = 1.0 / sigma_t
-    g, kappa_in, kappa_ex, gamma, delta_a, shift = np.broadcast_arrays(
+    rates = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float))
           for v in (g, kappa_in, kappa_ex, gamma, delta_a, cavity_shift)))
-    tau, r_m = optics.tau_m, optics.r_m
-    c = -2j * kappa_ex
-    p0 = shift - 1j * (kappa_in + kappa_ex)
-    a = shift + delta_a - 1j * gamma
-    m, e = 0.5 * (p0 + a), 0.5 * (p0 - a)  # e = m - a
-    h = np.sqrt(e**2 + g**2)
-    q2 = m - h
-    j0, j2 = _cauchy(p0, 0.0, sigma_w), _cauchy(q2, 0.0, sigma_w)
-    dd = _cauchy_dd(m, h, 0.0, sigma_w)
-    # (q - a) J(q) over (q1, q2) by the product rule: (e + h) J[q1, q2] + J(q2)
-    lin1 = c * ((e + h) * dd + j2)
-    overlap = c * ((e + h) * _cauchy_dd(m, h, tau, sigma_w) + _cauchy(q2, tau, sigma_w)
-                   - _cauchy(p0, tau, sigma_w))
-    # |r - 1|^2 on the real axis is 2 Re sum_k res_k / (d - q_k) over the
-    # lower poles alone; for r1 that is |c|^2 (R J)[q1, q2] with
-    # R(q) = (q - a)(q - conj a) / ((q - conj q1)(q - conj q2)), taken in t = q - m
-    u = 2j * m.imag                        # m - conj(m)
-    den1, den2 = (u + h) ** 2 - np.conj(h) ** 2, (u - h) ** 2 - np.conj(h) ** 2
-    r_q1 = (e + h) * (u + np.conj(e) + h) / den1
-    r_q2 = (e - h) * (u + np.conj(e) - h) / den2
-    r_dd = (e + u + np.conj(e) - 2.0 * u * r_q2) / den1
-    # r0: |r0 - 1|^2 has residue -c kappa_ex / kappa at p0, so 2 Re(c J) scales by kappa_in / kappa
-    norm0 = 1.0 + 2.0 * np.real(c * j0) * kappa_in / (kappa_in + kappa_ex)
-    norm1 = 1.0 + 2.0 * np.real(lin1 + abs(c) ** 2 * (r_q1 * dd + r_dd * j2))
-    one_minus_l = (2.0 * r_m**2 + norm0 + norm1) / 4.0
-    f_pro = np.abs(2.0 * r_m + overlap) ** 2 / 16.0
+    r0, r1 = _pole_form(*rates, optics.tau_m)
+    incident = Response(1.0)
+    overlap = (gaussian_average(r1, incident, sigma_t)
+               - gaussian_average(r0, incident, sigma_t))
+    norms = gaussian_average(r0, r0, sigma_t) + gaussian_average(r1, r1, sigma_t)
+    one_minus_l = (2.0 * optics.r_m**2 + norms) / 4.0
+    f_pro = np.abs(2.0 * optics.r_m + overlap) ** 2 / 16.0
     return f_pro, one_minus_l
 
 

@@ -6,10 +6,10 @@ type2_pair    photon-pair variant loading both memories
 type3         hybrid: emission at node A, memory loading at node B
 type1         two-photon-interference reference (emission at both nodes)
 
-Photon inputs are either pure spectral modes or temporal kernels from the
-photon-source module.  Every protocol integral is a quadrature of the
-photon's spectral density W(d) = sum_l p_l |u_l(d)|^2; for a kernel, W is
-evaluated from the lag sums of its eigenmodes (components_from_kernel).
+A protocol reads its photon, a GaussianPhoton or a temporal kernel, only
+through the Gram matrix of photon averages of x(d) conj(y(d)) over the
+reflection paths it meets; every outcome probability and fidelity
+numerator is a quadratic form in it.
 """
 
 import math
@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import (CavityParams, InterfaceOptics, matched_optics,
-                     r_opt, reflection_r0, reflection_r1)
+from .cavity import CavityParams, InterfaceOptics, matched_optics, r_opt
 from .errors import ConvergenceError, DomainError
-from .gate import SpectralMode, _simpson_weights, _snap_unit
-from .source import TemporalKernel, decompose
+from .gate import GaussianPhoton, Response, _pole_form, _snap_unit, gaussian_average
+from .source import SourceSpec, TemporalKernel, decompose, source_kernel
 
 
 @dataclass(frozen=True)
@@ -36,11 +35,12 @@ class NodeConfig:
     def r_m(self):
         return self.optics.r_m
 
-    def bold_r(self, delta):
-        """Delay-compensated reflection pair (r0, r1) on a detuning grid."""
-        phase = np.exp(-1j * self.optics.tau_m * np.asarray(delta, dtype=float))
-        return (phase * reflection_r0(self.params, delta),
-                phase * reflection_r1(self.params, delta))
+    @property
+    def responses(self):
+        """(r0, r1) in pole form, delay-compensated by the mirror-path delay."""
+        p = self.params
+        return _pole_form(p.g, p.kappa_in, p.kappa_ex, p.gamma, p.delta_a, 0.0,
+                          self.optics.tau_m)
 
 
 class IdealNode:
@@ -48,10 +48,7 @@ class IdealNode:
 
     label = "ideal"
     r_m = 1.0
-
-    def bold_r(self, delta):
-        delta = np.asarray(delta, dtype=float)
-        return -np.ones_like(delta, dtype=complex), np.ones_like(delta, dtype=complex)
+    responses = (Response(-1.0), Response(1.0))
 
 
 def matched_node(c_in, gamma, r_m=None, label="A"):
@@ -87,26 +84,21 @@ def _aggregate(outcomes):
 
 
 # --------------------------------------------------------------------------
-# Photon input -> spectral density
+# Photon input -> Gram matrix of reflection paths
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SpectralComponents:
-    """Photon spectral density on a quadrature grid.
+    """Spectral density of a kernel photon on a quadrature grid.
 
     density is W(d) = sum_l p_l |u_l(d)|^2 over the photon's spectral
     modes, with sum p_l <= 1; the vacuum remainder carries no heralding
-    weight.  Every protocol integral is a weighted sum of W.
+    weight.  Every kernel average is a weighted sum of W.
     """
 
     grid: np.ndarray
     weights: np.ndarray
     density: np.ndarray
-
-
-def components_from_mode(mode):
-    return SpectralComponents(grid=mode.grid, weights=mode.weights,
-                              density=np.abs(mode.amplitude) ** 2)
 
 
 def components_from_kernel(kernel, n_points=2049, rel_cutoff=1e-8,
@@ -168,40 +160,52 @@ def components_from_kernel(kernel, n_points=2049, rel_cutoff=1e-8,
             grid = np.linspace(-span, span, n)
             dens = np.concatenate([density(grid[:side]), dens,
                                    density(grid[-side:])])
-        w = _simpson_weights(n, grid[1] - grid[0])
+        w = np.ones(n)  # composite Simpson: n is odd at every doubling
+        w[1:-1:2] = 4.0
+        w[2:-2:2] = 2.0
+        w *= (grid[1] - grid[0]) / 3.0
         if np.sum(w * dens) >= coverage * np.sum(lams):
             return SpectralComponents(grid=grid, weights=w, density=dens)
     raise ConvergenceError("spectral window did not capture the kernel population")
 
 
-def _components(photon):
-    if isinstance(photon, SpectralComponents):
-        return photon
-    if isinstance(photon, SpectralMode):
-        return components_from_mode(photon)
+def _gram(photon, paths):
+    """Hermitian matrix of the photon averages of x(d) conj(y(d)) over paths.
+
+    Exact for a GaussianPhoton (gaussian_average); for a TemporalKernel, a
+    sum over its spectral density on components_from_kernel's grid.
+    """
+    if isinstance(photon, GaussianPhoton):
+        return np.array([[gaussian_average(x, y, photon.sigma_t) for y in paths]
+                         for x in paths])
     if isinstance(photon, TemporalKernel):
-        return components_from_kernel(photon)
+        comps = components_from_kernel(photon)
+        values = np.array([x(comps.grid) for x in paths])
+        return (values * (comps.weights * comps.density)) @ values.conj().T
     raise DomainError(f"unsupported photon input {type(photon).__name__}")
+
+
+def _form(gram, c):
+    """c^T G conj(c): the photon average of |sum_i c_i x_i(d)|^2."""
+    return float(np.real(c @ gram @ np.conj(c)))
+
+
+def _node_paths(node):
+    """(mirror, r0, r1) of one node."""
+    return (Response(node.r_m),) + node.responses
+
+
+# coefficients over the paths (mirror, r0, r1) of r_m, r_plus = (r1 + r0)/2
+# and r_minus = (r1 - r0)/2, and of the elements e00, e01, e11 of the
+# loading error operator E = [r_m |0><0| + (r_minus |1> - r_plus |0>) <1|] / sqrt(2)
+_MIRROR, _R_PLUS, _R_MINUS = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5],
+                                       [0.0, -0.5, 0.5]])
+_E00, _E01, _E11 = np.array([_MIRROR, -_R_PLUS, _R_MINUS]) / math.sqrt(2.0)
 
 
 # --------------------------------------------------------------------------
 # Memory loading
 # --------------------------------------------------------------------------
-
-def _loading_matrix_elements(node, grid):
-    """Elements of the loading error operator on the detuning grid.
-
-    E = [r_m |0><0| + (r_minus |1> - r_plus |0>) <1|] / sqrt(2) with the
-    delay-compensated responses; returns (e00, e01, e11)."""
-    b0, b1 = node.bold_r(grid)
-    r_minus = 0.5 * (b1 - b0)
-    r_plus = 0.5 * (b1 + b0)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    e00 = np.full(grid.shape, node.r_m, dtype=complex) * inv_sqrt2
-    e01 = -r_plus * inv_sqrt2
-    e11 = r_minus * inv_sqrt2
-    return e00, e01, e11
-
 
 def memory_load(node, photon, input_state=(1.0 / math.sqrt(2), 1.0 / math.sqrt(2))):
     """Teleport a photonic qubit into the atom; herald on photon detection.
@@ -210,23 +214,19 @@ def memory_load(node, photon, input_state=(1.0 / math.sqrt(2), 1.0 / math.sqrt(2
     per-outcome fidelity compares against the outcome's ideal byproduct
     state; outcome keys are the photon measurement results 0 and 1.
     """
-    comps = _components(photon)
-    dens = comps.weights * comps.density
-    e00, e01, e11 = _loading_matrix_elements(node, comps.grid)
+    gram = _gram(photon, _node_paths(node))
     alpha, beta = complex(input_state[0]), complex(input_state[1])
     norm = abs(alpha) ** 2 + abs(beta) ** 2
     alpha, beta = alpha / math.sqrt(norm), beta / math.sqrt(norm)
     outcomes = {}
     for j in (0, 1):
         # state entering E is Z^(1+j) |psi>
-        sgn = -1.0 if j == 0 else 1.0
-        a, b = alpha, sgn * beta
+        a, b = alpha, -beta if j == 0 else beta
         # amplitude vector E |phi>
-        c0 = e00 * a + e01 * b
-        c1 = e11 * b
-        prob = float(np.sum(dens * (np.abs(c0) ** 2 + np.abs(c1) ** 2)))
-        overlap = np.conj(a) * c0 + np.conj(b) * c1
-        fid_num = float(np.sum(dens * np.abs(overlap) ** 2))
+        c0 = _E00 * a + _E01 * b
+        c1 = _E11 * b
+        prob = _form(gram, c0) + _form(gram, c1)
+        fid_num = _form(gram, np.conj(a) * c0 + np.conj(b) * c1)
         outcomes[j] = (prob, _snap_unit(fid_num / prob, "fidelity") if prob > 0 else 0.0)
     return _aggregate(outcomes)
 
@@ -240,26 +240,19 @@ def type2(node_a, node_b, photon):
 
     Outcome j = 0 heralds the (00-11) Bell state, j = 1 the (01-10) one.
     """
-    comps = _components(photon)
-    dens = comps.weights * comps.density
-    a0, a1 = node_a.bold_r(comps.grid)
-    b0, b1 = node_b.bold_r(comps.grid)
+    gram = _gram(photon, node_a.responses + node_b.responses)
+    paths = np.eye(4)  # r0_A, r1_A, r0_B, r1_B
     rma, rmb = node_a.r_m, node_b.r_m
     outcomes = {}
     for j in (0, 1):
         s = 1.0 if j == 0 else -1.0
-        c00 = (a0 * rmb + s * rma * b0) / 4.0
-        c11 = (a1 * rmb + s * rma * b1) / 4.0
-        c01 = (a0 * rmb + s * rma * b1) / 4.0
-        c10 = (a1 * rmb + s * rma * b0) / 4.0
-        norm2 = (np.abs(c00) ** 2 + np.abs(c11) ** 2
-                 + np.abs(c01) ** 2 + np.abs(c10) ** 2)
-        prob = float(np.sum(dens * norm2))
-        if j == 0:
-            amp = (c00 - c11) / math.sqrt(2.0)
-        else:
-            amp = (c01 - c10) / math.sqrt(2.0)
-        fid_num = float(np.sum(dens * np.abs(amp) ** 2))
+        # c_xy: A's cavity in state x with B's mirror plus B's cavity in
+        # state y with A's mirror
+        c = {(x, y): (rmb * paths[x] + s * rma * paths[2 + y]) / 4.0
+             for x in (0, 1) for y in (0, 1)}
+        prob = sum(_form(gram, v) for v in c.values())
+        amp = c[0, 0] - c[1, 1] if j == 0 else c[0, 1] - c[1, 0]
+        fid_num = _form(gram, amp / math.sqrt(2.0))
         outcomes[j] = (prob, _snap_unit(fid_num / prob, "fidelity") if prob > 0 else 0.0)
     return _aggregate(outcomes)
 
@@ -281,43 +274,28 @@ def type2_mismatched(node_a, node_b):
             InterfaceOptics(r_m=rm_b, tau_m=node_b.optics.tau_m))
 
 
-def type2_pair(node_a, node_b, pair_modes):
+def type2_pair(node_a, node_b, photons):
     """Photon-pair variant: each half of a photonic Bell pair is loaded.
 
-    pair_modes is the (f_A, f_B) pair of spectral modes.  Outcomes are the
-    four measurement pairs (j_A, j_B); the target Bell state carries the
-    sign (-1)^(j_A - j_B).  All integrals factorize over the two detunings.
+    photons is the (photon_A, photon_B) pair.  Outcomes are the four
+    measurement pairs (j_A, j_B); the target Bell state carries the sign
+    (-1)^(j_A - j_B).  The two detunings are independent, so the Gram
+    matrix over path pairs is the Kronecker product of the two nodes'
+    Gram matrices over (mirror, r0, r1).
     """
-    mode_a, mode_b = pair_modes
-    res = {}
-    for q, (node, mode) in (("A", (node_a, mode_a)), ("B", (node_b, mode_b))):
-        dens = mode.weights * np.abs(mode.amplitude) ** 2
-        b0, b1 = node.bold_r(mode.grid)
-        r_minus = 0.5 * (b1 - b0)
-        r_plus = 0.5 * (b1 + b0)
-        res[q] = {
-            "one": float(np.sum(dens).real),
-            "m2": float(np.sum(dens * np.abs(r_minus) ** 2)),
-            "p2": float(np.sum(dens * np.abs(r_plus) ** 2)),
-            "m": complex(np.sum(dens * r_minus)),
-            "p": complex(np.sum(dens * r_plus)),
-            "rm": node.r_m,
-        }
-    a, b = res["A"], res["B"]
+    gram = np.kron(_gram(photons[0], _node_paths(node_a)),
+                   _gram(photons[1], _node_paths(node_b)))
+    # A's mirror with B's r_minus, A's r_minus with B's mirror, and the r_plus pair
+    mirror_minus, minus_mirror = np.kron(_MIRROR, _R_MINUS), np.kron(_R_MINUS, _MIRROR)
+    mirror_plus, plus_mirror = np.kron(_MIRROR, _R_PLUS), np.kron(_R_PLUS, _MIRROR)
+    # target amplitude (c01 + s c10)/sqrt(2); s^2 = 1 makes it s-free
+    num = _form(gram, mirror_minus + minus_mirror) / 16.0
     outcomes = {}
     for ja in (0, 1):
         for jb in (0, 1):
             s = 1.0 if (ja - jb) % 2 == 0 else -1.0
-            p01 = a["rm"] ** 2 * a["one"] * b["m2"]
-            p10 = b["rm"] ** 2 * a["m2"] * b["one"]
-            p00 = (a["rm"] ** 2 * a["one"] * b["p2"]
-                   + b["rm"] ** 2 * a["p2"] * b["one"]
-                   + 2.0 * s * a["rm"] * b["rm"] * (b["p"] * np.conj(a["p"])).real)
-            prob = (p01 + p10 + p00) / 8.0
-            # target amplitude (c01 + s c10)/sqrt(2); s^2 = 1 makes it s-free
-            num = (a["rm"] ** 2 * a["one"] * b["m2"]
-                   + b["rm"] ** 2 * a["m2"] * b["one"]
-                   + 2.0 * a["rm"] * b["rm"] * (b["m"] * np.conj(a["m"])).real) / 16.0
+            prob = (_form(gram, mirror_minus) + _form(gram, minus_mirror)
+                    + _form(gram, mirror_plus + s * plus_mirror)) / 8.0
             fid = _snap_unit(num / prob, "fidelity") if prob > 0 else 0.0
             outcomes[(ja, jb)] = (prob, fid)
     return _aggregate(outcomes)
@@ -332,24 +310,13 @@ def type3(source, node_b):
 
     source is either a SourceSpec (the polarization-entangling scheme is
     simulated to obtain the photon kernel) or a precomputed TemporalKernel
-    or SpectralMode/SpectralComponents.  Outcome j = 0 heralds (00-11),
-    j = 1 heralds (00+11).
+    or GaussianPhoton.  Outcome j = 0 heralds (00-11), j = 1 heralds (00+11).
     """
-    from .source import SourceSpec, source_kernel
-
-    if isinstance(source, SourceSpec):
-        photon = source_kernel(source)
-    else:
-        photon = source
-    comps = _components(photon)
-    dens = comps.weights * comps.density
-    e00, e01, e11 = _loading_matrix_elements(node_b, comps.grid)
+    photon = source_kernel(source) if isinstance(source, SourceSpec) else source
+    gram = _gram(photon, _node_paths(node_b))
     # Bell-diagonal elements: <Phi_id| (1 x E) |Phi_id> = (e00 + e11)/2 for both
-    overlap = 0.5 * (e00 + e11)
-    ee_00 = np.abs(e00) ** 2
-    ee_11 = np.abs(e01) ** 2 + np.abs(e11) ** 2
-    per_outcome_prob = float(np.sum(dens * 0.5 * (ee_00 + ee_11)))
-    per_outcome_fid_num = float(np.sum(dens * np.abs(overlap) ** 2))
+    per_outcome_prob = 0.5 * (_form(gram, _E00) + _form(gram, _E01) + _form(gram, _E11))
+    per_outcome_fid_num = _form(gram, 0.5 * (_E00 + _E11))
     fid = (_snap_unit(per_outcome_fid_num / per_outcome_prob, "fidelity")
            if per_outcome_prob > 0 else 0.0)
     outcomes = {j: (per_outcome_prob, fid) for j in (0, 1)}

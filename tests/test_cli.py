@@ -109,12 +109,31 @@ def test_bools_and_strings_untouched(base, suf, value):
     assert normalize({base + suf: value})[base] is value
 
 
+_PROTOCOL_PARAMS = dict(GAMMA_KEY, c_in=100, sigma_t_ns=217.6, protocol="type2")
+# (config, offending key, values its error must list)
+_BAD_ENUMS = [
+    ({"experiment": "not_a_thing"}, "experiment", ("bandwidth_scan", "protocol_eval")),
+    ({"experiment": "protocol_eval", "parameters": dict(_PROTOCOL_PARAMS, protocol="typ2")},
+     "parameters.protocol", ("memory_load", "type2", "type2_pair", "type3", "type1")),
+    ({"experiment": "protocol_eval", "parameters": dict(_PROTOCOL_PARAMS, source="gausian")},
+     "parameters.source", ("cavity", "gaussian")),
+    ({"experiment": "source_characterize",
+      "parameters": dict(GAMMA_KEY, sigma_t_ns=217.6, level_scheme="lambda")},
+     "parameters.level_scheme", ("lambda_3lvl", "entangler_4lvl")),
+    ({"experiment": "robustness",
+      "parameters": dict(GAMMA_KEY, c_in=100, sigma_t_ns=217.6, target="couplng_g")},
+     "parameters.target", ("coupling_g", "cavity_freq", "length")),
+]
+
+
 def test_invalid_enum_named_in_error(tmp_path):
-    cfg = _write(tmp_path, "bad.json", {"experiment": "not_a_thing"})
-    code = main(["run", cfg])
-    assert code == 2
-    errors = validate_raw({"experiment": "not_a_thing"})
-    assert any("experiment" in e for e in errors)
+    for raw, key, allowed in _BAD_ENUMS:
+        cfg = _write(tmp_path, "bad.json", raw)
+        code = main(["run", cfg])
+        assert code == 2
+        errors = validate_raw(raw)
+        assert len(errors) == 1 and errors[0].startswith(key + ":")
+        assert all(value in errors[0] for value in allowed)
 
 
 def test_unknown_parameter_named_in_error():
@@ -126,8 +145,8 @@ def test_unknown_parameter_named_in_error():
 
 
 def test_grid_knobs_accepted_only_by_protocol_eval():
-    # no experiment takes a mode-grid knob: the gate is exact and the
-    # protocols use the default Gaussian mode grid
+    # no experiment takes a mode-grid knob: the gate and the Gaussian
+    # protocols are exact, and a kernel's spectral grid follows its time grid
     for name in EXPERIMENTS:
         for knob, value in (("n_points", 4097), ("grid_span", 10.0)):
             errors = validate_raw({"experiment": name, "parameters": {knob: value}})

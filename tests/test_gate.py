@@ -12,7 +12,7 @@ from capsim.cavity import (CavityParams, InterfaceOptics, delay_matched_params,
                            scaled_by_length_deviation)
 from capsim.errors import DomainError
 from capsim.gate import (FluctuationSpec, GateOutcome, GateScenario,
-                         caps_finite_bandwidth, caps_longpulse, gaussian_mode,
+                         GaussianPhoton, caps_finite_bandwidth, caps_longpulse,
                          min_sigma_t, robustness_mc)
 
 GAMMA = 1.0
@@ -21,51 +21,6 @@ GAMMA = 1.0
 def _matched(c_in):
     p = delay_matched_params(c_in, GAMMA)
     return p, matched_optics(p)
-
-
-# --------------------------------------------------------------------------
-# Gaussian mode construction
-# --------------------------------------------------------------------------
-
-def test_gaussian_mode_norm():
-    mode = gaussian_mode(2.0)
-    assert mode.norm2() == pytest.approx(1.0, abs=1e-10)
-
-
-def test_gaussian_mode_spectral_fwhm():
-    sigma_t = 0.7
-    mode = gaussian_mode(sigma_t)
-    amp = np.abs(mode.amplitude)
-    half = 0.5 * np.max(amp)
-    above = np.where(amp >= half)[0]
-    # linear interpolation of the two half-maximum crossings
-    lo_i, hi_i = above[0], above[-1]
-    x = mode.grid
-
-    def cross(i, j):
-        return x[i] + (half - amp[i]) * (x[j] - x[i]) / (amp[j] - amp[i])
-
-    width = cross(hi_i, hi_i + 1) - cross(lo_i, lo_i - 1)
-    assert width == pytest.approx(2 * math.sqrt(2 * math.log(2)) / sigma_t, rel=1e-3)
-
-
-def test_gaussian_mode_is_its_own_fourier_pair():
-    sigma_t = 1.3
-    mode = gaussian_mode(sigma_t)
-    t = np.linspace(-4 * sigma_t, 4 * sigma_t, 41)
-    ft = mode.weights * mode.amplitude @ np.exp(-1j * np.outer(mode.grid, t))
-    ft /= math.sqrt(2 * math.pi)
-    expected = (math.pi * sigma_t**2) ** -0.25 * np.exp(-(t**2) / (2 * sigma_t**2))
-    assert np.max(np.abs(ft - expected)) < 1e-8
-
-
-def test_gaussian_mode_rejects_bad_grids():
-    with pytest.raises(DomainError):
-        gaussian_mode(1.0, n_points=8)
-    with pytest.raises(DomainError):
-        gaussian_mode(1.0, n_points=2048)
-    with pytest.raises(DomainError):
-        gaussian_mode(-1.0)
 
 
 # --------------------------------------------------------------------------
@@ -211,6 +166,8 @@ def test_nonpositive_pulse_width_rejected(sigma_t):
         caps_finite_bandwidth(p, optics, sigma_t)
     with pytest.raises(DomainError):
         GateScenario(params=p, optics=optics, sigma_t=sigma_t)
+    with pytest.raises(DomainError):
+        GaussianPhoton(sigma_t)
 
 
 def test_min_sigma_t_inverts_the_infidelity_curve():

@@ -4,16 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from capsim.cavity import delay_matched_params, r_opt
+from capsim import gate
+from capsim.cavity import (CavityParams, InterfaceOptics, delay_matched_params,
+                           r_opt, reflection_r0, reflection_r1)
 from capsim.errors import ConvergenceError, DomainError
-from capsim.gate import gaussian_mode
+from capsim.gate import GaussianPhoton
 from capsim.protocols import (IdealNode, NodeConfig, components_from_kernel,
-                              components_from_mode, matched_node, memory_load,
-                              type1, type2, type2_mismatched, type2_pair, type3)
+                              matched_node, memory_load, type1, type2,
+                              type2_mismatched, type2_pair, type3)
 from capsim.source import SourceSpec, TemporalKernel, decompose, source_kernel
 
 GAMMA = 1.0
-LONG = gaussian_mode(5e3)
+LONG = GaussianPhoton(5e3)
 
 
 def _gaussian_rank1_kernel(sigma=1.0, n=401, lam=1.0, carrier=0.0):
@@ -34,18 +36,18 @@ def _gaussian_rank1_kernel(sigma=1.0, n=401, lam=1.0, carrier=0.0):
 
 def test_every_protocol_is_perfect_with_ideal_responses():
     ideal = IdealNode()
-    mode = gaussian_mode(1.0)
-    assert memory_load(ideal, mode).fidelity == 1.0
-    assert type2(ideal, ideal, mode).fidelity == 1.0
-    pair = type2_pair(ideal, ideal, (mode, mode))
+    photon = GaussianPhoton(1.0)
+    assert memory_load(ideal, photon).fidelity == 1.0
+    assert type2(ideal, ideal, photon).fidelity == 1.0
+    pair = type2_pair(ideal, ideal, (photon, photon))
     assert pair.fidelity == 1.0
     assert [p for p, _ in pair.outcomes.values()] == pytest.approx([0.25] * 4)
-    assert type3(mode, ideal).fidelity == pytest.approx(1.0, abs=1e-12)
+    assert type3(photon, ideal).fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_memory_load_outcomes_sum_to_success():
     node = matched_node(25, GAMMA)
-    result = memory_load(node, gaussian_mode(2.0))
+    result = memory_load(node, GaussianPhoton(2.0))
     total = sum(p for p, _ in result.outcomes.values())
     assert total == pytest.approx(result.p_success, abs=1e-10)
 
@@ -55,6 +57,149 @@ def test_memory_load_matched_long_pulse():
     result = memory_load(node, LONG)
     assert result.fidelity == pytest.approx(1.0, abs=1e-9)
     assert result.p_success == pytest.approx(r_opt(100) ** 2, abs=1e-8)
+
+
+# --------------------------------------------------------------------------
+# exact Gaussian averages against a quadrature oracle
+# --------------------------------------------------------------------------
+
+def _ep_node(rel):
+    """Node whose r1 poles merge at rel = 0 (g = |kappa - gamma|/2)."""
+    kappa_in, kappa_ex, gamma = 1.0, 2.0, 1.0
+    g = abs(kappa_in + kappa_ex - gamma) / 2 * (1 + rel)
+    return NodeConfig(CavityParams(g=g, kappa_in=kappa_in, kappa_ex=kappa_ex, gamma=gamma),
+                      InterfaceOptics(r_m=0.7, tau_m=0.4))
+
+
+def _mismatched_pair():
+    node_a = matched_node(100, GAMMA, r_m=1.0, label="A")
+    node_b = matched_node(25, GAMMA, r_m=1.0, label="B")
+    optics_a, optics_b = type2_mismatched(node_a, node_b)
+    return (NodeConfig(params=node_a.params, optics=optics_a, label="A"),
+            NodeConfig(params=node_b.params, optics=optics_b, label="B"))
+
+
+_EP_NODES = [_ep_node(rel) for rel in (0.0, 1e-9, -1e-9, 1e-3, -1e-3)]
+_SINGLE_NODES = [matched_node(100, GAMMA), matched_node(25, GAMMA)] + _EP_NODES + [IdealNode()]
+_NODE_PAIRS = ([(matched_node(100, GAMMA, r_m=1.0),) * 2, _mismatched_pair()]
+               + [(node, matched_node(100, GAMMA)) for node in _EP_NODES]
+               + [(IdealNode(), IdealNode())])
+
+
+def _simpson_gaussian(sigma_t, n=4097):
+    """Detuning grid and composite-Simpson weights times the unit-norm
+    Gaussian density exp(-d^2/sigma_w^2)/(sqrt(pi) sigma_w), +-8 bandwidths."""
+    sigma_w = 1.0 / sigma_t
+    d = np.linspace(-8.0 * sigma_w, 8.0 * sigma_w, n)
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-2:2] = 2.0
+    w *= (d[1] - d[0]) / 3.0 * np.exp(-(d / sigma_w) ** 2) / (math.sqrt(math.pi) * sigma_w)
+    return d, w
+
+
+def _grid_responses(node, d):
+    """Delay-compensated (r0, r1) on the grid from the direct cavity formulas."""
+    if isinstance(node, IdealNode):
+        return -np.ones(d.size), np.ones(d.size)
+    phase = np.exp(-1j * node.optics.tau_m * d)
+    return phase * reflection_r0(node.params, d), phase * reflection_r1(node.params, d)
+
+
+def _quadrature_protocol(protocol, nodes, sigma_t):
+    """(fidelity, p_success, outcome probabilities in outcome-key order) by
+    quadrature of each outcome's amplitudes."""
+    d, w = _simpson_gaussian(sigma_t)
+
+    def mean(x):
+        return float(np.sum(w * x))
+
+    probs, nums = [], []
+    if protocol in ("memory_load", "type3"):
+        node = nodes[0]
+        r0, r1 = _grid_responses(node, d)
+        e00 = np.full(d.size, node.r_m) / math.sqrt(2.0)
+        e01 = -0.5 * (r1 + r0) / math.sqrt(2.0)
+        e11 = 0.5 * (r1 - r0) / math.sqrt(2.0)
+        if protocol == "memory_load":  # input (|0> + |1>)/sqrt 2, Z^(1+j) applied
+            for b in (-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)):
+                a = 1.0 / math.sqrt(2.0)
+                c0, c1 = e00 * a + e01 * b, e11 * b
+                probs.append(mean(np.abs(c0) ** 2 + np.abs(c1) ** 2))
+                nums.append(mean(np.abs(a * c0 + b * c1) ** 2))
+        else:
+            probs = [mean(0.5 * (np.abs(e00) ** 2 + np.abs(e01) ** 2 + np.abs(e11) ** 2))] * 2
+            nums = [mean(np.abs(0.5 * (e00 + e11)) ** 2)] * 2
+    elif protocol == "type2":
+        (a0, a1), (b0, b1) = (_grid_responses(node, d) for node in nodes)
+        rma, rmb = nodes[0].r_m, nodes[1].r_m
+        for s in (1.0, -1.0):
+            c00, c11 = (a0 * rmb + s * rma * b0) / 4.0, (a1 * rmb + s * rma * b1) / 4.0
+            c01, c10 = (a0 * rmb + s * rma * b1) / 4.0, (a1 * rmb + s * rma * b0) / 4.0
+            probs.append(mean(sum(np.abs(c) ** 2 for c in (c00, c11, c01, c10))))
+            amp = c00 - c11 if s > 0 else c01 - c10
+            nums.append(mean(np.abs(amp) ** 2) / 2.0)
+    else:  # type2_pair: the two independent detunings factorize
+        moments = []
+        for node in nodes:
+            r0, r1 = _grid_responses(node, d)
+            minus, plus = 0.5 * (r1 - r0), 0.5 * (r1 + r0)
+            moments.append((node.r_m, mean(np.ones(d.size)), mean(np.abs(minus) ** 2),
+                            mean(np.abs(plus) ** 2), np.sum(w * minus), np.sum(w * plus)))
+        (ra, one_a, m2_a, p2_a, m_a, p_a), (rb, one_b, m2_b, p2_b, m_b, p_b) = moments
+        for s in (1.0, -1.0, -1.0, 1.0):
+            probs.append((ra**2 * one_a * m2_b + rb**2 * m2_a * one_b
+                          + ra**2 * one_a * p2_b + rb**2 * p2_a * one_b
+                          + 2.0 * s * ra * rb * (p_b * np.conj(p_a)).real) / 8.0)
+            nums.append((ra**2 * one_a * m2_b + rb**2 * m2_a * one_b
+                         + 2.0 * ra * rb * (m_b * np.conj(m_a)).real) / 16.0)
+    return sum(nums) / sum(probs), sum(probs), probs
+
+
+def _exact_protocol(protocol, nodes, sigma_t):
+    photon = GaussianPhoton(sigma_t)
+    if protocol == "memory_load":
+        return memory_load(nodes[0], photon)
+    if protocol == "type3":
+        return type3(photon, nodes[0])
+    if protocol == "type2":
+        return type2(*nodes, photon)
+    return type2_pair(*nodes, (photon, photon))
+
+
+@pytest.mark.parametrize("protocol", ["memory_load", "type2", "type2_pair", "type3"])
+def test_gaussian_protocols_match_quadrature_oracle(protocol):
+    cases = _NODE_PAIRS if protocol.startswith("type2") else [(n,) for n in _SINGLE_NODES]
+    for nodes in cases:
+        for sigma_t in (0.2, 1.0, 5.0):
+            result = _exact_protocol(protocol, nodes, sigma_t)
+            fidelity, p_success, probs = _quadrature_protocol(protocol, nodes, sigma_t)
+            assert abs(result.fidelity - fidelity) <= 1e-12
+            assert abs(result.p_success - p_success) <= 1e-12
+            outcome_probs = [p for p, _ in result.outcomes.values()]
+            assert np.max(np.abs(np.subtract(outcome_probs, probs))) <= 1e-12
+
+
+def test_node_responses_match_cavity_formulas():
+    d = np.linspace(-40.0, 40.0, 2001)
+    detuned = matched_node(100, GAMMA)
+    nodes = [matched_node(100, GAMMA), matched_node(25, GAMMA),
+             NodeConfig(detuned.params.with_(delta_a=0.6), detuned.optics)] + _EP_NODES
+    shift, tau = 0.37, 0.9
+    for node in nodes:
+        p = node.params
+        phase = np.exp(-1j * node.optics.tau_m * d)
+        r0, r1 = node.responses
+        assert np.max(np.abs(r0(d) - phase * reflection_r0(p, d))) <= 1e-14
+        assert np.max(np.abs(r1(d) - phase * reflection_r1(p, d))) <= 1e-14
+        # the gate's form: the cavity moved by shift, another delay
+        r0, r1 = gate._pole_form(p.g, p.kappa_in, p.kappa_ex, p.gamma, p.delta_a, shift, tau)
+        phase = np.exp(-1j * tau * d)
+        assert np.max(np.abs(r0(d) - phase * reflection_r0(p, d - shift))) <= 1e-14
+        assert np.max(np.abs(r1(d) - phase * reflection_r1(p, d - shift))) <= 1e-14
+    r0, r1 = IdealNode().responses
+    assert np.array_equal(r0(d), -np.ones(d.size))
+    assert np.array_equal(r1(d), np.ones(d.size))
 
 
 # --------------------------------------------------------------------------
@@ -94,9 +239,9 @@ def test_type2_pure_kernel_equals_pure_mode():
     node_a = matched_node(100, GAMMA, r_m=1.0)
     node_b = matched_node(100, GAMMA, r_m=1.0)
     from_kernel = type2(node_a, node_b, kernel)
-    from_mode = type2(node_a, node_b, gaussian_mode(1.0))
-    assert from_kernel.fidelity == pytest.approx(from_mode.fidelity, abs=1e-8)
-    assert from_kernel.p_success == pytest.approx(from_mode.p_success, abs=1e-8)
+    from_photon = type2(node_a, node_b, GaussianPhoton(1.0))
+    assert from_kernel.fidelity == pytest.approx(from_photon.fidelity, abs=1e-8)
+    assert from_kernel.p_success == pytest.approx(from_photon.p_success, abs=1e-8)
 
 
 # --------------------------------------------------------------------------
@@ -106,8 +251,8 @@ def test_type2_pure_kernel_equals_pure_mode():
 def test_pair_protocol_factorizes_and_heralds():
     node_a = matched_node(100, GAMMA, r_m=1.0)
     node_b = matched_node(100, GAMMA, r_m=1.0)
-    mode = gaussian_mode(5.0)
-    result = type2_pair(node_a, node_b, (mode, mode))
+    photon = GaussianPhoton(5.0)
+    result = type2_pair(node_a, node_b, (photon, photon))
     total = sum(p for p, _ in result.outcomes.values())
     assert total == pytest.approx(result.p_success, abs=1e-10)
     assert len(result.outcomes) == 4
@@ -119,8 +264,8 @@ def test_pair_protocol_short_pulse_infidelity_band():
     # gamma sigma_t = 0.2 and falls with longer pulses
     node_a = matched_node(100, GAMMA)
     node_b = matched_node(100, GAMMA)
-    at_02 = type2_pair(node_a, node_b, (gaussian_mode(0.2),) * 2)
-    at_05 = type2_pair(node_a, node_b, (gaussian_mode(0.5),) * 2)
+    at_02 = type2_pair(node_a, node_b, (GaussianPhoton(0.2),) * 2)
+    at_05 = type2_pair(node_a, node_b, (GaussianPhoton(0.5),) * 2)
     assert 1e-4 < 1.0 - at_02.fidelity < 5e-3
     assert 1.0 - at_05.fidelity < 1.0 - at_02.fidelity
 
@@ -262,11 +407,3 @@ def test_components_reject_non_uniform_time_grid():
                             weights=uniform.weights)
     with pytest.raises(DomainError, match="uniform"):
         components_from_kernel(kernel)
-
-
-def test_components_from_mode_is_identity():
-    mode = gaussian_mode(1.0)
-    comps = components_from_mode(mode)
-    assert np.array_equal(comps.density, np.abs(mode.amplitude) ** 2)
-    assert np.array_equal(comps.grid, mode.grid)
-    assert np.array_equal(comps.weights, mode.weights)
