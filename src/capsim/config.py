@@ -75,15 +75,6 @@ class ScenarioConfig:
         return hashlib.sha256(canon).hexdigest()[:16]
 
 
-def load_config(path):
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return parse_config(raw)
-
-
 def _reserved_names(exp_name):
     exp = EXPERIMENTS[exp_name]
     return frozenset(exp.required) | frozenset(exp.optional)
@@ -151,9 +142,7 @@ def validate_raw(raw):
         if name not in known:
             errors.append(f"parameters.{name}: not recognized by {exp_name}")
             continue
-        kind = exp.required.get(name, exp.optional.get(name, "any"))
-        if not isinstance(value, str) or isinstance(kind, tuple):
-            check_value(name, kind, value, errors)
+        check_value(name, exp.required.get(name, exp.optional.get(name, "any")), value, errors)
     for name in axis_names:
         if name not in known:
             errors.append(f"sweep axis {name!r}: not recognized by {exp_name}")

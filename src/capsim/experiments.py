@@ -297,7 +297,7 @@ def _rate_tables(p):
 
 def _sanity_bandwidth(p):
     warnings = []
-    if "sigma_t" in p and "c_in" in p and isinstance(p["sigma_t"], (int, float)):
+    if "sigma_t" in p and "c_in" in p:
         try:
             floor = min_sigma_t(p["c_in"], p["gamma"], target_infidelity=1e-4)
         except Exception as exc:  # a failed check is reported, never fatal

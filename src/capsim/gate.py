@@ -9,6 +9,7 @@ the detuning, so their Gaussian averages close in the Faddeeva function.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -196,10 +197,36 @@ def _cauchy(q, tau, sigma_w):
     this is -i sqrt(pi)/sigma_w exp(-sigma_w^2 tau^2/4) w(-q/sigma_w - i sigma_w tau/2)
     with w the Faddeeva function.
     """
-    from scipy.special import wofz  # at first use: no other path needs scipy
-
     return (-1j * _SQRT_PI / sigma_w * math.exp(-0.25 * (sigma_w * tau) ** 2)
-            * wofz(-q / sigma_w - 0.5j * sigma_w * tau))
+            * _wofz(-q / sigma_w - 0.5j * sigma_w * tau))
+
+
+@lru_cache(maxsize=None)
+def _weideman():
+    """Scale L and Weideman's a_n ... a_1, as cosine sums over 4n nodes."""
+    n = 40  # terms: 1e-13 relative against scipy.special.wofz
+    ell = math.sqrt(n / math.sqrt(2.0))
+    k = np.arange(1 - 2 * n, 2 * n)
+    t = ell * np.tan(0.25 * math.pi / n * k)
+    f = np.exp(-t * t) * (ell**2 + t * t)
+    return ell, np.cos(0.5 * math.pi / n * np.outer(np.arange(n, 0, -1), k)) @ f / (4 * n)
+
+
+def _wofz(z):
+    """Faddeeva function w(z) = exp(-z^2) erfc(-i z), scalar or array.
+
+    Weideman's 40-term rational expansion (SIAM J. Numer. Anal. 31, 1497,
+    1994) in the closed upper half-plane, and w(z) = 2 exp(-z^2) - w(-z)
+    below it, with Re(-z^2) = (y - x)(x + y) free of cancellation.
+    """
+    ell, coefficients = _weideman()
+    z = np.asarray(z, dtype=complex)
+    x, y = z.real, z.imag
+    s = np.where(y < 0.0, -z, z)
+    d = ell - 1j * s
+    w = 2.0 * np.polyval(coefficients, (ell + 1j * s) / d) / d**2 + 1.0 / (_SQRT_PI * d)
+    e = np.exp((y - x) * (x + y) - 2j * x * y, out=np.zeros_like(z), where=y < 0.0)
+    return np.where(y < 0.0, 2.0 * e - w, w)[()]
 
 
 def _dd(f, m, h):
@@ -374,17 +401,21 @@ def robustness_mc(base, spec):
     produce an invalid system (non-positive coupling or cavity length) are
     redrawn up to ten times each; the resample count is reported, and the
     lowest sample left without a valid draw raises.  Deterministic for a
-    fixed seed, independent of any execution partitioning: sample i uses
-    the dedicated stream seeded by (seed, i), built only when fwhm > 0.
-    All samples are then evaluated in one exact kernel call.
+    fixed seed, independent of any execution partitioning: sample i draws
+    from the stream of default_rng([seed, i]), whose states are derived
+    in one batch (_stream_states) only when fwhm > 0.  All samples are
+    then evaluated in one exact kernel call.
     """
     sigma = spec.fwhm * _FWHM_TO_SIGMA
     x = np.zeros(spec.samples)
     n_resampled = 0
+    states = _stream_states(spec.seed, spec.samples) if spec.fwhm > 0.0 else None
+    rng = np.random.Generator(np.random.PCG64(0))
     for i in range(spec.samples):
-        rng = np.random.default_rng([spec.seed, i]) if spec.fwhm > 0.0 else None
+        if states is not None:
+            rng.bit_generator.state = states[i]
         for _ in range(_RESAMPLE_CAP + 1):
-            if rng is not None:
+            if states is not None:
                 x[i] = rng.normal(0.0, sigma)
             if _valid_draw(base.params, spec.target, x[i]):
                 break
@@ -407,6 +438,52 @@ def robustness_mc(base, spec):
         n_resampled=n_resampled,
         samples=records,
     )
+
+
+# numpy's SeedSequence constants (bit_generator.pyx) and PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT, _MASK32, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**32 - 1, 2**128 - 1
+
+
+def _stream_states(seed, n):
+    """bit_generator.state of default_rng([seed, i]) for every i < n <= 2**32.
+
+    numpy's stream-stable SeedSequence mixing, vectorised over i in uint32
+    arithmetic, feeds a pool of four words with the 32-bit words of seed,
+    then i.  Its eight output words seed PCG64 as pcg64_set_seed does.
+    """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [np.full(n, seed >> b & _MASK32, np.uint32)
+             for b in range(0, max(int(seed).bit_length(), 1), 32)]
+    words.append(np.arange(n, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    pool = [hashmix(words[j] if j < len(words) else np.zeros(n, np.uint32)) for j in range(4)]
+    # mix each pool word into the others, then each entropy word past the pool
+    for src in range(max(len(words), 4)):
+        for dst in range(4):
+            if dst != src:
+                value = hashmix(pool[src] if src < 4 else words[src])
+                pool[dst] = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * value
+                pool[dst] ^= pool[dst] >> 16
+    hash_const = _INIT_B
+    out = np.array([hashmix(pool[j % 4], _MULT_B) for j in range(8)], dtype=np.uint64)
+    states = []
+    for s0, s1, s2, s3 in (out[0::2] | out[1::2] << 32).T.tolist():
+        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def _valid_draw(params, target, x):

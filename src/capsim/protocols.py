@@ -20,7 +20,7 @@ import numpy as np
 from .cavity import CavityParams, InterfaceOptics, matched_optics, r_opt
 from .errors import ConvergenceError, DomainError
 from .gate import GaussianPhoton, Response, _pole_form, _snap_unit, gaussian_average
-from .source import SourceSpec, TemporalKernel, decompose, source_kernel
+from .source import TemporalKernel, decompose
 
 
 @dataclass(frozen=True)
@@ -308,12 +308,11 @@ def type2_pair(node_a, node_b, photons):
 def type3(source, node_b):
     """Emission-generated atom-photon pair at A, memory loading at B.
 
-    source is either a SourceSpec (the polarization-entangling scheme is
-    simulated to obtain the photon kernel) or a precomputed TemporalKernel
-    or GaussianPhoton.  Outcome j = 0 heralds (00-11), j = 1 heralds (00+11).
+    source is the photon emitted at A, a TemporalKernel (source_kernel of
+    an ENTANGLER_4LVL SourceSpec) or a GaussianPhoton.  Outcome j = 0
+    heralds (00-11), j = 1 heralds (00+11).
     """
-    photon = source_kernel(source) if isinstance(source, SourceSpec) else source
-    gram = _gram(photon, _node_paths(node_b))
+    gram = _gram(source, _node_paths(node_b))
     # Bell-diagonal elements: <Phi_id| (1 x E) |Phi_id> = (e00 + e11)/2 for both
     per_outcome_prob = 0.5 * (_form(gram, _E00) + _form(gram, _E01) + _form(gram, _E11))
     per_outcome_fid_num = _form(gram, 0.5 * (_E00 + _E11))

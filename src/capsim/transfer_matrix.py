@@ -296,12 +296,20 @@ class WvmResult:
     n_resampled_trials: int    # always 0: whether a trial fits is decided before any draw
 
 
+@lru_cache(maxsize=4)
+def _cases(n):
+    """All 2^n atom-state bit strings, one read-only row each, first atom slowest."""
+    cases = np.indices((2,) * n, dtype=np.int8).reshape(n, -1).T
+    cases.flags.writeable = False
+    return cases
+
+
 def _chain_infidelity(cavity, probe_delta, r_m, target_index):
     """Conditional channel infidelity from enumerated reflection sets."""
     n = cavity.atom_positions.size
     if n > 20:
         raise DomainError("bit-string enumeration limited to 20 atoms")
-    cases = np.array(np.meshgrid(*[[0, 1]] * n, indexing="ij")).reshape(n, -1).T
+    cases = _cases(n)
     refl = _chain_reflectance(cavity, probe_delta, cases)
     target_bit = cases[:, target_index]
     total_abs2 = float(np.sum(np.abs(refl) ** 2))

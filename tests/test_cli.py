@@ -123,6 +123,9 @@ _BAD_ENUMS = [
     ({"experiment": "robustness",
       "parameters": dict(GAMMA_KEY, c_in=100, sigma_t_ns=217.6, target="couplng_g")},
      "parameters.target", ("coupling_g", "cavity_freq", "length")),
+    # a string is checked against its kind like any other value
+    ({"experiment": "bandwidth_scan", "parameters": dict(GAMMA_KEY, c_in=10, sigma_t_ns="abc")},
+     "parameters.sigma_t", ("positive", "'abc'")),
 ]
 
 
@@ -512,13 +515,23 @@ def test_transfer_matrix_runs_import_no_scipy(tmp_path):
     assert (tmp_path / "spectrum.csv").is_file() and (tmp_path / "crosstalk.csv").is_file()
 
 
-def test_gate_run_loads_scipy_special_and_matches_in_process(tmp_path):
-    raw = _robustness_config(samples=8)
-    cfg = _write(tmp_path, "rob.json", raw)
-    loaded = _cold_start_modules([["validate", cfg], ["run", cfg, "--out", str(tmp_path)]])
-    assert "scipy.special" in loaded
-    rows, cols, _ = run_sweep(parse_config(raw))
-    assert (tmp_path / "rob.csv").read_bytes() == table_bytes(rows, cols)
+def test_gate_runs_import_no_scipy_and_match_in_process(tmp_path):
+    # the Faddeeva function of the exact Gaussian averages is numpy's own
+    raws = {"rob": _robustness_config(samples=8),
+            "scan": {"experiment": "bandwidth_scan",
+                     "parameters": dict(GAMMA_KEY, c_in=100, sigma_t_ns=217.6),
+                     "output": {"path": "scan.csv"}},
+            "protocol": {"experiment": "protocol_eval",
+                         "parameters": dict(_PROTOCOL_PARAMS, source="gaussian"),
+                         "output": {"path": "protocol.csv"}}}
+    argvs = []
+    for name, raw in raws.items():
+        cfg = _write(tmp_path, f"{name}.json", raw)
+        argvs += [["validate", cfg], ["run", cfg, "--out", str(tmp_path)]]
+    assert _cold_start_modules(argvs) == []
+    for name, raw in raws.items():
+        rows, cols, _ = run_sweep(parse_config(raw))
+        assert (tmp_path / f"{name}.csv").read_bytes() == table_bytes(rows, cols)
 
 
 def test_cli_entry_point_runs_in_subprocess(tmp_path):

@@ -159,6 +159,20 @@ def test_closed_form_matches_quadrature_oracle():
         assert abs(f_c - (1.0 - 0.8 * (1.0 - ref_f_pro / ref_one_minus_l))) <= 1e-12
 
 
+@pytest.mark.parametrize("decade", range(-3, 3))
+def test_wofz_matches_scipy_oracle(decade):
+    # scipy is a test-only oracle: 200,000 random points with |z| in one
+    # decade band, at every argument, leaving out where exp(-z^2) overflows
+    from scipy.special import wofz
+
+    rng = np.random.default_rng(1994 + decade)
+    z = 10.0 ** (decade + rng.random(200_000)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200_000))
+    z = z[z.imag**2 - z.real**2 < 700.0]
+    assert np.sum(z.imag < 0.0) > 40_000 and np.sum(z.imag > 0.0) > 40_000
+    ref = wofz(z)
+    assert np.max(np.abs(gate._wofz(z) - ref) / np.abs(ref)) <= 1e-13
+
+
 @pytest.mark.parametrize("sigma_t", [0.0, -1.0, float("nan")])
 def test_nonpositive_pulse_width_rejected(sigma_t):
     p, optics = _matched(10)
@@ -200,18 +214,27 @@ def test_zero_fwhm_reproduces_nominal():
 
 
 def test_zero_fwhm_builds_no_random_streams(monkeypatch):
-    built = []
-    default_rng = np.random.default_rng
+    derived = []
+    stream_states = gate._stream_states
 
-    def counting_rng(seed):
-        built.append(seed)
-        return default_rng(seed)
+    def counting_states(seed, n):
+        states = stream_states(seed, n)
+        derived.extend(states)
+        return states
 
-    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(gate, "_stream_states", counting_states)
     robustness_mc(_scenario(), FluctuationSpec("coupling_g", 0.0, samples=50, seed=1))
-    assert built == []
+    assert derived == []
     robustness_mc(_scenario(), FluctuationSpec("coupling_g", 0.1, samples=5, seed=1))
-    assert built == [[1, i] for i in range(5)]
+    assert len(derived) == 5
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32 - 1, 2**32, 2**63 + 5])
+def test_stream_states_equal_default_rng_streams(seed):
+    states = gate._stream_states(seed, 2000)
+    assert len(states) == 2000
+    for i, state in enumerate(states):
+        assert state == np.random.default_rng([seed, i]).bit_generator.state
 
 
 def test_mc_deterministic_for_fixed_seed():
@@ -286,11 +309,16 @@ def _reference_robustness(base, spec):
     return records, n_resampled
 
 
-@pytest.mark.parametrize("target, fwhm", [("coupling_g", 0.2), ("coupling_g", 2.5),
-                                          ("cavity_freq", 0.5), ("length", 0.3)])
-def test_blocked_kernel_matches_per_sample_loop(target, fwhm):
+@pytest.mark.parametrize("target, fwhm, seed", [
+    pytest.param("coupling_g", 0.2, 3, id="coupling_g-0.2"),
+    pytest.param("coupling_g", 2.5, 3, id="coupling_g-2.5"),
+    pytest.param("cavity_freq", 0.5, 3, id="cavity_freq-0.5"),
+    pytest.param("length", 0.3, 3, id="length-0.3"),
+    # a two-word seed: the stream entropy is (0, 1, i)
+    pytest.param("coupling_g", 2.5, 2**32, id="coupling_g-2.5-seed2**32")])
+def test_blocked_kernel_matches_per_sample_loop(target, fwhm, seed):
     base = _scenario()
-    spec = FluctuationSpec(target=target, fwhm=fwhm, samples=61, seed=3)
+    spec = FluctuationSpec(target=target, fwhm=fwhm, samples=61, seed=seed)
     summary = robustness_mc(base, spec)
     records, n_resampled = _reference_robustness(base, spec)
     assert np.array_equal(summary.samples[:, :2], records[:, :2])
