@@ -3,15 +3,17 @@
 A driven three-level atom (or a four-level atom for polarization-encoded
 atom-photon entanglement) emits a photon through the cavity output
 coupler.  The drive that shapes the emitted wavepacket into a Gaussian is
-obtained by exact inversion of the single-excitation equations.  The full
-open-system dynamics, including re-excitation after spontaneous decay back
-to the initial state, is integrated as a Lindblad master equation on the
-single-excitation basis, which excitation-number conservation closes
-exactly.  The RK4 step maps of each kernel-grid interval are multiplied
-into one dense propagator; the two-time field autocorrelation follows
-from propagating jump-dressed states with the same propagators, and its
-eigendecomposition yields mode populations, generation probability, and
-trace purity.
+obtained by exact inversion of the single-excitation equations.  The open
+system, re-excitation after decay back to the initial state included, is a
+Lindblad master equation on the single-excitation basis.  Only its
+invariant blocks are stepped: rho on the one-excitation sector {(u,0),
+(e,0), (q,1)} plus the (q,0) populations that the jumps out of it feed, and
+the jump-dressed states L rho = |q,0><q,1| rho on one (q,0) row times the
+sector, which only the no-jump generator moves (quantum regression theorem;
+Gardiner & Zoller, Quantum Noise, ch. 5).  The phases D = diag(1, -i, -1)
+on the rungs u, e, q make both blocks real under D . D^dag, so RK4 runs in
+float64.  The eigendecomposition of the two-time autocorrelation yields
+mode populations, generation probability, and trace purity.
 """
 
 import json
@@ -241,6 +243,13 @@ def _liouvillian(model):
     return l_c, commutator(model.h_drive)
 
 
+def _real(block, what="gauged source model"):
+    """Real part of a block that must be real; a nonzero imaginary part raises."""
+    if np.any(np.imag(block) != 0.0):
+        raise DomainError(f"{what} is not real")
+    return np.ascontiguousarray(np.real(block), dtype=float)
+
+
 def _fine_grid(spec):
     """Uniform integration grid whose nodes contain the kernel subgrid."""
     t_i, t_f = spec.time_window
@@ -251,25 +260,22 @@ def _fine_grid(spec):
     return np.linspace(t_i, t_f, n_fine), decim
 
 
-def _interval_propagators(model, drive, times_fine, decim):
+def _interval_propagators(l_c, l_d, flux_ops, drive, times_fine, decim):
     """RK4 propagators and channel-flux functionals of the subgrid intervals.
 
-    Interval k covers fine steps k*decim ... (k+1)*decim - 1.  Its
-    propagator is the product of their RK4 step maps; its flux functional
-    maps the state at the interval start to the fine-grid trapezoid
-    integral of Tr[L^dag L rho] for every jump channel.  All intervals
-    advance together, one fine step at a time, with the drive sampled once
-    on the fine nodes and midpoints.
+    l_c, l_d and flux_ops are the generator and the flux functionals on
+    the invariant vec indices, gauged real.  Interval k covers fine steps
+    k*decim ... (k+1)*decim - 1.  Its propagator is the product of their
+    RK4 step maps; its flux functional maps the state at the interval start
+    to the fine-grid trapezoid integral of Tr[L^dag L rho] for every jump
+    channel.  All intervals advance together, one fine step at a time, with
+    the drive sampled once on the fine nodes and midpoints.
     """
-    l_c, l_d = _liouvillian(model)
     h = times_fine[1] - times_fine[0]
     n_int = (times_fine.size - 1) // decim
-    on_nodes = np.asarray(drive(times_fine))
-    drives = (on_nodes[:-1], np.asarray(drive(times_fine[:-1] + 0.5 * h)), on_nodes[1:])
-    drives = [w.reshape(n_int, decim, 1, 1) for w in drives]
-    # Tr[K rho] = vec_r(K^T) . vec_r(rho)
-    flux_ops = np.array([(lop.conj().T @ lop).T.reshape(-1) for lop in model.lindblads])
-    phi = np.tile(np.eye(model.dim**2, dtype=complex), (n_int, 1, 1))
+    on_nodes, mids = (_real(drive(t), "drive") for t in (times_fine, times_fine[:-1] + 0.5 * h))
+    drives = [w.reshape(n_int, decim, 1, 1) for w in (on_nodes[:-1], mids, on_nodes[1:])]
+    phi = np.tile(np.eye(l_c.shape[0]), (n_int, 1, 1))
     flux = 0.5 * (flux_ops @ phi)
     for j in range(decim):
         g1, g2, g4 = (l_c + w[:, j] * l_d for w in drives)
@@ -284,36 +290,55 @@ def _interval_propagators(model, drive, times_fine, decim):
 
 class MasterEvolution:
     """Dynamical-map handle: state on the kernel subgrid plus the propagators
-    between consecutive subgrid nodes."""
+    between consecutive subgrid nodes.
+
+    propagators step the rho block and no_jump the jump-dressed rows, both
+    gauged real; gauged_rho is the real D rho D^dag, rho the complex state,
+    and max_trace_drift the largest |Tr rho - 1| on the subgrid.
+    """
 
     def __init__(self, spec, drive=None):
         self.spec = spec
-        self.model = build_model(spec)
+        model = self.model = build_model(spec)
         if drive is None:
             drive = DriveProfile(spec.params, spec.target_sigma_t,
                                  level_scheme=spec.level_scheme,
                                  window=spec.time_window)
         times_fine, decim = _fine_grid(spec)
         self.times = times_fine[::decim]
-        self.propagators, flux = _interval_propagators(self.model, drive, times_fine, decim)
-        self._evolve_state(flux)
-
-    def _evolve_state(self, flux):
-        d = self.model.dim
-        x = self.model.rho0.astype(complex).reshape(-1)
-        keep = np.empty((self.times.size, d * d), dtype=complex)
-        keep[0] = x
-        trace_idx = np.arange(0, d * d, d + 1)
-        budget = np.zeros(len(self.model.lindblads))
-        for k, (phi, flux_k) in enumerate(zip(self.propagators, flux)):
-            budget += np.real(flux_k @ x)
-            x = phi @ x
-            keep[k + 1] = x
-            tr = abs(np.sum(x[trace_idx]) - 1.0)
+        d = model.dim
+        # the inert (q,0) states: no Hamiltonian term and no jump acts on them
+        acts = np.any(np.array([model.h_static, model.h_drive] + model.lindblads), axis=(0, 1))
+        self.inert, self.sector = np.flatnonzero(~acts), np.flatnonzero(acts)
+        phase = np.array([{"u": 1.0, "e": -1j}.get(s, -1.0) for s in model.labels])
+        self.gauge = np.outer(phase, phase.conj())
+        # vec indices: the rho block, then one inert row times the sector
+        block = np.append(np.add.outer(d * self.sector, self.sector), self.inert * (d + 1))
+        idx = np.append(block, self.inert[0] * d + self.sector)
+        g = self.gauge.reshape(-1)[idx]
+        l_c, l_d = (_real(m[np.ix_(idx, idx)] * np.outer(g, g.conj()))
+                    for m in _liouvillian(model))
+        # Tr[K rho] = vec_r(K^T) . vec_r(rho)
+        flux_ops = np.array([(lop.conj().T @ lop).T.reshape(-1) for lop in model.lindblads])
+        phi, flux = _interval_propagators(l_c, l_d, _real(flux_ops[:, idx] * g.conj()),
+                                          drive, times_fine, decim)
+        n = block.size
+        self.propagators, self.no_jump = phi[:, :n, :n], phi[:, n:, n:]
+        keep = np.zeros((self.times.size, d * d))
+        keep[0, block] = x = model.rho0.reshape(-1)[block]
+        budget = np.zeros(len(model.lindblads))
+        self.max_trace_drift = 0.0
+        for k, (phi_k, flux_k) in enumerate(zip(self.propagators, flux[:, :, :n])):
+            budget += flux_k @ x
+            x = phi_k @ x
+            keep[k + 1, block] = x
+            tr = abs(np.trace(keep[k + 1].reshape(d, d)) - 1.0)
+            self.max_trace_drift = max(self.max_trace_drift, tr)
             if tr > _TRACE_TOL:
                 raise ConvergenceError(
                     f"trace drift {tr:.2e} at t = {self.times[k + 1]:.3e}; reduce dt")
-        self.rho = keep.reshape(self.times.size, d, d)
+        self.gauged_rho = keep.reshape(self.times.size, d, d)
+        self.rho = self.gauged_rho * self.gauge.conj()
         self._channel_budget = budget
 
     def loss_budget(self):
@@ -339,7 +364,7 @@ class MasterEvolution:
 def evolve_master(spec, drive=None):
     """Integrate the master equation; returns the dynamical-map handle.
 
-    A custom drive must accept an array of times.
+    A custom drive must accept an array of times and return real samples.
     """
     return MasterEvolution(spec, drive=drive)
 
@@ -414,30 +439,29 @@ def _trapezoid_weights(t):
 def autocorrelation(spec, evolution=None):
     """Two-time autocorrelation of the emitted field on the kernel subgrid.
 
-    Fills the lower triangle t >= t' by propagating the jump-dressed state
-    L rho(t') with the interval propagators and tracing against the output
-    channel; the upper triangle follows by conjugate symmetry.  All active
-    columns advance together, so the cost is one sweep of the window.
+    Fills the lower triangle t >= t' by propagating the jump-dressed rows
+    L rho(t') with the no-jump propagators and tracing against the output
+    channels; the upper triangle follows by symmetry of the real kernel.
+    All active columns advance together, so the cost is one sweep.
     """
     if evolution is None:
         evolution = evolve_master(spec)
     model = evolution.model
-    d = model.dim
+    sector = evolution.sector
     n = evolution.times.size
     n_ch = len(model.collectors)
-    # trace functional: Tr[L^dag X] = vec_r(conj(L)) . vec_r(X)
-    tvecs = np.array([np.conj(c).reshape(-1) for c in model.collectors])
-    g1 = np.zeros((n, n), dtype=complex)
-    batch = np.zeros((d * d, n, n_ch), dtype=complex)
+    rows = _real(np.array([(c * evolution.gauge)[q, sector]
+                           for c, q in zip(model.collectors, evolution.inert)]))
+    g1 = np.zeros((n, n))
+    batch = np.zeros((sector.size, n, n_ch))
     for k in range(n):
         if k:
-            active = batch[:, :k].reshape(d * d, k * n_ch)
-            batch[:, :k] = (evolution.propagators[k - 1] @ active).reshape(d * d, k, n_ch)
-        for c_i, cop in enumerate(model.collectors):
-            batch[:, k, c_i] = (cop @ evolution.rho[k]).reshape(-1)
-        g1[k, :k + 1] = np.einsum("cx,xjc->j", tvecs, batch[:, :k + 1])
+            active = batch[:, :k].reshape(sector.size, k * n_ch)
+            batch[:, :k] = (evolution.no_jump[k - 1] @ active).reshape(sector.size, k, n_ch)
+        batch[:, k] = (rows @ evolution.gauged_rho[k][np.ix_(sector, sector)]).T
+        g1[k, :k + 1] = np.einsum("cx,xjc->j", rows, batch[:, :k + 1])
 
-    g1 = np.tril(g1) + np.tril(g1, -1).conj().T
+    g1 = np.tril(g1) + np.tril(g1, -1).T
     return TemporalKernel(times=evolution.times, kernel=g1,
                           weights=_trapezoid_weights(evolution.times))
 

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import capsim.source
 from capsim.cavity import delay_matched_params
 from capsim.errors import DomainError
-from capsim.source import (ENTANGLER_4LVL, LAMBDA_3LVL, DriveProfile,
+from capsim.source import (_TRACE_TOL, ENTANGLER_4LVL, LAMBDA_3LVL, DriveProfile,
                            SourceSpec, TemporalKernel, autocorrelation,
                            build_model, decompose, drive_profile,
                            evolve_master, gaussian_target, mode_overlap,
@@ -105,6 +107,37 @@ def test_probability_bookkeeping_closes():
     assert pops["g"] == pytest.approx(success_plus_lost, abs=1e-6)
     # the kernel's trace reproduces the output-coupler flux integral
     assert kernel.p_gen == pytest.approx(budget["emitted"], abs=1e-6)
+
+
+def test_max_trace_drift_recorded():
+    evo = evolve_master(_spec(p_br=0.5))
+    assert evo.max_trace_drift == max(abs(np.trace(r) - 1.0) for r in evo.gauged_rho)
+    assert evo.max_trace_drift < _TRACE_TOL
+
+
+def test_complex_drive_rejected():
+    spec = _spec(kernel_points=41)
+    real_drive = DriveProfile(PARAMS10, 1.0)
+    with pytest.raises(DomainError, match="drive"):
+        evolve_master(spec, drive=lambda t: real_drive(t) * (1.0 + 1e-9j))
+    # complex samples with a zero imaginary part are the real drive
+    same = evolve_master(spec, drive=lambda t: real_drive(t).astype(complex))
+    assert np.array_equal(same.rho, evolve_master(spec, drive=real_drive).rho)
+
+
+def test_model_without_real_gauge_rejected(monkeypatch):
+    # an imaginary Hermitian coupling breaks the phases diag(1, -i, -1);
+    # the real engine must refuse it rather than drop the imaginary part
+    build = capsim.source.build_model
+
+    def imaginary_coupling(spec):
+        model = build(spec)
+        h = model.h_static
+        return dataclasses.replace(model, h_static=1j * np.triu(h) - 1j * np.tril(h))
+
+    monkeypatch.setattr(capsim.source, "build_model", imaginary_coupling)
+    with pytest.raises(DomainError, match="not real"):
+        evolve_master(_spec(kernel_points=41))
 
 
 def test_reachable_subspace_dimensions():
@@ -234,6 +267,8 @@ def test_matches_full_space_reference(scheme, cutoff, p_br):
     kernel = autocorrelation(spec, evo).kernel
     scale = np.max(np.abs(ref_kernel))
     assert scale > 0.05
+    # the complex oracle's kernel is real: the premise of the engine's real gauge
+    assert np.max(np.abs(ref_kernel.imag)) <= 1e-15 * scale
     assert np.max(np.abs(kernel - ref_kernel)) <= 1e-12 * scale
     losses = evo.loss_budget()
     assert losses.keys() == ref_losses.keys()
@@ -255,6 +290,30 @@ def test_kernel_is_hermitian_and_psd(kernel_c10_golden):
 
 def test_diagonal_integral_is_emission_probability(kernel_c10_golden):
     assert 0.0 < kernel_c10_golden.p_gen < 1.0
+
+
+def test_pure_source_kernel_matches_rank_one_closed_form():
+    # With p_br = 0 nothing re-excites the atom, so the drive inversion is
+    # exact in the no-jump sector and K(t, t') = amplitude2 v(t) v(t') with
+    # v the Gaussian target.  The only departure is at the window start
+    # t_i = -5 sigma_t, where the target has already begun to emit from a
+    # state that is still all |u>: the full window deviates by 4.7e-6 of
+    # max|K|, and moving t_i out to -7 sigma_t shrinks that to 5.1e-10.
+    # The bulk |t|, |t'| < 3 sigma_t is held to 2e-8 (8.9e-9 measured).
+    gamma = 2.0 * math.pi * 0.24e6
+    params = delay_matched_params(100, gamma)
+    sigma = 232e-9
+    for t_i, full_tol in ((-5.0, 1e-5), (-7.0, 1e-9)):
+        spec = SourceSpec(params=params, p_br=0.0, target_sigma_t=sigma,
+                          time_window=(t_i * sigma, 6.0 * sigma))
+        kernel = source_kernel(spec)
+        drive = DriveProfile(params, sigma, window=spec.time_window)
+        v = gaussian_target(sigma)(kernel.times)
+        ref = drive.amplitude2 * np.outer(v, v)
+        dev = np.abs(kernel.kernel - ref) / np.max(np.abs(ref))
+        bulk = np.abs(kernel.times) < 3.0 * sigma
+        assert dev[np.ix_(bulk, bulk)].max() <= 2e-8
+        assert dev.max() <= full_tol
 
 
 def test_pure_source_gives_rank_one_kernel(kernel_c10_pure):
