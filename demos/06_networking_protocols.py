@@ -23,10 +23,9 @@ for sigma_t in (0.75, 1.5):
     k2 = source_kernel(SourceSpec(params=PARAMS, p_br=0.5, target_sigma_t=sigma_t))
     k3 = source_kernel(SourceSpec(params=PARAMS, p_br=0.5, target_sigma_t=sigma_t,
                                   level_scheme=ENTANGLER_4LVL))
-    node_a = matched_node(C_IN, GAMMA, r_m=1.0, label="A")
-    node_b = matched_node(C_IN, GAMMA, r_m=1.0, label="B")
-    r2 = type2(node_a, node_b, k2)
-    r3 = type3(k3, matched_node(C_IN, GAMMA, label="B"))
+    node = matched_node(C_IN, GAMMA, r_m=1.0)
+    r2 = type2(node, node, k2)
+    r3 = type3(k3, matched_node(C_IN, GAMMA))
     r1 = type1(k3, k3)
     print(f"{sigma_t:14.2f} {1 - r2.fidelity:10.2e} {r2.p_success:8.4f} "
           f"{1 - r3.fidelity:10.2e} {r3.p_success:8.4f} {1 - r1.fidelity:10.2e}")

@@ -1,10 +1,11 @@
 """Gate crosstalk from detuned spectator atoms sharing the cavity.
 
-One target atom is resonant while the other N_a - 1 atoms are shifted out
-of resonance by delta_a.  The on-resonance reflection depends only on the
+One target atom, at the cavity parameters' own detuning delta_a, shares
+the cavity with N_a - 1 spectators shifted out of resonance by
+detuning_spectators.  The on-resonance reflection depends only on the
 number m of spectators occupying the coupled qubit state, so the
 2^(N_a+1)-dimensional channel metrics reduce to binomially weighted sums
-over m, with O(N_a) cost.
+over m, with O(N_a) cost; gate._heralded reads the channel out of them.
 """
 
 import math
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityParams, r_opt
+from .cavity import CavityParams, delay_matched_params, r_opt
 from .errors import DomainError
-from .gate import GateOutcome
+from .gate import GateOutcome, _heralded
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,6 @@ class MultiAtomScenario:
 
 def matched_scenario(c_in, gamma, n_atoms, detuning_spectators):
     """Scenario with delay/reflectivity matching applied to the target."""
-    from .cavity import delay_matched_params
-
     return MultiAtomScenario(params=delay_matched_params(c_in, gamma),
                              n_atoms=n_atoms,
                              detuning_spectators=detuning_spectators,
@@ -61,7 +60,7 @@ def _reflections_all_m(scenario):
     m = np.arange(scenario.n_atoms)
     spect = m * g2 / (p.gamma + 1j * scenario.detuning_spectators)
     r0 = 1.0 - 2.0 * p.kappa_ex / (p.kappa + spect)
-    r1 = 1.0 - 2.0 * p.kappa_ex / (p.kappa + g2 / p.gamma + spect)
+    r1 = 1.0 - 2.0 * p.kappa_ex / (p.kappa + g2 / (p.gamma + 1j * p.delta_a) + spect)
     return r0, r1
 
 
@@ -79,20 +78,6 @@ def _binom_weights(n):
     return w
 
 
-def _metrics_from_sums(r_m, mean_abs2, mean_diff, n_atoms):
-    """Channel metrics from spectator-averaged reflection sums.
-
-    mean_abs2 = E_m[|r0|^2 + |r1|^2], mean_diff = E_m[r1 - r0] with the
-    binomial spectator weighting; d_q = 2^(n_atoms + 1).
-    """
-    one_minus_l = (2.0 * r_m**2 + mean_abs2) / 4.0
-    f_pro = abs(2.0 * r_m + mean_diff) ** 2 / 16.0
-    # d_q / (d_q + 1) written to stay finite for any atom number
-    d_q_frac = 1.0 / (1.0 + 2.0 ** -(n_atoms + 1.0))
-    f_c = 1.0 - d_q_frac * (1.0 - f_pro / one_minus_l)
-    return GateOutcome(f_c=f_c, p_success=one_minus_l)
-
-
 def crosstalk_fidelity_exact(scenario):
     """Conditional fidelity and success of the (N_a + 1)-qubit channel.
 
@@ -100,9 +85,9 @@ def crosstalk_fidelity_exact(scenario):
     """
     r0, r1 = _reflections_all_m(scenario)
     w = _binom_weights(scenario.n_atoms - 1)
-    mean_abs2 = float(np.sum(w * (np.abs(r0) ** 2 + np.abs(r1) ** 2)))
-    mean_diff = complex(np.sum(w * (r1 - r0)))
-    return _metrics_from_sums(scenario.r_m, mean_abs2, mean_diff, scenario.n_atoms)
+    infidelity, p = _heralded(scenario.r_m, np.sum(w * (np.abs(r0) ** 2 + np.abs(r1) ** 2)),
+                              np.sum(w * (r1 - r0)), scenario.n_atoms)
+    return GateOutcome(f_c=1.0 - infidelity, p_success=p)
 
 
 def crosstalk_fidelity_enumerated(scenario):
@@ -122,7 +107,8 @@ def crosstalk_fidelity_enumerated(scenario):
         total_abs2 += abs(r0[m]) ** 2 + abs(r1[m]) ** 2
         total_diff += r1[m] - r0[m]
     scale = 2.0 ** (n - 1)
-    return _metrics_from_sums(scenario.r_m, total_abs2 / scale, total_diff / scale, n)
+    infidelity, p = _heralded(scenario.r_m, total_abs2 / scale, total_diff / scale, n)
+    return GateOutcome(f_c=1.0 - infidelity, p_success=p)
 
 
 def crosstalk_fidelity_approx(c_in, n_atoms, delta_a, gamma):

@@ -193,8 +193,7 @@ def _protocol_eval(p):
     c_in = p["c_in"]
     if protocol not in _PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}")
-    node_a = proto.matched_node(c_in, gamma, label="A")
-    node_b = proto.matched_node(c_in, gamma, label="B")
+    node = proto.matched_node(c_in, gamma)
     p_opt = cav.r_opt(c_in) ** 2
 
     # type1 interferes two emitted photons; type2_pair loads a Gaussian pair
@@ -214,15 +213,14 @@ def _protocol_eval(p):
         photon, p_gen = GaussianPhoton(sigma_t), 1.0
 
     if protocol == "memory_load":
-        result = proto.memory_load(node_b, photon)
+        result = proto.memory_load(node, photon)
     elif protocol == "type2":
-        na = proto.matched_node(c_in, gamma, r_m=1.0, label="A")
-        nb = proto.matched_node(c_in, gamma, r_m=1.0, label="B")
-        result = proto.type2(na, nb, photon)
+        full = proto.matched_node(c_in, gamma, r_m=1.0)
+        result = proto.type2(full, full, photon)
     elif protocol == "type2_pair":
-        result = proto.type2_pair(node_a, node_b, (photon, photon))
+        result = proto.type2_pair(node, node, (photon, photon))
     elif protocol == "type3":
-        result = proto.type3(photon, node_b)
+        result = proto.type3(photon, node)
     else:
         result = proto.type1(photon, photon)
     return [{"fidelity": result.fidelity, "infidelity": 1.0 - result.fidelity,

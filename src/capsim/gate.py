@@ -5,16 +5,18 @@ pulses filtered by the frequency-dependent cavity response, and seeded
 Monte-Carlo robustness studies under parameter fluctuations.  The
 finite-bandwidth metrics are exact: the cavity responses are rational in
 the detuning, so their Gaussian averages close in the Faddeeva function.
+_heralded reads every heralded channel of the package from its averages.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import CavityParams, InterfaceOptics, reflection_r0, reflection_r1
+from .cavity import (CavityParams, InterfaceOptics, delay_matched_params, matched_optics,
+                     reflection_r0, reflection_r1)
 from .errors import DomainError
 
 _BOUND_SNAP = 1e-12  # values this close to the [0, 1] edges are snapped
@@ -23,6 +25,7 @@ _SQRT_PI = math.sqrt(math.pi)
 _EP_SWITCH = 1e-3
 _EP_RING = 1e-2
 _EP_NODES = 4
+_SIGMA_T_REL_TOL = 1e-3  # relative bracket width at which min_sigma_t stops
 
 
 def _snap_unit(x, what):
@@ -44,28 +47,26 @@ def _snap_unit(x, what):
 class GateOutcome:
     """Heralded-gate figures of merit.
 
-    f_c is the conditional (detection-heralded) average fidelity,
-    p_success the heralding probability, and leakage = 1 - p_success the
-    weight lost from the atom (x) polarization subspace.  Values within
-    1e-12 of the [0, 1] edges are snapped onto them.
+    f_c is the conditional (detection-heralded) average fidelity and
+    p_success the heralding probability.  Values within 1e-12 of the
+    [0, 1] edges are snapped onto them.
     """
 
     f_c: float
     p_success: float
-    leakage: float = field(default=None)
 
     def __post_init__(self):
-        if self.leakage is None:
-            object.__setattr__(self, "leakage", 1.0 - self.p_success)
         object.__setattr__(self, "f_c", _snap_unit(self.f_c, "f_c"))
         object.__setattr__(self, "p_success", _snap_unit(self.p_success, "p_success"))
-        object.__setattr__(self, "leakage", _snap_unit(self.leakage, "leakage"))
-        if abs(self.p_success - (1.0 - self.leakage)) > 1e-12:
-            raise DomainError("p_success and leakage are inconsistent")
 
     @property
     def infidelity(self):
         return 1.0 - self.f_c
+
+    @property
+    def leakage(self):
+        """Weight lost from the atom (x) polarization subspace, 1 - p_success."""
+        return 1.0 - self.p_success
 
 
 @dataclass(frozen=True)
@@ -173,21 +174,29 @@ class RobustnessSummary:
         return 1.0 - self.mean_fidelity
 
 
-def _conditional(f_pro, one_minus_l, d_q=4):
-    """Conditional fidelity from process fidelity and leakage (scalars or arrays)."""
-    if np.any(np.asarray(one_minus_l) <= 0.0):
+def _heralded(r_m, mean_abs2, mean_diff, n_atoms=1):
+    """(1 - F_c, P) of a heralded channel, scalars or arrays.
+
+    mean_abs2 = <|r0|^2 + |r1|^2> and mean_diff = <r1 - r0> average over
+    the photon and any spectator states: P = (2 r_m^2 + mean_abs2)/4,
+    F_pro = |2 r_m + mean_diff|^2/16 and 1 - F_c = d/(d+1) (1 - F_pro/P)
+    with d = 2^(n_atoms+1) (Nielsen, Phys. Lett. A 303, 249, 2002).
+    Returning 1 - F_c keeps the digits of infidelities near 1e-14.
+    """
+    p = (2.0 * r_m**2 + mean_abs2) / 4.0
+    if (np.asarray(p) <= 0.0).any():
         raise DomainError("zero heralding probability: conditional fidelity undefined")
-    return 1.0 - d_q / (d_q + 1.0) * (1.0 - f_pro / one_minus_l)
+    f_pro = np.abs(2.0 * r_m + mean_diff) ** 2 / 16.0
+    # d/(d + 1) written to stay finite for any atom number
+    return 1.0 / (1.0 + 2.0 ** -(n_atoms + 1)) * (1.0 - f_pro / p), p
 
 
 def caps_longpulse(params, optics):
     """Gate metrics in the long-pulse limit (on-resonance responses only)."""
     r0 = reflection_r0(params, 0.0)
     r1 = reflection_r1(params, 0.0)
-    r_m = optics.r_m
-    p = (2.0 * abs(r_m) ** 2 + abs(r0) ** 2 + abs(r1) ** 2) / 4.0
-    f_pro = abs(2.0 * r_m - r0 + r1) ** 2 / 16.0
-    return GateOutcome(f_c=_conditional(f_pro, p), p_success=p)
+    infidelity, p = _heralded(optics.r_m, abs(r0) ** 2 + abs(r1) ** 2, r1 - r0)
+    return GateOutcome(f_c=1.0 - infidelity, p_success=p)
 
 
 def _cauchy(q, tau, sigma_w):
@@ -314,12 +323,12 @@ def _pole_form(g, kappa_in, kappa_ex, gamma, delta_a, cavity_shift, tau):
 
 
 def _gate_metrics(optics, sigma_t, g, kappa_in, kappa_ex, gamma, delta_a, cavity_shift):
-    """(f_pro, one_minus_l), one value per row, for a Gaussian photon.
+    """Photon averages (norms, overlap), one value per row, for a Gaussian photon.
 
-    Every rate broadcasts as one value per row; cavity_shift moves the
-    cavity resonance relative to the photon carrier.  The overlap of the
-    delayed responses with the incident photon and their norms are
-    Gaussian averages.
+    norms = <|r0|^2 + |r1|^2> and overlap = <r1 - r0> of the delayed
+    responses over the incident photon, as _heralded reads them.  Every
+    rate broadcasts as one value per row; cavity_shift moves the cavity
+    resonance relative to the photon carrier.
     """
     if not sigma_t > 0.0:
         raise DomainError("sigma_t must be positive")
@@ -331,9 +340,7 @@ def _gate_metrics(optics, sigma_t, g, kappa_in, kappa_ex, gamma, delta_a, cavity
     overlap = (gaussian_average(r1, incident, sigma_t)
                - gaussian_average(r0, incident, sigma_t))
     norms = gaussian_average(r0, r0, sigma_t) + gaussian_average(r1, r1, sigma_t)
-    one_minus_l = (2.0 * optics.r_m**2 + norms) / 4.0
-    f_pro = np.abs(2.0 * optics.r_m + overlap) ** 2 / 16.0
-    return f_pro, one_minus_l
+    return norms, overlap
 
 
 def caps_finite_bandwidth(params, optics, sigma_t, cavity_shift=0.0):
@@ -347,13 +354,13 @@ def caps_finite_bandwidth(params, optics, sigma_t, cavity_shift=0.0):
     (the caller sets params.delta_a consistently when modeling resonance
     jitter).
     """
-    f_pro, one_minus_l = _gate_metrics(
+    infidelity, p = _heralded(optics.r_m, *_gate_metrics(
         optics, sigma_t, params.g, params.kappa_in, params.kappa_ex, params.gamma,
-        params.delta_a, cavity_shift)
-    return GateOutcome(f_c=_conditional(f_pro[0], one_minus_l[0]), p_success=one_minus_l[0])
+        params.delta_a, cavity_shift))
+    return GateOutcome(f_c=1.0 - infidelity[0], p_success=p[0])
 
 
-def min_sigma_t(c_in, gamma, target_infidelity=1e-4, rel_tol=1e-3):
+def min_sigma_t(c_in, gamma, target_infidelity=1e-4):
     """Smallest Gaussian pulse width reaching a target gate infidelity.
 
     Inverts the finite-bandwidth gate evaluation by bisection for a
@@ -361,8 +368,6 @@ def min_sigma_t(c_in, gamma, target_infidelity=1e-4, rel_tol=1e-3):
     cooperativity.  Infidelity is monotone decreasing in sigma_t in this
     configuration.
     """
-    from .cavity import delay_matched_params, matched_optics
-
     params = delay_matched_params(c_in, gamma)
     optics = matched_optics(params)
 
@@ -380,7 +385,7 @@ def min_sigma_t(c_in, gamma, target_infidelity=1e-4, rel_tol=1e-3):
         raise DomainError("no pulse width in range meets the target infidelity")
     if infid(lo) <= target_infidelity:
         return lo
-    while hi / lo - 1.0 > rel_tol:
+    while hi / lo - 1.0 > _SIGMA_T_REL_TOL:
         mid = math.sqrt(lo * hi)
         if infid(mid) <= target_infidelity:
             hi = mid
@@ -422,11 +427,11 @@ def robustness_mc(base, spec):
             n_resampled += 1
         else:
             raise DomainError(f"sample {i}: no valid draw within {_RESAMPLE_CAP} retries")
-    f_pro, one_minus_l = _gate_metrics(
+    infidelity, p = _heralded(base.optics.r_m, *_gate_metrics(
         base.optics, base.sigma_t, *_perturbed_rates(base.params, spec.target, x,
-                                                     1.0 / base.sigma_t))
-    f = _snap_unit(_conditional(f_pro, one_minus_l), "f_c")
-    p = _snap_unit(one_minus_l, "p_success")
+                                                     1.0 / base.sigma_t)))
+    f = _snap_unit(1.0 - infidelity, "f_c")
+    p = _snap_unit(p, "p_success")
     records = np.column_stack((np.arange(spec.samples), x, f, p))
     total_p = float(np.sum(p))
     if total_p <= 0.0:

@@ -17,10 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityParams, InterfaceOptics, matched_optics, r_opt
+from .cavity import CavityParams, InterfaceOptics, delay_matched_params, matched_optics, r_opt
 from .errors import ConvergenceError, DomainError
 from .gate import GaussianPhoton, Response, _pole_form, _snap_unit, gaussian_average
 from .source import TemporalKernel, decompose
+
+# components_from_kernel: grid points before any widening, the kept
+# eigenmodes' least population relative to p_gen, the population fraction
+# the spectral window must capture, and the widenings before it gives up
+_SPECTRAL_POINTS = 2049
+_REL_CUTOFF = 1e-8
+_COVERAGE = 1.0 - 1e-4
+_MAX_DOUBLINGS = 6
 
 
 @dataclass(frozen=True)
@@ -29,7 +37,6 @@ class NodeConfig:
 
     params: CavityParams
     optics: InterfaceOptics
-    label: str = "A"
 
     @property
     def r_m(self):
@@ -46,18 +53,14 @@ class NodeConfig:
 class IdealNode:
     """Lossless reference responses: -r0 = r1 = r_m = 1, no delay."""
 
-    label = "ideal"
     r_m = 1.0
     responses = (Response(-1.0), Response(1.0))
 
 
-def matched_node(c_in, gamma, r_m=None, label="A"):
+def matched_node(c_in, gamma, r_m=None):
     """Delay- and reflectivity-matched node of given internal cooperativity."""
-    from .cavity import delay_matched_params
-
     params = delay_matched_params(c_in, gamma)
-    return NodeConfig(params=params, optics=matched_optics(params, r_m=r_m),
-                      label=label)
+    return NodeConfig(params=params, optics=matched_optics(params, r_m=r_m))
 
 
 @dataclass(frozen=True)
@@ -101,11 +104,10 @@ class SpectralComponents:
     density: np.ndarray
 
 
-def components_from_kernel(kernel, n_points=2049, rel_cutoff=1e-8,
-                           coverage=1.0 - 1e-4, max_doublings=6):
+def components_from_kernel(kernel):
     """Spectral density of a kernel's eigenmodes on a quadrature grid.
 
-    W(d) sums p_l |u_l(d)|^2 over the eigenmodes above rel_cutoff of the
+    W(d) sums p_l |u_l(d)|^2 over the eigenmodes above _REL_CUTOFF of the
     population, u_l(d) = (2 pi)^(-1/2) integral u_l(t) exp(i d t) dt.  On
     the uniform kernel time grid (step dt) W is a trigonometric polynomial
     in d dt: with M the weighted two-time matrix of the kept modes and
@@ -114,17 +116,17 @@ def components_from_kernel(kernel, n_points=2049, rel_cutoff=1e-8,
     evaluated by Horner's rule at one complex exponential per grid point.
 
     The grid spans a multiple of the principal mode's bandwidth and is
-    widened (doubling, keeping resolution) until it captures the requested
-    fraction of the kept population, so spectrally broad re-excited
-    components are not clipped; a widening evaluates only the new outer
-    points.  A time grid that is not uniform raises DomainError.
+    widened (doubling, keeping resolution) until it captures _COVERAGE of
+    the kept population, so spectrally broad re-excited components are not
+    clipped; a widening evaluates only the new outer points.  A time grid
+    that is not uniform raises DomainError.
     """
     t = kernel.times
     dt = (t[-1] - t[0]) / (t.size - 1)
     if np.max(np.abs(t - np.linspace(t[0], t[-1], t.size))) > 1e-9 * dt:
         raise DomainError("spectral transform needs a uniform kernel time grid")
     decomp = decompose(kernel)
-    keep = decomp.eigenvalues > rel_cutoff * max(decomp.p_gen, 1e-300)
+    keep = decomp.eigenvalues > _REL_CUTOFF * max(decomp.p_gen, 1e-300)
     if not np.any(keep):
         raise DomainError("kernel carries no photon population")
     lams = decomp.eigenvalues[keep]
@@ -148,10 +150,10 @@ def components_from_kernel(kernel, n_points=2049, rel_cutoff=1e-8,
         return (2.0 * horner.real - lag_sums[0].real) / (2.0 * math.pi)
 
     span = 8.0 * sigma_w
-    n = n_points
+    n = _SPECTRAL_POINTS
     grid = np.linspace(-span, span, n)
     dens = density(grid)
-    for doubling in range(max_doublings + 1):
+    for doubling in range(_MAX_DOUBLINGS + 1):
         if doubling:
             # same spacing: the middle n points are the previous grid to rounding
             side = (n - 1) // 2
@@ -164,7 +166,7 @@ def components_from_kernel(kernel, n_points=2049, rel_cutoff=1e-8,
         w[1:-1:2] = 4.0
         w[2:-2:2] = 2.0
         w *= (grid[1] - grid[0]) / 3.0
-        if np.sum(w * dens) >= coverage * np.sum(lams):
+        if np.sum(w * dens) >= _COVERAGE * np.sum(lams):
             return SpectralComponents(grid=grid, weights=w, density=dens)
     raise ConvergenceError("spectral window did not capture the kernel population")
 

@@ -15,8 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cavity import kappa_ex_opt
+from .cavity import CavityParams, kappa_ex_opt
 from .errors import DomainError
+from .gate import _heralded, _snap_unit
 
 # Atoms in the uncoupled qubit state are pushed this many linewidths away.
 # 1e10 keeps the residual response below the 1e-12 stability bound asserted
@@ -205,53 +206,31 @@ def channel_offsets(n_channels):
     return [n - n_channels // 2 for n in range(n_channels)]
 
 
-def _brentq(f, a, b, xtol):
-    """Root of f in the bracket [a, b] by Brent's method.
+def _bisect(f, a, b):
+    """Root of f in the bracket [a, b], halved down to adjacent floats.
 
-    Step for step the iteration of scipy.optimize.brentq (Brent 1973,
-    ch. 4): inverse interpolation (secant or inverse quadratic) when it
-    shrinks the bracket fast enough, bisection otherwise, and never a
-    step below the tolerance delta = (xtol + rtol |x|) / 2, with the same
-    rtol = 4 eps and 100 iterations, so it returns the same root bit for
-    bit.
+    Returns an endpoint where f vanishes, else whichever of the last two
+    floats has the smaller |f|; a bracket without a sign change raises
+    DomainError.
     """
-    rtol, maxiter = 4.0 * np.finfo(float).eps, 100
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa < 0.0) == (fb < 0.0):
         raise DomainError(f"no sign change to bracket a root in [{a!r}, {b!r}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if stry is not None and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-            spre, scur = scur, stry
+    while True:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            return a if abs(fa) <= abs(fb) else b
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid < 0.0) == (fa < 0.0):
+            a, fa = mid, fmid
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = f(xcur)
-    raise DomainError(f"root search did not converge in {maxiter} iterations")
+            b, fb = mid, fmid
 
 
 @lru_cache(maxsize=64)
@@ -261,7 +240,7 @@ def calibrated_coupler(system):
     One target atom sits at the central antinode of the reference mode with
     no spectators; t_ex is tuned until the two target-state reflection
     magnitudes at the bare mode center coincide (the chain-level analogue
-    of the closed-form external-rate rule, which seeds the search).
+    of the closed-form external-rate rule, which bounds the bisection).
     Returns (t_ex, r_m); raises DomainError when the search bracket holds
     no balance point.
     """
@@ -275,17 +254,16 @@ def calibrated_coupler(system):
                         atom_gamma_total=np.array([2.0 * system.gamma]),
                         atom_delta_a=np.array([0.0]))
 
-    def imbalance(t_ex):
-        cav = build(t_ex)
-        r1 = tm_reflectance(cav, 0.0, atom_states=[1])
-        r0 = tm_reflectance(cav, 0.0, atom_states=[0])
-        return abs(r1) ** 2 - abs(r0) ** 2
+    def magnitudes(t_ex):  # (|r1|, |r0|) at the bare mode center
+        return np.abs(_chain_reflectance(build(t_ex), 0.0, np.array([[1], [0]])))
 
-    seed_t = system.t_ex
-    lo, hi = system.t_in * 1.0001, min(0.9, 10.0 * seed_t)
-    t_star = _brentq(imbalance, lo, hi, xtol=1e-14)
-    r_m = abs(tm_reflectance(build(t_star), 0.0, atom_states=[1]))
-    return t_star, r_m
+    def imbalance(t_ex):
+        r1, r0 = magnitudes(t_ex)
+        return r1**2 - r0**2
+
+    lo, hi = system.t_in * 1.0001, min(0.9, 10.0 * system.t_ex)
+    t_star = _bisect(imbalance, lo, hi)
+    return t_star, float(magnitudes(t_star)[0])
 
 
 @dataclass(frozen=True)
@@ -311,15 +289,10 @@ def _chain_infidelity(cavity, probe_delta, r_m, target_index):
         raise DomainError("bit-string enumeration limited to 20 atoms")
     cases = _cases(n)
     refl = _chain_reflectance(cavity, probe_delta, cases)
-    target_bit = cases[:, target_index]
-    total_abs2 = float(np.sum(np.abs(refl) ** 2))
-    signed = np.where(target_bit == 1, 1.0, -1.0)
-    total_diff = complex(np.sum(signed * refl))
+    signed = np.where(cases[:, target_index] == 1, 1.0, -1.0)
     scale = 2.0 ** (n - 1)
-    one_minus_l = (2.0 * r_m**2 + total_abs2 / scale) / 4.0
-    f_pro = abs(2.0 * r_m + total_diff / scale) ** 2 / 16.0
-    d_q_frac = 1.0 / (1.0 + 2.0 ** -(n + 1.0))
-    return d_q_frac * (1.0 - f_pro / one_minus_l)
+    return _heralded(r_m, np.sum(np.abs(refl) ** 2) / scale,
+                     np.sum(signed * refl) / scale, n)[0]
 
 
 def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None,
@@ -335,8 +308,6 @@ def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None,
     than atoms raises DomainError before any draw.  Rounding below zero
     is snapped to 0.
     """
-    from .gate import _snap_unit
-
     if n_atoms is None:
         n_atoms = n_channels
     if n_channels > n_atoms:
@@ -393,8 +364,6 @@ def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None,
 
 def single_mode_equivalent(system):
     """CavityParams matching one isolated mode of the chain."""
-    from .cavity import CavityParams
-
     g = math.sqrt(system.gamma_1d * system.omega_fsr / math.pi)
     return CavityParams(g=g, kappa_in=system.kappa_in, kappa_ex=system.kappa_ex,
                         gamma=system.gamma)

@@ -148,10 +148,9 @@ def test_criterion_08_end_to_end_protocols():
     k2 = source_kernel(SourceSpec(params=params, p_br=0.5, target_sigma_t=sigma_t))
     k3 = source_kernel(SourceSpec(params=params, p_br=0.5, target_sigma_t=sigma_t,
                                   level_scheme=ENTANGLER_4LVL))
-    node_a = matched_node(100, 1.0, r_m=1.0, label="A")
-    node_b = matched_node(100, 1.0, r_m=1.0, label="B")
-    r2 = type2(node_a, node_b, k2)
-    r3 = type3(k3, matched_node(100, 1.0, label="B"))
+    node = matched_node(100, 1.0, r_m=1.0)
+    r2 = type2(node, node, k2)
+    r3 = type3(k3, matched_node(100, 1.0))
     p_opt = r_opt(100) ** 2
     dev2 = abs(r2.p_success - k2.p_gen * p_opt) / (k2.p_gen * p_opt)
     dev3 = abs(r3.p_success - k3.p_gen * p_opt) / (k3.p_gen * p_opt)

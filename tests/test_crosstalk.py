@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -50,11 +51,14 @@ def test_cooperativity_form_identity():
 
 
 def test_single_atom_channel_equals_longpulse_gate():
-    sc = matched_scenario(100, GAMMA, 1, GAMMA)
-    gate = caps_longpulse(sc.params, InterfaceOptics(r_m=sc.r_m))
-    out = crosstalk_fidelity_exact(sc)
-    assert out.f_c == pytest.approx(gate.f_c, abs=1e-14)
-    assert out.p_success == pytest.approx(gate.p_success, abs=1e-14)
+    # the target keeps its own detuning delta_a
+    base = matched_scenario(100, GAMMA, 1, GAMMA)
+    for delta_a in (0.0, 0.3 * GAMMA, -2.0 * GAMMA):
+        sc = replace(base, params=base.params.with_(delta_a=delta_a))
+        gate = caps_longpulse(sc.params, InterfaceOptics(r_m=sc.r_m))
+        for out in (crosstalk_fidelity_exact(sc), crosstalk_fidelity_enumerated(sc)):
+            assert out.f_c == pytest.approx(gate.f_c, abs=1e-15)
+            assert out.p_success == pytest.approx(gate.p_success, abs=1e-15)
 
 
 @pytest.mark.parametrize("c_in", [10, 100])

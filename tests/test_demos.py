@@ -10,9 +10,8 @@ import capsim
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-@pytest.mark.parametrize("script", ["02_fast_gate_bandwidth.py",
-                                    "03_robustness_fluctuations.py"])
-def test_gate_demo_runs(script):
+@pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(script):
     src = str(Path(capsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,12 +150,14 @@ def _oracle_cases():
 
 def test_closed_form_matches_quadrature_oracle():
     for params, optics, sigma_t, shift in _oracle_cases():
-        f_pro, one_minus_l = gate._gate_metrics(
+        norms, overlap = gate._gate_metrics(
             optics, sigma_t, params.g, params.kappa_in, params.kappa_ex,
             params.gamma, params.delta_a, shift)
+        f_pro = abs(2.0 * optics.r_m + overlap[0]) ** 2 / 16.0
+        one_minus_l = (2.0 * optics.r_m**2 + norms[0]) / 4.0
         ref_f_pro, ref_one_minus_l = _simpson_metrics(params, optics, sigma_t, shift)
-        assert abs(f_pro[0] - ref_f_pro) <= 1e-12
-        assert abs(one_minus_l[0] - ref_one_minus_l) <= 1e-12
+        assert abs(f_pro - ref_f_pro) <= 1e-12
+        assert abs(one_minus_l - ref_one_minus_l) <= 1e-12
         f_c = caps_finite_bandwidth(params, optics, sigma_t, shift).f_c
         assert abs(f_c - (1.0 - 0.8 * (1.0 - ref_f_pro / ref_one_minus_l))) <= 1e-12
 
@@ -350,32 +353,45 @@ def test_lowest_failing_sample_raises(monkeypatch):
 
 
 def _stub_metrics(monkeypatch, bad_row):
-    """Make the kernel return nominal rows, with bad_row = (f_pro, 1 - L) at row 2."""
+    """Unit-mirror scenario whose kernel returns nominal rows, bad_row at row 2.
+
+    Rows are photon averages (norms, overlap); at r_m = 1 they give
+    P = (2 + norms)/4 and F_pro = |2 + overlap|^2/16.
+    """
     def metrics(optics, sigma_t, g, *rates):
-        f_pro, one_minus_l = np.full(g.shape, 0.9), np.full(g.shape, 0.95)
-        f_pro[2], one_minus_l[2] = bad_row
-        return f_pro, one_minus_l
+        norms, overlap = np.full(g.shape, 1.8), np.full(g.shape, 1.6 + 0j)
+        norms[2], overlap[2] = bad_row
+        return norms, overlap
 
     monkeypatch.setattr(gate, "_gate_metrics", metrics)
+    return replace(_scenario(), optics=InterfaceOptics(r_m=1.0))
 
 
-@pytest.mark.parametrize("bad_row", [(0.6, 0.5), (-0.2, 0.5), (1.485, 1.5), (0.5, 0.0),
-                                     (0.5, -0.1), (np.nan, 0.5)])
+def _scalar_outcome(bad_row):
+    infidelity, p = gate._heralded(1.0, *bad_row)
+    return GateOutcome(f_c=1.0 - infidelity, p_success=p)
+
+
+# (F_pro, P): (0.64, 0.5) so F_c > 1, an infinite overlap, (1.44, 1.5),
+# (0.25, 0), (0.25, -0.1) and a NaN overlap
+@pytest.mark.parametrize("bad_row", [(0.0, 1.2), (0.0, np.inf), (4.0, 2.8), (-2.0, 0.0),
+                                     (-2.4, 0.0), (0.0, np.nan)])
 def test_rows_outside_unit_interval_raise_as_one_outcome(monkeypatch, bad_row):
     with pytest.raises(DomainError) as scalar:
-        GateOutcome(f_c=gate._conditional(*bad_row), p_success=bad_row[1])
-    _stub_metrics(monkeypatch, bad_row)
+        _scalar_outcome(bad_row)
+    base = _stub_metrics(monkeypatch, bad_row)
     with pytest.raises(DomainError) as rows:
-        robustness_mc(_scenario(), FluctuationSpec("coupling_g", 0.2, samples=5, seed=1))
+        robustness_mc(base, FluctuationSpec("coupling_g", 0.2, samples=5, seed=1))
     assert str(rows.value) == str(scalar.value)
 
 
-@pytest.mark.parametrize("bad_row", [(0.95 + 4e-13, 0.95), (1.0 + 5e-13, 1.0 + 5e-13),
-                                     (5e-13, 5e-13)])
+# (F_pro, P): F_pro/P = 1 + 3.7e-13, both 1 + 5e-13, and both 2^-42
+@pytest.mark.parametrize("bad_row", [(1.24 - 1.2e-12, 1.6), (2.0 + 2e-12, 2.0 + 1e-12),
+                                     (-2.0 + 2.0**-40, -2.0 + 2.0**-19)])
 def test_rows_near_the_edges_snap_as_one_outcome(monkeypatch, bad_row):
-    scalar = GateOutcome(f_c=gate._conditional(*bad_row), p_success=bad_row[1])
-    _stub_metrics(monkeypatch, bad_row)
-    summary = robustness_mc(_scenario(), FluctuationSpec("coupling_g", 0.2, samples=5, seed=1))
+    scalar = _scalar_outcome(bad_row)
+    base = _stub_metrics(monkeypatch, bad_row)
+    summary = robustness_mc(base, FluctuationSpec("coupling_g", 0.2, samples=5, seed=1))
     assert summary.samples[2, 2:].tolist() == [scalar.f_c, scalar.p_success]
     assert scalar.f_c in (0.0, 1.0) or scalar.p_success in (0.0, 1.0)
 

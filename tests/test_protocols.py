@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from capsim import gate
+from capsim import gate, protocols
 from capsim.cavity import (CavityParams, InterfaceOptics, delay_matched_params,
                            r_opt, reflection_r0, reflection_r1)
 from capsim.errors import ConvergenceError, DomainError
@@ -72,11 +72,11 @@ def _ep_node(rel):
 
 
 def _mismatched_pair():
-    node_a = matched_node(100, GAMMA, r_m=1.0, label="A")
-    node_b = matched_node(25, GAMMA, r_m=1.0, label="B")
+    node_a = matched_node(100, GAMMA, r_m=1.0)
+    node_b = matched_node(25, GAMMA, r_m=1.0)
     optics_a, optics_b = type2_mismatched(node_a, node_b)
-    return (NodeConfig(params=node_a.params, optics=optics_a, label="A"),
-            NodeConfig(params=node_b.params, optics=optics_b, label="B"))
+    return (NodeConfig(params=node_a.params, optics=optics_a),
+            NodeConfig(params=node_b.params, optics=optics_b))
 
 
 _EP_NODES = [_ep_node(rel) for rel in (0.0, 1e-9, -1e-9, 1e-3, -1e-3)]
@@ -207,8 +207,8 @@ def test_node_responses_match_cavity_formulas():
 # --------------------------------------------------------------------------
 
 def test_type2_identical_nodes_long_pulse():
-    node_a = matched_node(100, GAMMA, r_m=1.0, label="A")
-    node_b = matched_node(100, GAMMA, r_m=1.0, label="B")
+    node_a = matched_node(100, GAMMA, r_m=1.0)
+    node_b = matched_node(100, GAMMA, r_m=1.0)
     result = type2(node_a, node_b, LONG)
     assert result.fidelity == pytest.approx(1.0, abs=1e-9)
     # one routed photon succeeds with the single-gate probability
@@ -216,13 +216,13 @@ def test_type2_identical_nodes_long_pulse():
 
 
 def test_type2_mismatched_nodes_adjustment():
-    node_a = matched_node(100, GAMMA, r_m=1.0, label="A")
-    node_b = matched_node(25, GAMMA, r_m=1.0, label="B")
+    node_a = matched_node(100, GAMMA, r_m=1.0)
+    node_b = matched_node(25, GAMMA, r_m=1.0)
     optics_a, optics_b = type2_mismatched(node_a, node_b)
     assert optics_a.r_m == 1.0
     assert optics_b.r_m == pytest.approx(r_opt(25) / r_opt(100))
-    adj_a = NodeConfig(params=node_a.params, optics=optics_a, label="A")
-    adj_b = NodeConfig(params=node_b.params, optics=optics_b, label="B")
+    adj_a = NodeConfig(params=node_a.params, optics=optics_a)
+    adj_b = NodeConfig(params=node_b.params, optics=optics_b)
     result = type2(adj_a, adj_b, LONG)
     assert result.fidelity == pytest.approx(1.0, abs=1e-9)
     assert result.p_success == pytest.approx(r_opt(25) ** 2, abs=1e-8)
@@ -289,8 +289,8 @@ def test_type3_not_worse_than_type2_with_same_source(kernel_pair_short,
         (kernel_c100_source, kernel_c100_entangler),
     ]
     node_plain = matched_node(100, GAMMA)
-    node_full_a = matched_node(100, GAMMA, r_m=1.0, label="A")
-    node_full_b = matched_node(100, GAMMA, r_m=1.0, label="B")
+    node_full_a = matched_node(100, GAMMA, r_m=1.0)
+    node_full_b = matched_node(100, GAMMA, r_m=1.0)
     for k2, k3 in grids:
         f2 = type2(node_full_a, node_full_b, k2).fidelity
         f3 = type3(k3, node_plain).fidelity
@@ -395,9 +395,10 @@ def test_components_reject_zero_kernel():
         components_from_kernel(zero)
 
 
-def test_components_raise_when_window_cannot_widen(kernel_c10_golden):
+def test_components_raise_when_window_cannot_widen(monkeypatch, kernel_c10_golden):
+    monkeypatch.setattr(protocols, "_MAX_DOUBLINGS", 0)
     with pytest.raises(ConvergenceError):
-        components_from_kernel(kernel_c10_golden, max_doublings=0)
+        components_from_kernel(kernel_c10_golden)
 
 
 def test_components_reject_non_uniform_time_grid():
