@@ -269,16 +269,19 @@ def _interval_propagators(l_c, l_d, flux_ops, drive, times_fine, decim):
     RK4 step maps; its flux functional maps the state at the interval start
     to the fine-grid trapezoid integral of Tr[L^dag L rho] for every jump
     channel.  All intervals advance together, one fine step at a time, with
-    the drive sampled once on the fine nodes and midpoints.
+    the drive sampled once on the fine nodes and midpoints.  A step's
+    end-of-step generator is the next step's start-of-step one.
     """
     h = times_fine[1] - times_fine[0]
     n_int = (times_fine.size - 1) // decim
     on_nodes, mids = (_real(drive(t), "drive") for t in (times_fine, times_fine[:-1] + 0.5 * h))
-    drives = [w.reshape(n_int, decim, 1, 1) for w in (on_nodes[:-1], mids, on_nodes[1:])]
+    drives = [w.reshape(n_int, decim, 1, 1) for w in (mids, on_nodes[1:])]
     phi = np.tile(np.eye(l_c.shape[0]), (n_int, 1, 1))
     flux = 0.5 * (flux_ops @ phi)
+    g4 = l_c + on_nodes[:-1:decim].reshape(n_int, 1, 1) * l_d
     for j in range(decim):
-        g1, g2, g4 = (l_c + w[:, j] * l_d for w in drives)
+        g1 = g4
+        g2, g4 = (l_c + w[:, j] * l_d for w in drives)
         k1 = g1 @ phi
         k2 = g2 @ (phi + 0.5 * h * k1)
         k3 = g2 @ (phi + 0.5 * h * k2)

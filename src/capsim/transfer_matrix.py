@@ -32,6 +32,8 @@ class TmCavity:
     omega_fsr is the free spectral range (rad/s); omega_0 = n0 * omega_fsr
     is the reference mode all detunings are measured from.  Atom positions
     are stored as fractions of the cavity length, strictly increasing.
+    The per-atom arrays may carry a leading row axis, (rows, n): one chain
+    per row between the same mirrors, as _chain_reflectance evaluates them.
     """
 
     omega_fsr: float
@@ -103,31 +105,45 @@ def tm_propagation(length_frac, delta, omega_fsr, n0):
     return out
 
 
-def _chain_reflectance(cavity, delta, states):
-    """Chain-product reflection M21 / M11 along one batch axis.
+def _chain_reflectance(cavity, delta, states=None):
+    """Chain reflections M21 / M11, one row per chain.
 
-    delta is a scalar or a (k,) array and states a (k, n_atoms) or
-    (1, n_atoms) matrix of atom states; the two broadcast along the batch
-    axis.  Atoms in state 0 are detuned HIDDEN_DETUNING_FACTOR linewidths.
-    Only the column v = M e0 enters M21 / M11; it is built from the output
-    mirror inwards by the actions of tm_propagation and tm_atom on v.  The
-    input mirror's action is written out elementwise: a BLAS (2, 2) @ (2, k)
-    product rounds differently for k > 1, which would make a detuning's
-    reflection depend on how many detunings share its batch.
+    cavity's per-atom arrays are (n,) or (rows, n): every row is a chain
+    with its own atoms between the shared mirrors.  delta is a scalar or a
+    (rows,) array of probe detunings.  With states=None every row
+    enumerates all 2^n atom-state cases and the result is (rows, 2^n),
+    first atom slowest; otherwise states, (n,) or (rows, n), fixes each
+    atom's state and the result is (rows,).  Atoms in state 0 are detuned
+    HIDDEN_DETUNING_FACTOR linewidths.
+
+    Only the column v = M e0 enters M21 / M11.  It is built from the output
+    mirror inwards by the actions of tm_propagation and tm_atom on v; the
+    column after atoms j..n-1 depends only on their states, so each atom
+    takes one branch per state it can be in and the enumeration doubles
+    the column at every atom.  The input mirror's action is written out
+    elementwise: a BLAS (2, 2) @ (2, k) product rounds differently for
+    k > 1, which would make a row's reflection depend on its batch.
     """
+    delta = np.atleast_1d(np.asarray(delta, dtype=float))[:, None]
+    positions, gamma_1d, gamma_total, delta_a = (np.atleast_2d(a) for a in (
+        cavity.atom_positions, cavity.atom_gamma_1d, cavity.atom_gamma_total,
+        cavity.atom_delta_a))
+    hidden = HIDDEN_DETUNING_FACTOR * gamma_total
+    branch_delta_a = (np.stack([hidden, delta_a], axis=-1) if states is None
+                      else np.where(np.atleast_2d(states) == 1, delta_a, hidden)[..., None])
+    # i zeta of every atom's branches, (rows, n, branches)
+    i_zeta = 1j * (gamma_1d[..., None] / (2.0 * (delta[..., None] - branch_delta_a)
+                                          + 1j * gamma_total[..., None]))
     wavenumber = math.pi * (delta / cavity.omega_fsr + cavity.n0)
     v0, v1 = tm_mirror_out(cavity.t_in)[:, 0]
     end = 1.0
-    for i in reversed(range(cavity.atom_positions.size)):
-        x = cavity.atom_positions[i]
+    for i in reversed(range(positions.shape[-1])):
+        x = positions[:, i, None]
         phase = wavenumber * (end - x)
         v0, v1 = v0 * np.exp(-1j * phase), v1 * np.exp(1j * phase)
-        gamma_total = cavity.atom_gamma_total[i]
-        delta_a = np.where(states[:, i] == 1, cavity.atom_delta_a[i],
-                           HIDDEN_DETUNING_FACTOR * gamma_total)
-        zeta = cavity.atom_gamma_1d[i] / (2.0 * (delta - delta_a) + 1j * gamma_total)
-        t = 1j * zeta * (v0 + v1)
-        v0, v1 = v0 + t, v1 - t
+        t = i_zeta[:, i, :, None] * (v0 + v1)[:, None, :]
+        v0, v1 = ((v0[:, None, :] + t).reshape(len(t), -1),
+                  (v1[:, None, :] - t).reshape(len(t), -1))
         end = x
     phase = wavenumber * end
     v0, v1 = v0 * np.exp(-1j * phase), v1 * np.exp(1j * phase)
@@ -135,7 +151,8 @@ def _chain_reflectance(cavity, delta, states):
     m11, m21 = a * v0 + b * v1, c * v0 + d * v1
     if np.any(np.abs(m11) < 1e-300):
         raise DomainError("singular transfer chain: vanishing M11")
-    return m21 / m11
+    r = m21 / m11
+    return r if states is None else r[:, 0]
 
 
 def tm_reflectance(cavity, delta, atom_states=None):
@@ -145,9 +162,8 @@ def tm_reflectance(cavity, delta, atom_states=None):
     selects which atoms are coupled (state 1) versus hidden (state 0).
     """
     n = cavity.atom_positions.size
-    states = (np.ones((1, n), dtype=int) if atom_states is None
-              else np.asarray(atom_states).reshape(1, n))
-    r = _chain_reflectance(cavity, np.atleast_1d(np.asarray(delta, dtype=float)), states)
+    states = np.ones(n, dtype=int) if atom_states is None else np.asarray(atom_states).reshape(n)
+    r = _chain_reflectance(cavity, delta, states)
     return r if np.ndim(delta) else complex(r[0])
 
 
@@ -254,16 +270,16 @@ def calibrated_coupler(system):
                         atom_gamma_total=np.array([2.0 * system.gamma]),
                         atom_delta_a=np.array([0.0]))
 
-    def magnitudes(t_ex):  # (|r1|, |r0|) at the bare mode center
-        return np.abs(_chain_reflectance(build(t_ex), 0.0, np.array([[1], [0]])))
+    def magnitudes(t_ex):  # (|r0|, |r1|) at the bare mode center
+        return np.abs(_chain_reflectance(build(t_ex), 0.0)[0])
 
     def imbalance(t_ex):
-        r1, r0 = magnitudes(t_ex)
+        r0, r1 = magnitudes(t_ex)
         return r1**2 - r0**2
 
     lo, hi = system.t_in * 1.0001, min(0.9, 10.0 * system.t_ex)
     t_star = _bisect(imbalance, lo, hi)
-    return t_star, float(magnitudes(t_star)[0])
+    return t_star, float(magnitudes(t_star)[1])
 
 
 @dataclass(frozen=True)
@@ -274,44 +290,22 @@ class WvmResult:
     n_resampled_trials: int    # always 0: whether a trial fits is decided before any draw
 
 
-@lru_cache(maxsize=4)
-def _cases(n):
-    """All 2^n atom-state bit strings, one read-only row each, first atom slowest."""
-    cases = np.indices((2,) * n, dtype=np.int8).reshape(n, -1).T
-    cases.flags.writeable = False
-    return cases
+# Enumerated cases per chain pass of wvm_crosstalk: a block holds
+# max(1, _BLOCK_CASES // 2^n) (trial, target) rows, so its arrays stay near
+# 64 kB whatever the trial count.
+_BLOCK_CASES = 2**12
 
 
-def _chain_infidelity(cavity, probe_delta, r_m, target_index):
-    """Conditional channel infidelity from enumerated reflection sets."""
-    n = cavity.atom_positions.size
-    if n > 20:
-        raise DomainError("bit-string enumeration limited to 20 atoms")
-    cases = _cases(n)
-    refl = _chain_reflectance(cavity, probe_delta, cases)
-    signed = np.where(cases[:, target_index] == 1, 1.0, -1.0)
-    scale = 2.0 ** (n - 1)
-    return _heralded(r_m, np.sum(np.abs(refl) ** 2) / scale,
-                     np.sum(signed * refl) / scale, n)[0]
-
-
-def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None,
-                  window=(0.45, 0.55)):
-    """Cross-channel crosstalk of parallel gates on distinct cavity modes.
+def _antinode_draws(system, n_channels, n_atoms, trials, seed, window):
+    """Every trial's antinode draws, as (positions, delta_a, chain_index).
 
     Atoms are assigned to channels round-robin and each is placed at a
-    random antinode of its own mode inside the central window (no two
-    atoms share an antinode).  For every target atom the conditional
-    channel infidelity is evaluated at that channel's bare mode center by
-    enumerating the spectator reflection set; results are averaged over
-    targets and trials.  A channel with fewer antinodes in the window
-    than atoms raises DomainError before any draw.  Rounding below zero
-    is snapped to 0.
+    random free antinode of its own mode inside the window, trial t drawing
+    from default_rng([seed, t]).  Row t of positions and delta_a is trial
+    t's chain in ascending position order; chain_index[t, i] is where the
+    i-th drawn atom sits in it.  A channel with fewer antinodes in the
+    window than atoms raises DomainError before any draw.
     """
-    if n_atoms is None:
-        n_atoms = n_channels
-    if n_channels > n_atoms:
-        raise DomainError("n_channels must not exceed n_atoms")
     offsets = channel_offsets(n_channels)
     atom_channel = [offsets[i % n_channels] for i in range(n_atoms)]
     # antinodes k of mode N sit at x = (k + 1/2) / N; those in the window
@@ -323,13 +317,11 @@ def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None,
         if atom_channel.count(off) > hi - lo + 1:
             raise DomainError("antinode sampling failed; widen the window")
         antinodes[off] = (lo, hi)
-    t_ex, r_m = calibrated_coupler(system)
-    rows = []
-    per_channel_sums = {off: [] for off in offsets}
+    positions = np.empty((trials, n_atoms))
+    order = np.empty((trials, n_atoms), dtype=int)
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         taken = {off: set() for off in offsets}   # antinode indices k
-        positions = np.empty(n_atoms)
         for i, off in enumerate(atom_channel):
             lo, hi = antinodes[off]
             # the j-th free antinode: step past each taken one at or below it
@@ -337,29 +329,63 @@ def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None,
             for k_taken in sorted(taken[off]):
                 k += k_taken <= k
             taken[off].add(k)
-            positions[i] = (k + 0.5) / (system.n0 + off)
-        order = np.argsort(positions)
+            positions[trial, i] = (k + 0.5) / (system.n0 + off)
+        order[trial] = np.argsort(positions[trial])
+    delta_a = np.array(atom_channel, dtype=float)[order] * system.omega_fsr
+    return (np.take_along_axis(positions, order, axis=1), delta_a,
+            np.argsort(order, axis=1))
+
+
+def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None,
+                  window=(0.45, 0.55)):
+    """Cross-channel crosstalk of parallel gates on distinct cavity modes.
+
+    The antinodes of every trial are drawn first (_antinode_draws).  Each
+    (trial, target atom) row is then read out by enumerating the spectator
+    reflection set at the target channel's bare mode center: all rows go
+    through _chain_reflectance in blocks of at most _BLOCK_CASES cases (one
+    row when 2^n is larger) and through one array _heralded per block.
+    Results are averaged over targets and trials.  Unless trials >= 1 and
+    1 <= n_channels <= n_atoms <= 20, and when a channel has fewer
+    antinodes in the window than atoms, DomainError is raised before any
+    draw.  Rounding below zero is snapped to 0.
+    """
+    if n_atoms is None:
+        n_atoms = n_channels
+    if trials < 1 or not 1 <= n_channels <= n_atoms <= 20:
+        raise DomainError("need trials >= 1 and 1 <= n_channels <= n_atoms <= 20 "
+                          "(every trial enumerates 2^n_atoms spectator cases)")
+    positions, delta_a, chain_index = _antinode_draws(system, n_channels, n_atoms,
+                                                      trials, seed, window)
+    t_ex, r_m = calibrated_coupler(system)
+    # row trial * n_atoms + i reads out trial's i-th drawn atom, of channel row_channel
+    row_trial = np.repeat(np.arange(trials), n_atoms)
+    row_channel = np.tile(np.resize(channel_offsets(n_channels), n_atoms), trials)
+    row_probe = row_channel * system.omega_fsr
+    row_shift = n_atoms - 1 - chain_index.reshape(-1)   # the target's bit in a case index
+    cases = np.arange(2**n_atoms)
+    scale = 2.0 ** (n_atoms - 1)
+    per_block = max(1, _BLOCK_CASES >> n_atoms)
+    infidelity = np.empty(row_trial.size)
+    for start in range(0, row_trial.size, per_block):
+        block = slice(start, start + per_block)
+        trial = row_trial[block]
         cavity = TmCavity(
-            omega_fsr=system.omega_fsr, n0=system.n0,
-            t_ex=t_ex, t_in=system.t_in,
-            atom_positions=positions[order],
-            atom_gamma_1d=np.full(n_atoms, system.gamma_1d),
-            atom_gamma_total=np.full(n_atoms, 2.0 * system.gamma),
-            atom_delta_a=np.array([atom_channel[i] for i in order], dtype=float)
-            * system.omega_fsr,
-        )
-        inv_order = np.argsort(order)
-        for i in range(n_atoms):
-            off = atom_channel[i]
-            probe = off * system.omega_fsr
-            infid = _snap_unit(_chain_infidelity(cavity, probe, r_m, int(inv_order[i])),
-                               "infidelity")
-            rows.append((trial, off, infid))
-            per_channel_sums[off].append(infid)
-    per_channel = {off: float(np.mean(v)) for off, v in per_channel_sums.items()}
-    mean = float(np.mean([r[2] for r in rows]))
-    return WvmResult(mean_infidelity=mean, per_channel=per_channel, rows=rows,
-                     n_resampled_trials=0)
+            omega_fsr=system.omega_fsr, n0=system.n0, t_ex=t_ex, t_in=system.t_in,
+            atom_positions=positions[trial],
+            atom_gamma_1d=np.full(trial.shape + (n_atoms,), system.gamma_1d),
+            atom_gamma_total=np.full(trial.shape + (n_atoms,), 2.0 * system.gamma),
+            atom_delta_a=delta_a[trial])
+        refl = _chain_reflectance(cavity, row_probe[block])
+        signed = np.where(cases >> row_shift[block, None] & 1, 1.0, -1.0)
+        infidelity[block] = _heralded(r_m, np.sum(np.abs(refl) ** 2, axis=-1) / scale,
+                                      np.sum(signed * refl, axis=-1) / scale, n_atoms)[0]
+    infidelity = _snap_unit(infidelity, "infidelity")
+    per_channel = {off: float(np.mean(infidelity[row_channel == off]))
+                   for off in channel_offsets(n_channels)}
+    rows = list(zip(row_trial.tolist(), row_channel.tolist(), infidelity.tolist()))
+    return WvmResult(mean_infidelity=float(np.mean(infidelity)), per_channel=per_channel,
+                     rows=rows, n_resampled_trials=0)
 
 
 def single_mode_equivalent(system):

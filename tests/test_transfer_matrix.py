@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from capsim.cavity import delay_matched_params, reflection_r0, reflection_r1
 from capsim.config import parse_config
 from capsim.errors import DomainError
 from capsim.experiments import _wvm_system
+from capsim.gate import _heralded, _snap_unit
 from capsim.transfer_matrix import (TmCavity, WvmSystem,
                                     calibrated_coupler, channel_offsets,
                                     single_mode_equivalent, tm_atom,
@@ -212,9 +214,26 @@ def test_column_recursion_matches_element_product(array_delta):
             ref = [_element_product_reflectance(cav, delta, row) for row in states]
         r = tmod._chain_reflectance(cav, delta, states)
         # state rows broadcast only through the atoms they describe
-        assert r.shape == ((6,) if n or array_delta else ())
+        assert r.shape == ((6,) if n or array_delta else (1,))
         worst = max(worst, float(np.max(np.abs(r - np.array(ref)))))
     assert worst < 1e-11
+
+
+def _cases(n):
+    """All 2^n atom-state bit strings, one row each, first atom slowest."""
+    return np.indices((2,) * n).reshape(n, 2**n).T
+
+
+def test_enumerated_cases_are_bitwise_the_fixed_state_chains():
+    rng = np.random.default_rng(30)
+    for n in range(9):
+        for _ in range(3):
+            cav = _random_cavity(rng, n)
+            delta = rng.uniform(-3.0, 3.0, 4)
+            enumerated = tmod._chain_reflectance(cav, delta)
+            assert enumerated.shape == (4, 2**n)
+            for case, bits in enumerate(_cases(n)):
+                assert np.array_equal(enumerated[:, case], tm_reflectance(cav, delta, bits))
 
 
 @pytest.mark.parametrize("change", [{"t_ex": 1.5}, {"atom_gamma_1d": [-0.1]},
@@ -329,7 +348,7 @@ def test_crosstalk_deterministic_given_seed():
 
 
 def _list_positions(system, n_channels, n_atoms, trial, seed, window):
-    """Sorted positions and detunings of one trial, drawn from explicit lists."""
+    """Drawn and sorted positions and sorted detunings of one trial, from explicit lists."""
     offsets = channel_offsets(n_channels)
     channel = [offsets[i % n_channels] for i in range(n_atoms)]
     rng = np.random.default_rng([seed, trial])
@@ -345,7 +364,8 @@ def _list_positions(system, n_channels, n_atoms, trial, seed, window):
         taken[off].add(x)
         positions[i] = x
     order = np.argsort(positions)
-    return positions[order], np.array(channel, dtype=float)[order] * system.omega_fsr
+    return (positions, positions[order],
+            np.array(channel, dtype=float)[order] * system.omega_fsr)
 
 
 @pytest.mark.parametrize("n_channels, n_atoms, window",
@@ -353,27 +373,20 @@ def _list_positions(system, n_channels, n_atoms, trial, seed, window):
                           (10, 10, (0.45, 0.55)), (2, 40, (0.45, 0.55)),
                           (2, 4, (0.5, 0.500025))],
                          ids=["2x2", "3x9", "10x10", "2x40", "2x4-narrow"])
-def test_antinode_draws_match_list_reference(monkeypatch, n_channels, n_atoms, window):
+def test_antinode_draws_match_list_reference(n_channels, n_atoms, window):
     # (2, 4) on the narrow window fills every antinode of channel -1
     system = _nanofiber_system()
-    chains = []
-
-    def record(cavity, probe_delta, r_m, target_index):
-        if target_index == 0:
-            chains.append((cavity.atom_positions.copy(), cavity.atom_delta_a.copy()))
-        return 0.0
-
-    monkeypatch.setattr(tmod, "_chain_infidelity", record)
     for seed in (1, 5, 11):
-        chains.clear()
-        wvm_crosstalk(system, n_channels, trials=4, seed=seed, n_atoms=n_atoms,
-                      window=window)
-        assert len(chains) == 4
-        for trial, (pos, delta_a) in enumerate(chains):
-            ref_pos, ref_delta_a = _list_positions(system, n_channels, n_atoms,
-                                                   trial, seed, window)
-            assert pos.tobytes() == ref_pos.tobytes()
-            assert delta_a.tobytes() == ref_delta_a.tobytes()
+        positions, delta_a, chain_index = tmod._antinode_draws(
+            system, n_channels, n_atoms, 4, seed, window)
+        assert positions.shape == delta_a.shape == chain_index.shape == (4, n_atoms)
+        for trial in range(4):
+            drawn, ref_pos, ref_delta_a = _list_positions(system, n_channels, n_atoms,
+                                                          trial, seed, window)
+            assert positions[trial].tobytes() == ref_pos.tobytes()
+            assert delta_a[trial].tobytes() == ref_delta_a.tobytes()
+            # chain_index finds each drawn atom in the sorted chain
+            assert positions[trial, chain_index[trial]].tobytes() == drawn.tobytes()
 
 
 def test_antinode_capacity_checked_before_any_draw(monkeypatch):
@@ -385,6 +398,87 @@ def test_antinode_capacity_checked_before_any_draw(monkeypatch):
     with pytest.raises(DomainError, match="widen the window"):
         wvm_crosstalk(_nanofiber_system(), 2, trials=3, seed=1, n_atoms=5,
                       window=(0.5, 0.500025))
+
+
+@pytest.mark.parametrize("n_channels, trials, n_atoms",
+                         [(0, 2, None), (2, 0, None), (3, 2, 2), (2, 2, 21)],
+                         ids=["no-channels", "no-trials", "channels-over-atoms",
+                              "over-enumeration-limit"])
+def test_wvm_inputs_checked_before_any_draw(monkeypatch, n_channels, trials, n_atoms):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew antinodes for inputs that cannot run")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(DomainError):
+        wvm_crosstalk(_nanofiber_system(), n_channels, trials, seed=1, n_atoms=n_atoms)
+
+
+def _scalar_rows(system, n_channels, n_atoms, trials, seed):
+    """wvm_crosstalk's rows, one scalar readout per (trial, target).
+
+    Each readout enumerates the 2^n cases as fixed-state rows of one chain
+    and signs them by the target's bit in the case table.
+    """
+    positions, delta_a, chain_index = tmod._antinode_draws(
+        system, n_channels, n_atoms, trials, seed, (0.45, 0.55))
+    t_ex, r_m = calibrated_coupler(system)
+    offsets = channel_offsets(n_channels)
+    cases = _cases(n_atoms)
+    scale = 2.0 ** (n_atoms - 1)
+    rows = []
+    for trial in range(trials):
+        cavity = TmCavity(omega_fsr=system.omega_fsr, n0=system.n0, t_ex=t_ex,
+                          t_in=system.t_in, atom_positions=positions[trial],
+                          atom_gamma_1d=np.full(n_atoms, system.gamma_1d),
+                          atom_gamma_total=np.full(n_atoms, 2.0 * system.gamma),
+                          atom_delta_a=delta_a[trial])
+        for i in range(n_atoms):
+            off = offsets[i % n_channels]
+            refl = tmod._chain_reflectance(cavity, off * system.omega_fsr, cases)
+            signed = np.where(cases[:, chain_index[trial, i]] == 1, 1.0, -1.0)
+            infidelity = _heralded(r_m, np.sum(np.abs(refl) ** 2) / scale,
+                                   np.sum(signed * refl) / scale, n_atoms)[0]
+            rows.append((trial, off, _snap_unit(infidelity, "infidelity")))
+    return rows
+
+
+@pytest.mark.parametrize("n_channels, n_atoms", [(2, 2), (3, 9), (10, 10), (2, 12)],
+                         ids=["2x2", "3x9", "10x10", "2x12"])
+def test_wvm_rows_match_scalar_readouts(n_channels, n_atoms):
+    system = _nanofiber_system()
+    for seed in (1, 5, 11):
+        rows = wvm_crosstalk(system, n_channels, trials=3, seed=seed, n_atoms=n_atoms).rows
+        ref = _scalar_rows(system, n_channels, n_atoms, 3, seed)
+        assert [r[:2] for r in rows] == [r[:2] for r in ref]
+        # an array readout squares where a scalar one calls pow: 1 ulp apart
+        assert max(abs(a[2] - b[2]) for a, b in zip(rows, ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("n_channels, n_atoms", [(2, 2), (3, 9)])
+def test_wvm_rows_independent_of_block_size(monkeypatch, n_channels, n_atoms):
+    system = _nanofiber_system()
+    blocked = wvm_crosstalk(system, n_channels, trials=3, seed=4, n_atoms=n_atoms)
+    monkeypatch.setattr(tmod, "_BLOCK_CASES", 1)   # one row per chain pass
+    single = wvm_crosstalk(system, n_channels, trials=3, seed=4, n_atoms=n_atoms)
+    assert single.rows == blocked.rows
+
+
+def test_wvm_peak_memory_independent_of_trials():
+    # blocks bound the chain arrays: without them the 50-trial sweep would
+    # hold 500 x 1024 complex cases (8 MiB) per array
+    system = _nanofiber_system()
+    # a first sweep fills the calibration cache and numpy's lazy state
+    wvm_crosstalk(system, n_channels=10, trials=1, seed=11)
+    peaks = []
+    for trials in (12, 50):
+        tracemalloc.start()
+        try:
+            wvm_crosstalk(system, n_channels=10, trials=trials, seed=11)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    # about 0.56 and 0.58 MiB; unblocked, 11 and 48 MiB
+    assert peaks[0] < 1.0 and peaks[1] < peaks[0] + 0.25, peaks
 
 
 def test_hidden_atom_sentinel_insensitive():
