@@ -11,6 +11,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from importlib import resources
 
 from .config import parse_config, sanity_warnings, validate_raw
@@ -66,13 +67,15 @@ def cmd_run(args):
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_IO
-    rows, columns, n_failures = run_sweep(config, workers=args.workers)
+    start = time.perf_counter()
+    lines, columns, n_failures = run_sweep(config, workers=args.workers)
+    sweep_s = time.perf_counter() - start
     try:
-        path = write_outputs(config, rows, columns)
+        path = write_outputs(config, lines, columns, n_failures, sweep_s)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {len(rows)} rows to {path}"
+    print(f"wrote {len(lines)} rows to {path}"
           + (f" ({n_failures} failed points)" if n_failures else ""))
     return EXIT_NUMERIC if n_failures else EXIT_OK
 

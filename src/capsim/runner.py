@@ -9,9 +9,10 @@ line, and each line is one task: the experiment evaluates the whole line
 in one call.  A point that raises becomes an error row; a line that raises
 is evaluated again point by point, so each failing point keeps its own
 row.  Relative "outfile" parameters are placed in the CSV's directory.
-Rows are written as CSV with shortest-roundtrip float formatting; run
-metadata (config hash, code version, seed, timestamp) goes to a JSON
-sidecar so the CSV body stays reproducible.
+Each point's rows become CSV lines (shortest-roundtrip floats) as its task
+returns, and the lines are streamed to the file; run metadata and health
+(config hash, seed, timestamp, timings, peak RSS) go to a JSON sidecar so
+the CSV body stays reproducible.
 """
 
 import csv
@@ -21,6 +22,8 @@ import itertools
 import json
 import math
 import os
+import resource
+import time
 
 import numpy as np
 
@@ -72,14 +75,24 @@ def _tasks(config, exp):
     return tasks
 
 
-def run_sweep(config, workers=1):
-    """Evaluate every grid point; returns (rows, columns, n_failures).
+def _results(tasks, workers):
+    """Each task's (flat index, rows, error) list as it returns, in task order."""
+    if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay for it
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_eval_task, tasks,
+                                chunksize=max(1, len(tasks) // (4 * workers)))
+    else:
+        yield from map(_eval_task, tasks)
 
-    Each row is the axis values plus the experiment outputs plus an
-    'error' column (empty on success).
+
+def run_sweep(config, workers=1):
+    """Evaluate every grid point; returns (lines, columns, n_failures).
+
+    `lines` holds one CSV line per table row, in row-major order: the axis
+    values, the experiment outputs and an 'error' cell (empty on success).
     """
     exp = EXPERIMENTS[config.experiment]
-    axis_names = config.axis_names()
     out_dir = os.path.dirname(config.output_path)
     out_files = [name for name, kind in exp.optional.items() if kind == "outfile"]
     tasks = []
@@ -89,73 +102,67 @@ def run_sweep(config, workers=1):
             if p.get(name):
                 p[name] = os.path.join(out_dir, p[name])
         tasks.append((config.experiment, p, indices, axis))
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay for it
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_eval_task, tasks,
-                                    chunksize=max(1, len(tasks) // (4 * workers))))
-    else:
-        results = [_eval_task(t) for t in tasks]
-    results = sorted(itertools.chain.from_iterable(results), key=lambda r: r[0])
-
-    columns = list(axis_names) + list(exp.columns) + ["error"]
-    rows = []
+    axis_cells = [[_format_cell(v) for v in axis.values.tolist()] for axis in config.sweep]
+    shape = config.grid_shape()  # row-major: the last axis varies fastest
+    strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
+    points = [None] * config.grid_size()  # one tuple of lines per point, by flat index
     n_failures = 0
-    grid = itertools.product(*(axis.values.tolist() for axis in config.sweep))
-    for (_, point_rows, error), values in zip(results, grid):
-        axis_values = dict(zip(axis_names, values))
-        if error is not None:
+    for i, point_rows, error in itertools.chain.from_iterable(_results(tasks, workers)):
+        prefix = [cells[i // stride % len(cells)] for cells, stride in zip(axis_cells, strides)]
+        if error is not None:  # one row of empty outputs holds the message
             n_failures += 1
-            row = dict(axis_values)
-            row.update({c: "" for c in exp.columns})
-            row["error"] = error
-            rows.append(row)
-            continue
-        for out in point_rows:
-            row = dict(axis_values)
-            for c in exp.columns:
-                row[c] = out.get(c, "")
-            row["error"] = ""
-            rows.append(row)
-    return rows, columns, n_failures
+            point_rows = [{}]
+        points[i] = tuple(_line(prefix + [_format_cell(out.get(c, "")) for c in exp.columns]
+                                + [error or ""]) for out in point_rows)
+    columns = list(config.axis_names()) + list(exp.columns) + ["error"]
+    return list(itertools.chain.from_iterable(points)), columns, n_failures
 
 
 def _format_cell(value):
+    if isinstance(value, (float, np.floating)):  # the most common cell, tested first
+        return repr(float(value))
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
     return str(value)
 
 
-def table_bytes(rows, columns):
-    """Deterministic CSV body for a result table."""
+def _line(cells):
+    """One CSV line; cells holding a delimiter, quote or line break are quoted by csv."""
+    line = ",".join(cells)
+    if line.count(",") == len(cells) - 1 and not ('"' in line or "\n" in line or "\r" in line):
+        return line + "\n"
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(row[c]) for c in columns])
-    return buf.getvalue().encode()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
 
 
-def write_outputs(config, rows, columns):
+def table_bytes(lines, columns):
+    """Deterministic CSV body for a result table."""
+    return (_line(columns) + "".join(lines)).encode()
+
+
+def write_outputs(config, lines, columns, n_failures, sweep_s):
     """Write the CSV table and its metadata sidecar; returns the CSV path."""
     path = config.output_path
-    with open(path, "wb") as fh:
-        fh.write(table_bytes(rows, columns))
+    start = time.perf_counter()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_line(columns))
+        fh.writelines(lines)
     meta = {
         "experiment": config.experiment,
         "config_hash": config.config_hash(),
         "code_version": __version__,
         "seed": config.seed,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "rows": len(rows),
+        "rows": len(lines),
         "grid_points": config.grid_size(),
-        "failures": sum(1 for r in rows if r.get("error")),
+        "failures": n_failures,
         "fidelity_averaging": "success-weighted (heralded)",
+        "sweep_s": sweep_s,
+        "write_s": time.perf_counter() - start,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     with open(path + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -1,9 +1,13 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +21,7 @@ from capsim.cli import _resolve_config, main
 from capsim.config import parse_config, sanity_warnings, validate_raw
 from capsim.errors import ConvergenceError
 from capsim.experiments import EXPERIMENTS
-from capsim.runner import run_sweep, table_bytes
+from capsim.runner import run_sweep, table_bytes, write_outputs
 from capsim.units import _SUFFIXES, normalize, strip_suffix
 
 GAMMA_KEY = {"gamma_2pi_MHz": 0.24}
@@ -251,6 +255,9 @@ def test_run_produces_expected_table(tmp_path):
     assert len(lines) == 4
     meta = json.loads((tmp_path / "lp.csv.meta.json").read_text())
     assert meta["rows"] == 3 and meta["failures"] == 0
+    assert meta["sweep_s"] > 0.0 and meta["write_s"] > 0.0
+    # read in this process after the run, so the run's peak cannot exceed it
+    assert 0.0 < meta["peak_rss_mb"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     from capsim.cavity import r_opt
 
     last = lines[3].split(",")
@@ -293,6 +300,11 @@ def test_unexpected_exception_becomes_error_row(tmp_path, monkeypatch):
     assert lines[1].endswith(",") and lines[3].endswith(",")
 
 
+def _table_rows(lines, columns):
+    """The table's rows read back as dicts of cell text."""
+    return list(csv.DictReader(io.StringIO(table_bytes(lines, columns).decode())))
+
+
 def test_wvm_rounding_below_zero_snapped():
     # at this seed trial 7 on channel -1 enumerates to -2e-16 before snapping
     cfg = parse_config({
@@ -301,11 +313,12 @@ def test_wvm_rounding_below_zero_snapped():
                            sigma0_over_aeff=0.1, c_over_vg=1.4, f_int=2000,
                            trials=12, n_channels=2),
         "output": {"path": "wvm.csv"}})
-    rows, _, failures = run_sweep(cfg)
+    lines, cols, failures = run_sweep(cfg)
     assert failures == 0
-    assert min(row["infidelity"] for row in rows) >= 0.0
-    point = [row for row in rows if row["trial"] == 7 and row["channel"] == -1]
-    assert [row["infidelity"] for row in point] == [0.0]
+    rows = _table_rows(lines, cols)
+    assert min(float(row["infidelity"]) for row in rows) >= 0.0
+    point = [row for row in rows if row["trial"] == "7" and row["channel"] == "-1"]
+    assert [float(row["infidelity"]) for row in point] == [0.0]
 
 
 def test_missing_config_is_io_error(tmp_path):
@@ -450,14 +463,15 @@ def test_failing_detuning_becomes_its_own_error_row(monkeypatch):
     raw = _spectrum_config([{"name": "delta_2pi_GHz", "start": -4.0, "stop": 4.0,
                              "points": 5}])
     raw["parameters"]["n_channels"] = 3
-    good = run_sweep(parse_config(raw))[0]
+    good = _table_rows(*run_sweep(parse_config(raw))[:2])
     monkeypatch.setitem(EXPERIMENTS, "tm_spectrum", dataclasses.replace(exp, fn=flaky))
-    rows, _, n_failures = run_sweep(parse_config(raw))
+    lines, cols, n_failures = run_sweep(parse_config(raw))
+    rows = _table_rows(lines, cols)
     # one call for the line, then one per point once the line raised
     assert calls == [1, 0, 0, 0, 0, 0]
     assert n_failures == 1
     assert rows[2]["error"] == "ValueError: boom" and rows[2]["re_r"] == ""
-    assert rows[2]["delta"] == 0.0
+    assert float(rows[2]["delta"]) == 0.0
     assert rows[:2] + rows[3:] == good[:2] + good[3:]
 
 
@@ -472,6 +486,122 @@ def test_short_line_is_rerun_point_by_point(monkeypatch):
 
     monkeypatch.setitem(EXPERIMENTS, "tm_spectrum", dataclasses.replace(exp, fn=short))
     assert _csv(raw) == good
+
+
+
+def _reference_cell(value):
+    """The cell text the row-dict table used: shortest-roundtrip floats, plain ints."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _reference_body(config):
+    """The CSV body built from row dicts, one per row, through csv.writer.
+
+    Every point is evaluated on its own, so line tasks, their order and
+    the worker count play no part.
+    """
+    exp = EXPERIMENTS[config.experiment]
+    names = config.axis_names()
+    columns = list(names) + list(exp.columns) + ["error"]
+    rows = []
+    for i in range(config.grid_size()):
+        p = config.point_parameters(i)
+        p.setdefault("seed", config.seed)
+        axis_values = {name: p[name] for name in names}
+        try:
+            outs = exp.fn(dict(p))
+        except Exception as exc:
+            rows.append(dict(axis_values, **dict.fromkeys(exp.columns, ""),
+                             error=f"{type(exc).__name__}: {exc}"))
+            continue
+        rows += [dict(axis_values, **{c: out.get(c, "") for c in exp.columns}, error="")
+                 for out in outs]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_reference_cell(row[c]) for c in columns])
+    return buf.getvalue().encode()
+
+
+# cell values whose text csv.writer must quote, or whose type picks the format
+_ODD_CELLS = [np.float64(0.1), np.int64(-7), True, -0.0, 5e-324, math.inf, math.nan,
+              1 / 3, 2**70, np.bool_(False), "x,y", 'say "hi"', "two\nlines", None]
+_ODD_ERRORS = ["a, b", 'say "hi"', "two\nlines", 'all, "of\r\nthem"']
+
+
+def _odd_spectrum(p):
+    """tm_spectrum stand-in: each detuning 0..11 picks its cells, every third raises."""
+    rows = []
+    for d in np.atleast_1d(p["delta"]).tolist():
+        k = int(d) + 3 * int(p["atom_state"])
+        if k % 3 == 2:
+            raise ValueError(_ODD_ERRORS[k % 4])
+        row = {c: _ODD_CELLS[(k + j) % len(_ODD_CELLS)]
+               for j, c in enumerate(("delta_rad_s", "re_r", "im_r"))}
+        if k % 2:
+            row["abs2_r"] = _ODD_CELLS[k % len(_ODD_CELLS)]
+        rows.append(row)
+    return rows
+
+
+_ODD_TABLE = {"experiment": "tm_spectrum", "seed": 1, "parameters": dict(_WVM_PARAMETERS),
+              "sweep": [{"name": "delta", "start": 0.0, "stop": 11.0, "points": 12},
+                        {"name": "atom_state", "start": 0, "stop": 1, "points": 2}],
+              "output": {"path": "odd.csv"}}
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("table", ["odd_cells", "wvm_rows"])
+def test_streamed_body_is_bitwise_the_row_dict_table(table, workers, monkeypatch):
+    if table == "odd_cells":
+        # a fig7b-shaped sweep, delta outer, so each line task is strided;
+        # forked workers inherit the patched registry
+        exp = EXPERIMENTS["tm_spectrum"]
+        monkeypatch.setitem(EXPERIMENTS, "tm_spectrum",
+                            dataclasses.replace(exp, fn=_odd_spectrum))
+        raw = _ODD_TABLE
+    else:  # several rows per point
+        raw = {"experiment": "wvm_crosstalk", "seed": 3,
+               "parameters": dict(_WVM_PARAMETERS, trials=3),
+               "sweep": [{"name": "n_channels", "start": 2, "stop": 4, "points": 3}],
+               "output": {"path": "wvm.csv"}}
+    config = parse_config(raw)
+    lines, cols, n_failures = run_sweep(config, workers=workers)
+    expected = _reference_body(config)
+    assert table_bytes(lines, cols) == expected
+    rows = list(csv.DictReader(io.StringIO(expected.decode())))
+    assert len(lines) == len(rows)
+    assert n_failures == sum(1 for row in rows if row["error"])
+
+
+def test_sweep_memory_is_bounded_by_its_text(tmp_path):
+    # a dense_scan-shaped sweep writes 0.73 MB of CSV; holding every row as
+    # a dict and the body as one str plus its bytes peaked at 4.9-5.2 MB,
+    # the streamed lines at about 2.1 MB
+    raw = _spectrum_config([{"name": "n_channels", "start": 2, "stop": 10, "points": 3},
+                            {"name": "atom_state", "start": 0, "stop": 1, "points": 2},
+                            {"name": "delta_2pi_GHz", "start": -8.0, "stop": 8.0,
+                             "points": 1201}])
+    raw["output"]["path"] = str(tmp_path / "dense.csv")
+    config = parse_config(raw)
+    # a first sweep fills the calibration cache and numpy's lazy state
+    run_sweep(parse_config(dict(raw, sweep=raw["sweep"][2:])))
+    tracemalloc.start()
+    try:
+        lines, cols, n_failures = run_sweep(config)
+        write_outputs(config, lines, cols, n_failures, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_failures == 0 and len(lines) == 7206
+    assert peak < 3.0e6, peak
 
 
 # run in a fresh interpreter: main() on each argv, then the scipy modules loaded
