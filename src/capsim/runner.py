@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 import os
-import resource
+import sys
 import time
 
 import numpy as np
@@ -119,20 +119,16 @@ def run_sweep(config, workers=1):
 
 
 def _format_cell(value):
-    if isinstance(value, (float, np.floating)):  # the most common cell, tested first
-        return repr(float(value))
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
 def _line(cells):
-    """One CSV line; cells holding a delimiter, quote or line break are quoted by csv."""
-    line = ",".join(cells)
-    if line.count(",") == len(cells) - 1 and not ('"' in line or "\n" in line or "\r" in line):
-        return line + "\n"
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(cells)
     return buf.getvalue()
@@ -141,6 +137,16 @@ def _line(cells):
 def table_bytes(lines, columns):
     """Deterministic CSV body for a result table."""
     return (_line(columns) + "".join(lines)).encode()
+
+
+def _peak_rss_mb():
+    """This process's peak resident set in MiB, or None where it cannot be read."""
+    try:
+        import resource
+    except ImportError:  # Windows has no getrusage
+        return None
+    unit = 2**20 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, else KiB
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
 
 
 def write_outputs(config, lines, columns, n_failures, sweep_s):
@@ -162,7 +168,7 @@ def write_outputs(config, lines, columns, n_failures, sweep_s):
         "fidelity_averaging": "success-weighted (heralded)",
         "sweep_s": sweep_s,
         "write_s": time.perf_counter() - start,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     with open(path + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

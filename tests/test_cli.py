@@ -4,7 +4,6 @@ import io
 import json
 import math
 import os
-import resource
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +20,7 @@ from capsim.cli import _resolve_config, main
 from capsim.config import parse_config, sanity_warnings, validate_raw
 from capsim.errors import ConvergenceError
 from capsim.experiments import EXPERIMENTS
-from capsim.runner import run_sweep, table_bytes, write_outputs
+from capsim.runner import _peak_rss_mb, run_sweep, table_bytes, write_outputs
 from capsim.units import _SUFFIXES, normalize, strip_suffix
 
 GAMMA_KEY = {"gamma_2pi_MHz": 0.24}
@@ -257,7 +256,7 @@ def test_run_produces_expected_table(tmp_path):
     assert meta["rows"] == 3 and meta["failures"] == 0
     assert meta["sweep_s"] > 0.0 and meta["write_s"] > 0.0
     # read in this process after the run, so the run's peak cannot exceed it
-    assert 0.0 < meta["peak_rss_mb"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert 0.0 < meta["peak_rss_mb"] <= _peak_rss_mb()
     from capsim.cavity import r_opt
 
     last = lines[3].split(",")
@@ -422,6 +421,8 @@ def _spectrum_config(sweep):
 _DELTA_INNER = [{"name": "n_channels", "start": 2, "stop": 4, "points": 2},
                 {"name": "atom_state", "start": 0, "stop": 1, "points": 2},
                 {"name": "delta_2pi_GHz", "start": -4.0, "stop": 4.0, "points": 41}]
+# fig7b's order: delta outer, so each line task takes every fourth point
+_DELTA_OUTER = _DELTA_INNER[2:] + _DELTA_INNER[:2]
 
 
 def _csv(raw, workers=1):
@@ -436,8 +437,10 @@ def test_reproducible_across_worker_counts():
     assert table_bytes(rows_1, cols) == table_bytes(rows_4, cols)
 
 
-def test_detuning_lines_reproducible_across_worker_counts():
-    raw = _spectrum_config(_DELTA_INNER)
+@pytest.mark.parametrize("sweep", [_DELTA_INNER, _DELTA_OUTER],
+                         ids=["delta_inner", "delta_outer"])
+def test_detuning_lines_reproducible_across_worker_counts(sweep):
+    raw = _spectrum_config(sweep)
     assert _csv(raw, workers=1) == _csv(raw, workers=4)
 
 
@@ -557,21 +560,23 @@ _ODD_TABLE = {"experiment": "tm_spectrum", "seed": 1, "parameters": dict(_WVM_PA
               "output": {"path": "odd.csv"}}
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-@pytest.mark.parametrize("table", ["odd_cells", "wvm_rows"])
+@pytest.mark.parametrize("table, workers", [
+    ("odd_cells", 1), ("wvm_rows", 1), ("wvm_rows", 4), ("delta_outer", 1), ("delta_outer", 4)])
 def test_streamed_body_is_bitwise_the_row_dict_table(table, workers, monkeypatch):
     if table == "odd_cells":
         # a fig7b-shaped sweep, delta outer, so each line task is strided;
-        # forked workers inherit the patched registry
+        # one worker, since a spawned worker would not see the patched registry
         exp = EXPERIMENTS["tm_spectrum"]
         monkeypatch.setitem(EXPERIMENTS, "tm_spectrum",
                             dataclasses.replace(exp, fn=_odd_spectrum))
         raw = _ODD_TABLE
-    else:  # several rows per point
+    elif table == "wvm_rows":  # several rows per point
         raw = {"experiment": "wvm_crosstalk", "seed": 3,
                "parameters": dict(_WVM_PARAMETERS, trials=3),
                "sweep": [{"name": "n_channels", "start": 2, "stop": 4, "points": 3}],
                "output": {"path": "wvm.csv"}}
+    else:  # the real spectrum over strided line tasks
+        raw = _spectrum_config([dict(_DELTA_OUTER[0], points=9)] + _DELTA_OUTER[1:])
     config = parse_config(raw)
     lines, cols, n_failures = run_sweep(config, workers=workers)
     expected = _reference_body(config)
