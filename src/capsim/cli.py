@@ -69,9 +69,8 @@ def cmd_run(args):
         return EXIT_IO
     start = time.perf_counter()
     lines, columns, n_failures = run_sweep(config, workers=args.workers)
-    sweep_s = time.perf_counter() - start
     try:
-        path = write_outputs(config, lines, columns, n_failures, sweep_s)
+        path = write_outputs(config, lines, columns, n_failures, time.perf_counter() - start)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -11,8 +11,7 @@ is evaluated again point by point, so each failing point keeps its own
 row.  Relative "outfile" parameters are placed in the CSV's directory.
 Each point's rows become CSV lines (shortest-roundtrip floats) as its task
 returns, and the lines are streamed to the file; run metadata and health
-(config hash, seed, timestamp, timings, peak RSS) go to a JSON sidecar so
-the CSV body stays reproducible.
+(timings, peak RSS) go to a JSON sidecar so the CSV body stays reproducible.
 """
 
 import csv
@@ -75,8 +74,7 @@ def _tasks(config, exp):
     return tasks
 
 
-def _results(tasks, workers):
-    """Each task's (flat index, rows, error) list as it returns, in task order."""
+def _results(tasks, workers):  # each task's _eval_task list as it returns, in task order
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay for it
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -139,11 +137,10 @@ def table_bytes(lines, columns):
     return (_line(columns) + "".join(lines)).encode()
 
 
-def _peak_rss_mb():
-    """This process's peak resident set in MiB, or None where it cannot be read."""
+def _peak_rss_mb():  # None on Windows, which has no resource module
     try:
         import resource
-    except ImportError:  # Windows has no getrusage
+    except ImportError:
         return None
     unit = 2**20 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, else KiB
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
