@@ -6,12 +6,19 @@ and the output location.  Dimensionful keys carry explicit unit suffixes
 base units (rad/s, s, m); see units.py for the suffix table.
 """
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+try:  # the interpreter's own SHA-256: hashlib would map OpenSSL's libcrypto (3.6 MB)
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # a CPython built without builtin hashes
+        from hashlib import sha256
 
 from .errors import ConfigError
 from .experiments import EXPERIMENTS, check_value
@@ -71,8 +78,9 @@ class ScenarioConfig:
         return tuple(axis.name for axis in self.sweep)
 
     def config_hash(self):
+        """SHA-256 of the canonical config JSON, first 16 hex digits."""
         canon = json.dumps(self.raw, sort_keys=True).encode()
-        return hashlib.sha256(canon).hexdigest()[:16]
+        return sha256(canon).hexdigest()[:16]
 
 
 def _reserved_names(exp_name):
@@ -127,9 +135,13 @@ def validate_raw(raw):
             axis_names.append(strip_suffix(ax["name"], reserved)[0])
         if ax.get("scale", "lin") not in ("lin", "log"):
             errors.append(f"sweep[{i}].scale: must be 'lin' or 'log'")
-        if "points" in ax and (not float(ax["points"]).is_integer() or ax["points"] < 1):
+        # exact types: JSON true and false parse to bool, a subclass of int
+        bad = [key for key in ("start", "stop") if type(ax.get(key, 1)) not in (int, float)]
+        errors += [f"sweep[{i}].{key}: must be a number" for key in bad]
+        points = ax.get("points", 1)
+        if type(points) not in (int, float) or points % 1 or points < 1:
             errors.append(f"sweep[{i}].points: must be a positive integer")
-        if ax.get("scale") == "log" and ax.get("start", 1) * ax.get("stop", 1) <= 0:
+        if ax.get("scale") == "log" and not bad and ax.get("start", 1) * ax.get("stop", 1) <= 0:
             errors.append(f"sweep[{i}]: log scale needs nonzero same-sign bounds")
     output = raw.get("output", {})
     if output.get("format", "csv") != "csv":

@@ -57,29 +57,38 @@ def _eval_task(task):
 
 
 def _tasks(config, exp):
-    """(params, flat indices, array axis or None) per task, in row-major order."""
-    n = config.grid_size()
-    axis = exp.array_param
-    if axis not in config.axis_names():
-        return [(config.point_parameters(i), [i], None) for i in range(n)]
-    a = config.axis_names().index(axis)
-    shape = config.grid_shape()
-    stride = math.prod(shape[a + 1:])
-    span = shape[a] * stride
-    tasks = []
-    for first in (o + i for o in range(0, n, span) for i in range(stride)):
+    """(task count, iterator of tasks in row-major order).
+
+    A task is (experiment, params, flat indices, array axis or None), made
+    with its seed and outfile paths only when the iterator reaches it.
+    """
+    names, shape, n = config.axis_names(), config.grid_shape(), config.grid_size()
+    axis = exp.array_param if exp.array_param in names else None
+    a = names.index(axis) if axis else len(shape)  # no array axis: each point is a task
+    stride, span = math.prod(shape[a + 1:]), math.prod(shape[a:])
+    out_dir = os.path.dirname(config.output_path)
+    out_files = [name for name, kind in exp.optional.items() if kind == "outfile"]
+
+    def task(first):
         p = config.point_parameters(first)
-        p[axis] = config.sweep[a].values
-        tasks.append((p, range(first, first + span, stride), axis))
-    return tasks
+        if axis:
+            p[axis] = config.sweep[a].values
+        p.setdefault("seed", config.seed)
+        for name in out_files:
+            if p.get(name):
+                p[name] = os.path.join(out_dir, p[name])
+        return config.experiment, p, range(first, first + span, stride), axis
+
+    firsts = (o + i for o in range(0, n, span) for i in range(stride))
+    return n // span * stride, map(task, firsts)
 
 
-def _results(tasks, workers):  # each task's _eval_task list as it returns, in task order
-    if workers > 1 and len(tasks) > 1:
+def _results(n_tasks, tasks, workers):  # each task's _eval_task list as it returns, in task order
+    if workers > 1 and n_tasks > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay for it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_eval_task, tasks,
-                                chunksize=max(1, len(tasks) // (4 * workers)))
+                                chunksize=max(1, n_tasks // (4 * workers)))
     else:
         yield from map(_eval_task, tasks)
 
@@ -89,23 +98,17 @@ def run_sweep(config, workers=1):
 
     `lines` holds one CSV line per table row, in row-major order: the axis
     values, the experiment outputs and an 'error' cell (empty on success).
+    One worker makes each task only when it evaluates it; a pool's map
+    submits every task at once, so a parallel sweep holds them all.
     """
     exp = EXPERIMENTS[config.experiment]
-    out_dir = os.path.dirname(config.output_path)
-    out_files = [name for name, kind in exp.optional.items() if kind == "outfile"]
-    tasks = []
-    for p, indices, axis in _tasks(config, exp):
-        p.setdefault("seed", config.seed)
-        for name in out_files:
-            if p.get(name):
-                p[name] = os.path.join(out_dir, p[name])
-        tasks.append((config.experiment, p, indices, axis))
     axis_cells = [[_format_cell(v) for v in axis.values.tolist()] for axis in config.sweep]
     shape = config.grid_shape()  # row-major: the last axis varies fastest
     strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
     points = [None] * config.grid_size()  # one tuple of lines per point, by flat index
     n_failures = 0
-    for i, point_rows, error in itertools.chain.from_iterable(_results(tasks, workers)):
+    results = _results(*_tasks(config, exp), workers)
+    for i, point_rows, error in itertools.chain.from_iterable(results):
         prefix = [cells[i // stride % len(cells)] for cells, stride in zip(axis_cells, strides)]
         if error is not None:  # one row of empty outputs holds the message
             n_failures += 1

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import capsim
 from capsim import experiments
-from capsim.cli import _resolve_config, main
+from capsim.cli import _recipe_names, _resolve_config, main
 from capsim.config import parse_config, sanity_warnings, validate_raw
 from capsim.errors import ConvergenceError
 from capsim.experiments import EXPERIMENTS
@@ -185,6 +186,22 @@ def test_too_many_axes_rejected():
     errors = validate_raw({"experiment": "rate_tables", "sweep": axes,
                            "parameters": {}})
     assert any("sweep" in e for e in errors)
+
+
+@pytest.mark.parametrize("key, value", [("points", "3"), ("points", None), ("points", True),
+                                        ("start", "a"), ("stop", None), ("stop", False)])
+def test_malformed_sweep_axis_is_a_schema_error(key, value, tmp_path, capsys):
+    # a bool is not a number here, although JSON true parses to a subclass of int
+    axis = {"name": "delta_2pi_GHz", "start": -4.0, "stop": 4.0, "points": 3, key: value}
+    raw = {"experiment": "tm_spectrum", "parameters": dict(_WVM_PARAMETERS, n_channels=3),
+           "sweep": [axis], "output": {"path": "bad.csv"}}
+    cfg = _write(tmp_path, "bad.json", raw)
+    assert main(["validate", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "invalid"
+    assert [e.split(":")[0] for e in report["errors"]] == [f"sweep[0].{key}"]
+    assert main(["run", cfg, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_well_formed_config_validates_clean(tmp_path):
@@ -356,6 +373,23 @@ def test_seed_override_changes_hash_and_rows(tmp_path):
     raw_b = dict(_robustness_config(samples=16), seed=99)
     rows_b, _, _ = run_sweep(parse_config(raw_b), workers=1)
     assert table_bytes(rows_a, cols) != table_bytes(rows_b, cols)
+
+
+def _sha256_16(raw):  # the digest as hashlib gives it, over the canonical JSON
+    return hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def test_config_hash_is_sha256_of_the_canonical_config(tmp_path):
+    names = _recipe_names()
+    assert len(names) >= 15
+    for name in names:
+        raw = _resolve_config(name)
+        assert parse_config(raw).config_hash() == _sha256_16(raw), name
+    raw = dict(_spectrum_config(_DELTA_INNER[2:]), parameters=dict(_WVM_PARAMETERS, n_channels=3))
+    cfg = _write(tmp_path, "spectrum.json", raw)
+    assert main(["run", cfg, "--seed", "9", "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "spectrum.csv.meta.json").read_text())
+    assert meta["config_hash"] == _sha256_16(dict(raw, seed=9)) != _sha256_16(raw)
 
 
 def test_per_sample_records_export(tmp_path):
@@ -608,13 +642,36 @@ def test_sweep_memory_is_bounded_by_its_text(tmp_path):
     assert peak < 3.0e6, peak
 
 
-# run in a fresh interpreter: main() on each argv, then the scipy modules loaded
+def test_per_point_sweep_memory_is_bounded_by_its_text():
+    # a 30 x 30 x 30 per-point sweep writes 3.4 MB of CSV; building every
+    # task's parameter dict before the first evaluation peaked at 20.5 MB,
+    # making each task as it is evaluated at 6.6 MB: the lines held as str
+    # objects, one tuple per point and the point list
+    axes = [("tau_shuttle_us", 10, 1000), ("sigma_t_ns", 100, 300), ("p_success", 0.1, 0.9)]
+    raw = {"experiment": "rate_tables", "seed": 1,
+           "parameters": {"n_atoms": 200, "n_channels": 6, "r_dark_per_s": 10},
+           "sweep": [{"name": name, "start": start, "stop": stop, "points": 30}
+                     for name, start, stop in axes],
+           "output": {"path": "rates.csv"}}
+    config = parse_config(raw)
+    tracemalloc.start()
+    try:
+        lines, _, n_failures = run_sweep(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = sum(map(len, lines))
+    assert n_failures == 0 and len(lines) == 27000
+    assert peak < 2.5 * text, (peak, text)
+
+
+# run in a fresh interpreter: main() on each argv, then the modules loaded
 _COLD_START = """
 import json, sys
 from capsim.cli import main
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
@@ -626,11 +683,13 @@ def _child_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def _cold_start_modules(argvs):
+def _cold_start_modules(argvs, packages=("scipy",)):
+    """The modules of `packages`, or within them, that main() on each argv loads."""
     out = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(argvs)],
                          capture_output=True, text=True, env=_child_env())
     assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout.splitlines()[-1])
+    return [m for m in json.loads(out.stdout.splitlines()[-1])
+            if any(m == p or m.startswith(p + ".") for p in packages)]
 
 
 def test_transfer_matrix_runs_import_no_scipy(tmp_path):
@@ -666,6 +725,32 @@ def test_gate_runs_import_no_scipy_and_match_in_process(tmp_path):
     for name, raw in raws.items():
         rows, cols, _ = run_sweep(parse_config(raw))
         assert (tmp_path / f"{name}.csv").read_bytes() == table_bytes(rows, cols)
+
+
+@pytest.mark.parametrize("command, raw", [
+    ("run", _spectrum_config(_DELTA_INNER)),
+    ("validate", {"experiment": "protocol_eval", "parameters": dict(_PROTOCOL_PARAMS),
+                  "output": {"path": "protocol.csv"}}),
+], ids=["tm_spectrum_run", "protocol_eval_validate"])
+def test_commands_without_random_draws_load_no_unneeded_module(command, raw, tmp_path):
+    """A one-worker run or a validate of an experiment that draws no random
+    numbers loads none of these (peak RSS each adds, measured after numpy):
+
+    - _hashlib maps OpenSSL's libcrypto, 3.4-3.6 MB; hashlib imports it, so
+      the config hash uses the interpreter's builtin SHA-256;
+    - ssl maps libssl and libcrypto, about 4.1 MB;
+    - scipy, 0.7 MB for the package and 23 MB with scipy.special; it is a
+      test-only oracle;
+    - concurrent.futures and multiprocessing, 0.2 and 0.4 MB; only a run
+      with more than one worker needs a pool;
+    - numpy.random, 5.2 MB with the libcrypto its import of secrets -> hmac
+      maps; only robustness and wvm_crosstalk draw random numbers.
+    """
+    cfg = _write(tmp_path, "config.json", raw)
+    extra = ["--workers", "1", "--out", str(tmp_path)] if command == "run" else []
+    unneeded = ("_hashlib", "ssl", "scipy", "concurrent.futures", "multiprocessing",
+                "numpy.random")
+    assert _cold_start_modules([[command, cfg, *extra]], unneeded) == []
 
 
 def test_cli_entry_point_runs_in_subprocess(tmp_path):
