@@ -8,9 +8,8 @@ Each point integrates the source master equation for both level schemes;
 the whole demo runs in a few seconds.
 """
 
-from capsim import (ENTANGLER_4LVL, SourceSpec, decompose,
-                    delay_matched_params, matched_node, r_opt, source_kernel,
-                    type1, type2, type3)
+from capsim import (ENTANGLER_4LVL, SourceSpec, delay_matched_params,
+                    matched_node, r_opt, source_kernel, type1, type2, type3)
 
 GAMMA = 1.0
 C_IN = 100
@@ -37,4 +36,4 @@ print("(1 - F = (1 - V)/2), while the scattering-based schemes only see")
 print("the distorted spectrum and stay orders of magnitude below it.")
 k3 = source_kernel(SourceSpec(params=PARAMS, p_br=0.5, target_sigma_t=1.5,
                               level_scheme=ENTANGLER_4LVL))
-print(f"source purity at sigma_t = 1.5/gamma: {decompose(k3).purity:.4f}")
+print(f"source purity at sigma_t = 1.5/gamma: {k3.purity:.4f}")

@@ -109,29 +109,46 @@ def parse_config(raw):
 
 def validate_raw(raw):
     """Schema errors for a raw config dict (empty list when valid)."""
-    errors = []
     if not isinstance(raw, dict):
         return ["config must be a JSON object"]
     exp_name = raw.get("experiment")
-    if exp_name not in EXPERIMENTS:
-        errors.append(f"experiment: unknown value {exp_name!r}; choose one of "
-                      + ", ".join(sorted(EXPERIMENTS)))
-        return errors
+    if not isinstance(exp_name, str) or exp_name not in EXPERIMENTS:
+        return [f"experiment: unknown value {exp_name!r}; choose one of "
+                + ", ".join(sorted(EXPERIMENTS))]
     exp = EXPERIMENTS[exp_name]
     reserved = _reserved_names(exp_name)
+    # container shapes first: the checks below index into them
+    containers = (("parameters", dict), ("sweep", list), ("output", dict))
+    parameters, axes, output = (raw.get(key, kind()) for key, kind in containers)
+    errors = [f"{key}: must be a JSON {'array' if kind is list else 'object'}"
+              for (key, kind), value in zip(containers, (parameters, axes, output))
+              if not isinstance(value, kind)]
+    seed = raw.get("seed", 0)
+    if type(seed) not in (int, float) or seed % 1:
+        errors.append("seed: must be an integer")
+    if not isinstance(parameters, dict):
+        return errors
+    axes = axes if isinstance(axes, list) else []
+    output = output if isinstance(output, dict) else {}
+    if not isinstance(output.get("path", ""), str):
+        errors.append("output.path: must be a string")
     try:
-        params = normalize(raw.get("parameters", {}), reserved)
+        params = normalize(parameters, reserved)
     except ValueError as exc:
-        return [f"parameters: {exc}"]
-    axes = raw.get("sweep", [])
+        return errors + [f"parameters: {exc}"]
     if len(axes) > MAX_AXES:
         errors.append(f"sweep: at most {MAX_AXES} axes supported, got {len(axes)}")
     axis_names = []
     for i, ax in enumerate(axes):
+        if not isinstance(ax, dict):
+            errors.append(f"sweep[{i}]: must be a JSON object")
+            continue
         for key in ("name", "start", "stop", "points"):
             if key not in ax:
                 errors.append(f"sweep[{i}].{key}: missing")
-        if "name" in ax:
+        if not isinstance(ax.get("name", ""), str):
+            errors.append(f"sweep[{i}].name: must be a string")
+        elif "name" in ax:
             axis_names.append(strip_suffix(ax["name"], reserved)[0])
         if ax.get("scale", "lin") not in ("lin", "log"):
             errors.append(f"sweep[{i}].scale: must be 'lin' or 'log'")
@@ -143,7 +160,6 @@ def validate_raw(raw):
             errors.append(f"sweep[{i}].points: must be a positive integer")
         if ax.get("scale") == "log" and not bad and ax.get("start", 1) * ax.get("stop", 1) <= 0:
             errors.append(f"sweep[{i}]: log scale needs nonzero same-sign bounds")
-    output = raw.get("output", {})
     if output.get("format", "csv") != "csv":
         errors.append("output.format: only 'csv' tables are produced")
     known = set(exp.required) | set(exp.optional) | {"seed"}

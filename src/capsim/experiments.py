@@ -176,7 +176,7 @@ def _source_characterize(p):
     if p.get("kernel_out"):
         kernel.save(p["kernel_out"])
     lams = decomp.eigenvalues
-    return [{"p_gen": decomp.p_gen, "purity": decomp.purity,
+    return [{"p_gen": kernel.p_gen, "purity": kernel.purity,
              "lambda_1": float(lams[0]),
              "lambda_2": float(lams[1]) if lams.size > 1 else 0.0,
              "overlap_target": overlap}]

@@ -126,7 +126,7 @@ def components_from_kernel(kernel):
     if np.max(np.abs(t - np.linspace(t[0], t[-1], t.size))) > 1e-9 * dt:
         raise DomainError("spectral transform needs a uniform kernel time grid")
     decomp = decompose(kernel)
-    keep = decomp.eigenvalues > _REL_CUTOFF * max(decomp.p_gen, 1e-300)
+    keep = decomp.eigenvalues > _REL_CUTOFF * max(kernel.p_gen, 1e-300)
     if not np.any(keep):
         raise DomainError("kernel carries no photon population")
     lams = decomp.eigenvalues[keep]
@@ -134,20 +134,19 @@ def components_from_kernel(kernel):
     w_t = decomp.weights
 
     # bandwidth estimate from the principal mode's temporal spread
-    a2 = np.abs(modes[0]) ** 2 * w_t
+    a2 = modes[0] ** 2 * w_t
     t_mean = float(np.sum(a2 * t) / np.sum(a2))
     t_var = float(np.sum(a2 * (t - t_mean) ** 2) / np.sum(a2))
     sigma_w = 1.0 / math.sqrt(2.0 * t_var)
 
-    # M_ij = w_i w_j K_ij over the kept modes: the physical temporal modes
-    # are the conjugates of the eigh vectors, K_ij = sum_l p_l u_l*(t_i) u_l(t_j)
+    # M_ij = w_i w_j K_ij over the kept modes, K_ij = sum_l p_l u_l(t_i) u_l(t_j)
     wu = modes * w_t
-    two_time = wu.T @ (lams[:, None] * np.conj(wu))
+    two_time = wu.T @ (lams[:, None] * wu)
     lag_sums = np.array([np.trace(two_time, m) for m in range(t.size)])
 
     def density(d):
         horner = np.polyval(lag_sums[::-1], np.exp(1j * dt * d))
-        return (2.0 * horner.real - lag_sums[0].real) / (2.0 * math.pi)
+        return (2.0 * horner.real - lag_sums[0]) / (2.0 * math.pi)
 
     span = 8.0 * sigma_w
     n = _SPECTRAL_POINTS
@@ -327,17 +326,12 @@ def type3(source, node_b):
 def type1(kernel_a, kernel_b):
     """Two-photon-interference fidelity from the mean-wavepacket overlap.
 
-    F = (1 + M) / 2 with M the normalized two-time overlap of the two
-    kernels; for identical sources M equals the trace purity.  All four
+    F = (1 + M) / 2 with M the two-time overlap of the two kernels over
+    p_gen_a p_gen_b; for identical sources M is the trace purity.  All four
     detection patterns are reported with the same fidelity (documented
     symmetry assumption of this detection model).
     """
-    if kernel_a.times.shape != kernel_b.times.shape or not np.allclose(
-            kernel_a.times, kernel_b.times):
-        raise DomainError("kernels must share a common time grid")
-    w = kernel_a.weights
-    ww = np.outer(w, w)
-    num = float(np.sum(ww * (np.conj(kernel_a.kernel) * kernel_b.kernel).real))
+    num = kernel_a.overlap(kernel_b)
     pa = kernel_a.p_gen
     pb = kernel_b.p_gen
     if pa <= 0.0 or pb <= 0.0:

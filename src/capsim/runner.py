@@ -14,6 +14,7 @@ returns, and the lines are streamed to the file; run metadata and health
 (timings, peak RSS) go to a JSON sidecar so the CSV body stays reproducible.
 """
 
+import collections
 import csv
 import datetime
 import io
@@ -28,6 +29,10 @@ import numpy as np
 
 from . import __version__
 from .experiments import EXPERIMENTS
+
+# a parallel sweep's window: tasks per chunk, and chunks in flight per worker
+_CHUNK_TASKS = 64
+_CHUNKS_PER_WORKER = 2
 
 
 def _call(fn, params):
@@ -83,12 +88,23 @@ def _tasks(config, exp):
     return n // span * stride, map(task, firsts)
 
 
+def _eval_chunk(chunk):
+    return [_eval_task(task) for task in chunk]
+
+
 def _results(n_tasks, tasks, workers):  # each task's _eval_task list as it returns, in task order
     if workers > 1 and n_tasks > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay for it
+        size = max(1, min(n_tasks // (4 * workers), _CHUNK_TASKS))
+        chunks = iter(lambda: list(itertools.islice(tasks, size)), [])
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_eval_task, tasks,
-                                chunksize=max(1, n_tasks // (4 * workers)))
+            window = collections.deque()  # futures of the chunks in flight, oldest first
+            for chunk in chunks:
+                window.append(pool.submit(_eval_chunk, chunk))
+                if len(window) > _CHUNKS_PER_WORKER * workers:
+                    yield from window.popleft().result()
+            while window:
+                yield from window.popleft().result()
     else:
         yield from map(_eval_task, tasks)
 
@@ -98,8 +114,9 @@ def run_sweep(config, workers=1):
 
     `lines` holds one CSV line per table row, in row-major order: the axis
     values, the experiment outputs and an 'error' cell (empty on success).
-    One worker makes each task only when it evaluates it; a pool's map
-    submits every task at once, so a parallel sweep holds them all.
+    Each task is made only when it is evaluated or, with several workers,
+    submitted; a parallel sweep keeps at most _CHUNKS_PER_WORKER chunks of
+    at most _CHUNK_TASKS tasks per worker in flight.
     """
     exp = EXPERIMENTS[config.experiment]
     axis_cells = [[_format_cell(v) for v in axis.values.tolist()] for axis in config.sweep]

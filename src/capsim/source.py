@@ -12,8 +12,10 @@ the jump-dressed states L rho = |q,0><q,1| rho on one (q,0) row times the
 sector, which only the no-jump generator moves (quantum regression theorem;
 Gardiner & Zoller, Quantum Noise, ch. 5).  The phases D = diag(1, -i, -1)
 on the rungs u, e, q make both blocks real under D . D^dag, so RK4 runs in
-float64.  The eigendecomposition of the two-time autocorrelation yields
-mode populations, generation probability, and trace purity.
+float64.  The two-time autocorrelation is therefore a real symmetric
+kernel K: its weighted trace is the generation probability, its weighted
+two-time overlap with itself over p_gen^2 the trace purity, and its
+eigendecomposition yields the mode populations.
 """
 
 import json
@@ -378,7 +380,7 @@ def evolve_master(spec, drive=None):
 
 @dataclass(frozen=True)
 class TemporalKernel:
-    """Discretized two-time field autocorrelation with quadrature weights."""
+    """Discretized two-time field autocorrelation (real, symmetric) with quadrature weights."""
 
     times: np.ndarray
     kernel: np.ndarray
@@ -386,14 +388,14 @@ class TemporalKernel:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        k = np.asarray(self.kernel, dtype=complex)
+        k = _real(self.kernel, "kernel")
         w = np.asarray(self.weights, dtype=float)
         if k.shape != (t.size, t.size) or w.shape != t.shape:
             raise DomainError("kernel must be square on the time grid")
-        herm = np.max(np.abs(k - k.conj().T))
+        asym = np.max(np.abs(k - k.T))
         scale = max(np.max(np.abs(k)), 1e-300)
-        if herm > 1e-10 * scale:
-            raise DomainError(f"kernel is not Hermitian (deviation {herm:.2e})")
+        if asym > 1e-10 * scale:
+            raise DomainError(f"kernel is not symmetric (deviation {asym:.2e})")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "kernel", k)
         object.__setattr__(self, "weights", w)
@@ -401,16 +403,30 @@ class TemporalKernel:
     @property
     def p_gen(self):
         """Photon emission probability: weighted trace of the kernel."""
-        return float(np.real(np.sum(self.weights * np.diag(self.kernel))))
+        return float(np.sum(self.weights * np.diag(self.kernel)))
+
+    def overlap(self, other):
+        """Weighted two-time overlap sum_ij w_i w_j K_ij K'_ij on a shared grid."""
+        if self.times.shape != other.times.shape or not np.allclose(self.times, other.times):
+            raise DomainError("kernels must share a common time grid")
+        return float(self.weights @ (self.kernel * other.kernel) @ self.weights)
+
+    @property
+    def purity(self):
+        """Trace purity sum_l p_l^2 / p_gen^2 = overlap(self) / p_gen^2."""
+        p = self.p_gen
+        if p <= 0.0:
+            raise DomainError("no emission: purity undefined")
+        return self.overlap(self) / (p * p)
 
     def save(self, path):
-        """Portable text export: JSON header line, then 're,im' rows."""
+        """Portable text export: JSON header line, then 're,im' rows (im is 0)."""
         with open(path, "w") as fh:
             header = {"times": self.times.tolist(), "weights": self.weights.tolist(),
                       "p_gen": self.p_gen}
             fh.write("# " + json.dumps(header) + "\n")
             for row in self.kernel:
-                fh.write(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n")
+                fh.write(" ".join(f"{x:.17g},0" for x in row) + "\n")
 
     @classmethod
     def load(cls, path):
@@ -419,15 +435,9 @@ class TemporalKernel:
             if not first.startswith("# "):
                 raise DomainError("missing kernel header line")
             header = json.loads(first[2:])
-            rows = []
-            for line in fh:
-                if not line.strip():
-                    continue
-                row = [complex(float(a), float(b))
-                       for a, b in (pair.split(",") for pair in line.split())]
-                rows.append(row)
-        return cls(times=np.array(header["times"]),
-                   kernel=np.array(rows, dtype=complex),
+            rows = [[complex(float(a), float(b)) for a, b in (c.split(",") for c in ln.split())]
+                    for ln in fh if ln.strip()]
+        return cls(times=np.array(header["times"]), kernel=np.array(rows, dtype=complex),
                    weights=np.array(header["weights"]))
 
 
@@ -479,7 +489,7 @@ class ModeDecomposition:
     """Eigenmodes of the weight-symmetrized kernel.
 
     eigenvalues are mode populations in descending order; eigenmodes are
-    orthonormal under the weighted grid inner product.
+    real and orthonormal under the weighted grid inner product.
     """
 
     eigenvalues: np.ndarray
@@ -487,22 +497,11 @@ class ModeDecomposition:
     times: np.ndarray
     weights: np.ndarray
 
-    @property
-    def p_gen(self):
-        return float(np.sum(self.eigenvalues))
-
-    @property
-    def purity(self):
-        p = self.p_gen
-        if p <= 0.0:
-            raise DomainError("no emission: purity undefined")
-        return float(np.sum(self.eigenvalues**2) / p**2)
-
 
 def decompose(kernel):
     """Eigendecomposition of a temporal kernel into mode populations.
 
-    The kernel is symmetrized with sqrt(w_i w_j) before the Hermitian
+    The kernel is symmetrized with sqrt(w_i w_j) before the real symmetric
     eigensolve; eigenvalues below -1e-8 of the trace are rejected, small
     negatives are clipped to zero.
     """
@@ -526,7 +525,7 @@ def mode_overlap(decomp, target, mode_index=0):
     tgt = np.asarray(target(decomp.times) if callable(target) else target,
                      dtype=complex)
     tgt_norm = math.sqrt(abs(np.sum(decomp.weights * np.abs(tgt) ** 2)))
-    return abs(np.sum(decomp.weights * np.conj(v) * tgt)) / tgt_norm
+    return abs(np.sum(decomp.weights * v * tgt)) / tgt_norm
 
 
 def gaussian_target(sigma_t):

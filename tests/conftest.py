@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from capsim.cavity import delay_matched_params
@@ -46,3 +48,12 @@ def kernel_pair_short():
     k3 = source_kernel(SourceSpec(params=params, p_br=0.5, target_sigma_t=0.5,
                                   level_scheme=ENTANGLER_4LVL))
     return k2, k3
+
+
+@pytest.fixture(scope="session")
+def kernel_1990ns():
+    """Lambda-source kernel of the fig6a long-pulse end, sigma_t = 1990 ns."""
+    gamma = 2 * math.pi * 0.24e6
+    spec = SourceSpec(params=delay_matched_params(100, gamma), p_br=0.5,
+                      target_sigma_t=1990e-9)
+    return source_kernel(spec)

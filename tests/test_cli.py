@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsim
-from capsim import experiments
+from capsim import experiments, runner
 from capsim.cli import _recipe_names, _resolve_config, main
 from capsim.config import parse_config, sanity_warnings, validate_raw
 from capsim.errors import ConvergenceError
@@ -200,6 +200,34 @@ def test_malformed_sweep_axis_is_a_schema_error(key, value, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "invalid"
     assert [e.split(":")[0] for e in report["errors"]] == [f"sweep[0].{key}"]
+    assert main(["run", cfg, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "bad.csv").exists()
+
+
+_RATES_CONFIG = {"experiment": "rate_tables", "seed": 1,
+                 "parameters": {"n_atoms": 200, "tau_shuttle_us": 100,
+                                "sigma_t_ns": 210, "p_success": 0.65},
+                 "output": {"path": "bad.csv"}}
+
+
+@pytest.mark.parametrize("change, where", [
+    ({"sweep": 5}, "sweep"),
+    ({"sweep": [5]}, "sweep[0]"),
+    ({"sweep": "ab"}, "sweep"),
+    ({"parameters": []}, "parameters"),
+    ({"output": "x.csv"}, "output"),
+    ({"sweep": [{"name": 3, "start": 1, "stop": 2, "points": 2}]}, "sweep[0].name"),
+    ({"seed": "a"}, "seed"),
+    ({"experiment": ["rate_tables"]}, "experiment"),
+    ({"output": {"path": 3}}, "output.path"),
+], ids=["sweep-int", "axis-int", "sweep-str", "parameters-list", "output-str",
+        "axis-name-int", "seed-str", "experiment-list", "output-path-int"])
+def test_malformed_container_is_a_schema_error(change, where, tmp_path, capsys):
+    cfg = _write(tmp_path, "bad.json", dict(_RATES_CONFIG, **change))
+    assert main(["validate", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "invalid"
+    assert [e.split(":")[0] for e in report["errors"]] == [where]
     assert main(["run", cfg, "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "bad.csv").exists()
 
@@ -469,6 +497,35 @@ def test_reproducible_across_worker_counts():
     rows_1, cols, _ = run_sweep(cfg, workers=1)
     rows_4, _, _ = run_sweep(cfg, workers=4)
     assert table_bytes(rows_1, cols) == table_bytes(rows_4, cols)
+
+
+def test_parallel_sweep_makes_a_bounded_window_of_tasks_ahead():
+    # 20,000 per-point tasks: handing them all to the pool before the first
+    # result makes every one of them ahead of the consumer
+    raw = {"experiment": "rate_tables", "seed": 1,
+           "parameters": {"n_atoms": 200, "n_channels": 6, "r_dark_per_s": 10,
+                          "p_success": 0.65},
+           "sweep": [{"name": "tau_shuttle_us", "start": 10, "stop": 1000, "points": 100},
+                     {"name": "sigma_t_ns", "start": 100, "stop": 300, "points": 200}],
+           "output": {"path": "rates.csv"}}
+    config = parse_config(raw)
+    n_tasks, tasks = runner._tasks(config, EXPERIMENTS[config.experiment])
+    made = 0
+
+    def counted():
+        nonlocal made
+        for task in tasks:
+            made += 1
+            yield task
+
+    workers = 2
+    bound = (runner._CHUNKS_PER_WORKER * workers + 1) * runner._CHUNK_TASKS
+    consumed = ahead = 0
+    for _ in runner._results(n_tasks, counted(), workers):
+        consumed += 1
+        ahead = max(ahead, made - consumed)
+    assert consumed == made == n_tasks == 20000
+    assert ahead <= bound < n_tasks // 50
 
 
 def test_detuning_lines_reproducible_across_worker_counts():

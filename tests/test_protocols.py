@@ -5,29 +5,26 @@ import numpy as np
 import pytest
 
 from capsim import gate, protocols
-from capsim.cavity import (CavityParams, InterfaceOptics, delay_matched_params,
-                           r_opt, reflection_r0, reflection_r1)
+from capsim.cavity import CavityParams, InterfaceOptics, r_opt, reflection_r0, reflection_r1
 from capsim.errors import ConvergenceError, DomainError
 from capsim.gate import GaussianPhoton
 from capsim.protocols import (IdealNode, NodeConfig, components_from_kernel,
                               matched_node, memory_load, type1, type2,
                               type2_mismatched, type2_pair, type3)
-from capsim.source import SourceSpec, TemporalKernel, decompose, source_kernel
+from capsim.source import TemporalKernel, decompose
 
 GAMMA = 1.0
 LONG = GaussianPhoton(5e3)
 
 
-def _gaussian_rank1_kernel(sigma=1.0, n=401, lam=1.0, carrier=0.0):
+def _gaussian_rank1_kernel(sigma=1.0, n=401):
     t = np.linspace(-8 * sigma, 8 * sigma, n)
     w = np.full(n, t[1] - t[0])
     w[0] *= 0.5
     w[-1] *= 0.5
     v = (math.pi * sigma**2) ** -0.25 * np.exp(-(t**2) / (2 * sigma**2))
-    v = v * np.exp(1j * carrier * t)
-    v /= math.sqrt(np.sum(w * np.abs(v) ** 2))
-    return TemporalKernel(times=t, kernel=lam * np.outer(v, np.conj(v)),
-                          weights=w)
+    v /= math.sqrt(np.sum(w * v**2))
+    return TemporalKernel(times=t, kernel=np.outer(v, v), weights=w)
 
 
 # --------------------------------------------------------------------------
@@ -299,11 +296,18 @@ def test_type3_not_worse_than_type2_with_same_source(kernel_pair_short,
 
 def test_type1_identities(kernel_c10_golden):
     result = type1(kernel_c10_golden, kernel_c10_golden)
-    purity = decompose(kernel_c10_golden).purity
+    # purity from the eigenvalues, not kernel.purity, which type1 shares
+    lams = decompose(kernel_c10_golden).eigenvalues
+    purity = np.sum(lams**2) / np.sum(lams) ** 2
     assert result.fidelity == pytest.approx(0.5 * (1.0 + purity), abs=1e-6)
     p_gen = kernel_c10_golden.p_gen
     assert result.p_success == pytest.approx(p_gen**2 / 2.0, abs=1e-12)
     assert len(result.outcomes) == 4
+
+
+def test_type1_of_a_kernel_with_itself_is_its_purity(kernel_c10_golden):
+    fid = type1(kernel_c10_golden, kernel_c10_golden).fidelity
+    assert fid == gate._snap_unit(0.5 * (1.0 + kernel_c10_golden.purity), "fidelity")
 
 
 def test_type1_pure_and_orthogonal_extremes():
@@ -313,7 +317,7 @@ def test_type1_pure_and_orthogonal_extremes():
     w = k.weights
     v2 = (t / math.sqrt(np.sum(w * t**2))) * np.exp(-(t**2) / 2)
     v2 /= math.sqrt(np.sum(w * v2**2))
-    k2 = TemporalKernel(times=t, kernel=np.outer(v2, v2).astype(complex), weights=w)
+    k2 = TemporalKernel(times=t, kernel=np.outer(v2, v2), weights=w)
     assert type1(k, k2).fidelity == pytest.approx(0.5, abs=1e-12)
 
 
@@ -328,27 +332,18 @@ def test_type1_rejects_mismatched_grids():
 # kernel -> spectrum pipeline
 # --------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def kernel_1990ns():
-    """Lambda-source kernel of the fig6a long-pulse end, sigma_t = 1990 ns."""
-    gamma = 2 * math.pi * 0.24e6
-    spec = SourceSpec(params=delay_matched_params(100, gamma), p_br=0.5,
-                      target_sigma_t=1990e-9)
-    return source_kernel(spec)
-
-
 def _eigenmode_density(kernel, grid, rel_cutoff=1e-8, rows=2048):
     """Oracle: sum_l p_l |u_l(d)|^2 by the explicit Fourier transform of each
-    kept eigenmode, u_l(d) = (2 pi)^(-1/2) sum_j w_j conj(v_l(t_j)) exp(i d t_j),
+    kept (real) eigenmode, u_l(d) = (2 pi)^(-1/2) sum_j w_j v_l(t_j) exp(i d t_j),
     taken over blocks of grid rows."""
     decomp = decompose(kernel)
-    keep = decomp.eigenvalues > rel_cutoff * decomp.p_gen
+    keep = decomp.eigenvalues > rel_cutoff * kernel.p_gen
     lams = decomp.eigenvalues[keep]
-    conj_modes = (decomp.weights * np.conj(decomp.eigenmodes[keep])).T
+    weighted_modes = (decomp.weights * decomp.eigenmodes[keep]).T
     dens = np.empty(grid.size)
     for lo in range(0, grid.size, rows):
         ft = np.exp(1j * np.outer(grid[lo:lo + rows], decomp.times))
-        dens[lo:lo + rows] = (np.abs(ft @ conj_modes) ** 2) @ lams
+        dens[lo:lo + rows] = (np.abs(ft @ weighted_modes) ** 2) @ lams
     return dens / (2.0 * math.pi)
 
 
@@ -358,20 +353,14 @@ def test_components_capture_population(kernel_c10_golden):
     assert captured == pytest.approx(kernel_c10_golden.p_gen, rel=2e-4)
 
 
-@pytest.mark.parametrize("case", ["c10_golden", "1990ns", "carrier"])
+@pytest.mark.parametrize("case", ["c10_golden", "1990ns"])
 def test_lag_sum_density_matches_eigenmode_oracle(case, request):
-    if case == "carrier":
-        # W(d) is peaked at the carrier, so a sign error in d shows
-        kernel = _gaussian_rank1_kernel(carrier=3.0, lam=0.9)
-    else:
-        kernel = request.getfixturevalue(f"kernel_{case}")
+    kernel = request.getfixturevalue(f"kernel_{case}")
     comps = components_from_kernel(kernel)
     oracle = _eigenmode_density(kernel, comps.grid)
     scale = oracle.max()
     if case == "1990ns":  # the inner grid is reused over two or more widenings
         assert comps.grid.size >= 4 * 2048 + 1
-    if case == "carrier":
-        assert np.max(np.abs(oracle - oracle[::-1])) > 0.5 * scale
     assert np.max(np.abs(comps.density - oracle)) <= 1e-12 * scale
 
 

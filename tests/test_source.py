@@ -282,7 +282,8 @@ def test_matches_full_space_reference(scheme, cutoff, p_br):
 
 def test_kernel_is_hermitian_and_psd(kernel_c10_golden):
     k = kernel_c10_golden.kernel
-    assert np.max(np.abs(k - k.conj().T)) == 0.0
+    assert k.dtype == np.float64
+    assert np.array_equal(k, k.T)
     sqrt_w = np.sqrt(kernel_c10_golden.weights)
     evals = np.linalg.eigvalsh(k * np.outer(sqrt_w, sqrt_w))
     assert evals.min() >= -1e-8 * np.sum(np.abs(evals))
@@ -317,10 +318,9 @@ def test_pure_source_kernel_matches_rank_one_closed_form():
 
 
 def test_pure_source_gives_rank_one_kernel(kernel_c10_pure):
-    decomp = decompose(kernel_c10_pure)
-    lam = decomp.eigenvalues
+    lam = decompose(kernel_c10_pure).eigenvalues
     assert lam[1] <= 1e-3 * lam[0]
-    assert decomp.purity >= 0.999
+    assert kernel_c10_pure.purity >= 0.999
 
 
 def test_reexcitation_adds_a_late_tail(kernel_c10_pure, kernel_c10_golden):
@@ -328,7 +328,7 @@ def test_reexcitation_adds_a_late_tail(kernel_c10_pure, kernel_c10_golden):
         t = kernel.times
         sel = t > 3.0
         return float(np.sum(kernel.weights[sel]
-                            * np.real(np.diag(kernel.kernel))[sel]))
+                            * np.diag(kernel.kernel)[sel]))
 
     assert late_flux(kernel_c10_golden) > 5.0 * late_flux(kernel_c10_pure)
 
@@ -337,7 +337,7 @@ def test_golden_point_decomposition(kernel_c10_golden):
     decomp = decompose(kernel_c10_golden)
     assert decomp.eigenvalues[0] == pytest.approx(0.68, abs=0.02)
     assert decomp.eigenvalues[1] == pytest.approx(0.025, abs=0.005)
-    assert decomp.p_gen == pytest.approx(0.72, abs=0.02)
+    assert kernel_c10_golden.p_gen == pytest.approx(0.72, abs=0.02)
 
 
 def test_generation_probability_monotone_in_branching_ratio():
@@ -345,9 +345,9 @@ def test_generation_probability_monotone_in_branching_ratio():
     # the temporal purity degrades
     p_gens, purities = [], []
     for p_br in (0.0, 0.25, 0.5, 0.75):
-        decomp = decompose(source_kernel(_spec(p_br=p_br)))
-        p_gens.append(decomp.p_gen)
-        purities.append(decomp.purity)
+        kernel = source_kernel(_spec(p_br=p_br))
+        p_gens.append(kernel.p_gen)
+        purities.append(kernel.purity)
     assert all(b > a for a, b in zip(p_gens, p_gens[1:]))
     assert all(b < a for a, b in zip(purities, purities[1:]))
 
@@ -355,21 +355,22 @@ def test_generation_probability_monotone_in_branching_ratio():
 def test_synthetic_rank_one_kernel_recovered():
     t = np.linspace(-4, 4, 101)
     w = np.gradient(t)
-    v = (math.pi) ** -0.25 * np.exp(-(t**2) / 2) * np.exp(0.3j * t)
-    v /= math.sqrt(np.sum(w * np.abs(v) ** 2))
+    v = (1.0 + 0.3 * t) * np.exp(-(t**2) / 2)  # real, and not even in t
+    v /= math.sqrt(np.sum(w * v**2))
     lam = 0.55
-    kernel = TemporalKernel(times=t, kernel=lam * np.outer(np.conj(v), v), weights=w)
+    kernel = TemporalKernel(times=t, kernel=lam * np.outer(v, v), weights=w)
     decomp = decompose(kernel)
     assert decomp.eigenvalues[0] == pytest.approx(lam, rel=1e-12)
     assert decomp.eigenvalues[1] == pytest.approx(0.0, abs=1e-14)
-    overlap = abs(np.sum(w * np.conj(decomp.eigenmodes[0]) * np.conj(v)))
+    overlap = abs(np.sum(w * decomp.eigenmodes[0] * v))
     assert overlap == pytest.approx(1.0, abs=1e-10)
 
 
 def test_grid_refinement_stable():
-    coarse = decompose(source_kernel(_spec(p_br=0.5)))
-    fine = decompose(source_kernel(_spec(p_br=0.5, dt=1.0 / 400)))
-    assert abs(fine.p_gen - coarse.p_gen) < 1e-3
+    coarse_kernel = source_kernel(_spec(p_br=0.5))
+    fine_kernel = source_kernel(_spec(p_br=0.5, dt=1.0 / 400))
+    assert abs(fine_kernel.p_gen - coarse_kernel.p_gen) < 1e-3
+    coarse, fine = decompose(coarse_kernel), decompose(fine_kernel)
     assert abs(fine.eigenvalues[0] - coarse.eigenvalues[0]) < 1e-3
     assert abs(fine.eigenvalues[1] - coarse.eigenvalues[1]) < 1e-3
 
@@ -378,16 +379,52 @@ def test_kernel_text_round_trip(tmp_path, kernel_c10_golden):
     path = tmp_path / "kernel.txt"
     kernel_c10_golden.save(path)
     back = TemporalKernel.load(path)
-    assert np.allclose(back.times, kernel_c10_golden.times)
-    assert np.allclose(back.kernel, kernel_c10_golden.kernel, atol=1e-15)
-    assert back.p_gen == pytest.approx(kernel_c10_golden.p_gen, abs=1e-12)
+    assert back.kernel.dtype == np.float64
+    assert np.array_equal(back.times, kernel_c10_golden.times)
+    assert np.array_equal(back.weights, kernel_c10_golden.weights)
+    assert np.array_equal(back.kernel, kernel_c10_golden.kernel)
+    assert back.p_gen == kernel_c10_golden.p_gen
+
+
+def test_kernel_with_imaginary_part_rejected(tmp_path):
+    t = np.linspace(0, 1, 5)
+    k = np.ones((5, 5), dtype=complex)
+    k[2, 2] += 1e-3j  # still Hermitian
+    with pytest.raises(DomainError, match="not real"):
+        TemporalKernel(times=t, kernel=k, weights=np.ones(5))
+    path = tmp_path / "kernel.txt"
+    TemporalKernel(times=t, kernel=k.real, weights=np.ones(5)).save(path)
+    lines = path.read_text().splitlines()
+    cells = lines[3].split()
+    assert cells[2] == "1,0"  # re,im with im written as 0
+    cells[2] = "1,1e-3"
+    lines[3] = " ".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DomainError, match="not real"):
+        TemporalKernel.load(path)
+
+
+@pytest.mark.parametrize("case", ["c10_golden", "1990ns"])
+def test_kernel_purity_matches_eigenvalues(case, request):
+    # the eigensolve-free purity sum w_i w_j K_ij^2 / p_gen^2 against
+    # sum lambda^2 / (sum lambda)^2 of the unclipped spectrum; decompose
+    # clips the 1990 ns kernel's eigenvalues of about -4e-12, which alone
+    # moves its purity by 2.9e-11
+    kernel = request.getfixturevalue(f"kernel_{case}")
+    sqrt_w = np.sqrt(kernel.weights)
+    lams = np.linalg.eigvalsh(kernel.kernel * np.outer(sqrt_w, sqrt_w))
+    assert kernel.purity == pytest.approx(np.sum(lams**2) / np.sum(lams) ** 2, abs=1e-12)
+    clipped = decompose(kernel).eigenvalues
+    clip_mass = -np.sum(lams[lams < 0.0])
+    assert abs(kernel.purity - np.sum(clipped**2) / np.sum(clipped) ** 2) <= (
+        1e-12 + 3.0 * clip_mass / kernel.p_gen)
 
 
 def test_non_hermitian_kernel_rejected():
     t = np.linspace(0, 1, 5)
-    bad = np.ones((5, 5), dtype=complex)
+    bad = np.ones((5, 5))
     bad[0, 1] = 2.0
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="symmetric"):
         TemporalKernel(times=t, kernel=bad, weights=np.ones(5))
 
 
