@@ -118,20 +118,25 @@ def validate_raw(raw):
     exp = EXPERIMENTS[exp_name]
     reserved = _reserved_names(exp_name)
     # container shapes first: the checks below index into them
-    containers = (("parameters", dict), ("sweep", list), ("output", dict))
-    parameters, axes, output = (raw.get(key, kind()) for key, kind in containers)
-    errors = [f"{key}: must be a JSON {'array' if kind is list else 'object'}"
-              for (key, kind), value in zip(containers, (parameters, axes, output))
-              if not isinstance(value, kind)]
+    errors = []
+    parameters = raw.get("parameters", {})
+    if not isinstance(parameters, dict):
+        errors.append("parameters: must be a JSON object")
+    axes = raw.get("sweep", [])
+    if not isinstance(axes, list):
+        errors.append("sweep: must be a JSON array")
+        axes = []
+    output = raw.get("output", {})
+    if not isinstance(output, dict):
+        errors.append("output: must be a JSON object")
+        output = {}
+    if not isinstance(output.get("path", ""), str):
+        errors.append("output.path: must be a string")
     seed = raw.get("seed", 0)
     if type(seed) not in (int, float) or seed % 1:
         errors.append("seed: must be an integer")
     if not isinstance(parameters, dict):
         return errors
-    axes = axes if isinstance(axes, list) else []
-    output = output if isinstance(output, dict) else {}
-    if not isinstance(output.get("path", ""), str):
-        errors.append("output.path: must be a string")
     try:
         params = normalize(parameters, reserved)
     except ValueError as exc:

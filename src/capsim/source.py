@@ -435,9 +435,15 @@ class TemporalKernel:
             if not first.startswith("# "):
                 raise DomainError("missing kernel header line")
             header = json.loads(first[2:])
-            rows = [[complex(float(a), float(b)) for a, b in (c.split(",") for c in ln.split())]
-                    for ln in fh if ln.strip()]
-        return cls(times=np.array(header["times"]), kernel=np.array(rows, dtype=complex),
+            rows = []
+            for line in fh:
+                if not line.strip():
+                    continue
+                row = [complex(float(a), float(b))
+                       for a, b in (pair.split(",") for pair in line.split())]
+                rows.append(row)
+        return cls(times=np.array(header["times"]),
+                   kernel=np.array(rows, dtype=complex),
                    weights=np.array(header["weights"]))
 
 

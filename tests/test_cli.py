@@ -499,9 +499,11 @@ def test_reproducible_across_worker_counts():
     assert table_bytes(rows_1, cols) == table_bytes(rows_4, cols)
 
 
-def test_parallel_sweep_makes_a_bounded_window_of_tasks_ahead():
+def test_parallel_sweep_makes_a_bounded_window_of_tasks_ahead(monkeypatch):
     # 20,000 per-point tasks: handing them all to the pool before the first
-    # result makes every one of them ahead of the consumer
+    # result makes every one of them ahead of the consumer.  A small chunk
+    # cap shows that the window is set by the cap, not by the grid.
+    monkeypatch.setattr(runner, "_CHUNK_TASKS", 16)
     raw = {"experiment": "rate_tables", "seed": 1,
            "parameters": {"n_atoms": 200, "n_channels": 6, "r_dark_per_s": 10,
                           "p_success": 0.65},
