@@ -48,15 +48,14 @@ def cmd_run(args):
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
+    if args.seed is not None and isinstance(raw, dict):  # checked like the config's own seed
+        raw = dict(raw, seed=args.seed)
     errors = validate_raw(raw)
     if errors:
         for e in errors:
             print(f"schema error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
     config = parse_config(raw)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed,
-                                     raw=dict(config.raw, seed=args.seed))
     if args.out is not None:
         config = dataclasses.replace(config, output_path=os.path.join(
             args.out, os.path.basename(config.output_path)))

@@ -7,6 +7,7 @@ base units (rad/s, s, m); see units.py for the suffix table.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,10 +22,41 @@ except ImportError:
         from hashlib import sha256
 
 from .errors import ConfigError
-from .experiments import EXPERIMENTS, check_value
-from .units import normalize, strip_suffix
+from .experiments import EXPERIMENTS
+from .units import is_number, normalize, strip_suffix
 
 MAX_AXES = 3
+
+
+# What each kind accepts; a tuple kind, exactly its strings.  Ranges are intervals, so
+# an axis's endpoints bound its grid; integer kinds also need lin, integral steps.
+KINDS = {
+    "real": ("a number", is_number),
+    "positive": ("a number > 0", lambda v: is_number(v) and v > 0),
+    "nonneg": ("a number >= 0", lambda v: is_number(v) and v >= 0),
+    "prob": ("a number in [0, 1]", lambda v: is_number(v) and 0 <= v <= 1),
+    "posint": ("an integer >= 1", lambda v: is_number(v) and v >= 1 and v % 1 == 0),
+    "count": ("an integer >= 0", lambda v: is_number(v) and v >= 0 and v % 1 == 0),
+    "bit": ("0 or 1", lambda v: is_number(v) and v in (0, 1)),
+    "mirror": ("'matched', 'unity' or a number in (0, 1]",
+               lambda v: v in ("matched", "unity") or is_number(v) and 0 < v <= 1),
+    "coupling": ("'matched' or a number >= 0",
+                 lambda v: v == "matched" or is_number(v) and v >= 0),
+    "str": ("a string", lambda v: type(v) is str),
+    "outfile": ("a file name, relative to the CSV's directory", lambda v: type(v) is str),
+}
+INTEGER_KINDS = ("posint", "count", "bit")
+_AXIS_KINDS = {"name": "str", "start": "real", "stop": "real", "points": "posint",
+               "scale": ("lin", "log")}
+
+
+def kind_errors(where, kind, value):
+    """[] if value is of this kind, else its one schema error; an unknown kind raises KeyError."""
+    if isinstance(kind, tuple):
+        expected, ok = "one of " + ", ".join(kind), type(value) is str and value in kind
+    else:
+        expected, ok = f"{kind} ({KINDS[kind][0]})", KINDS[kind][1](value)
+    return [] if ok else [f"{where}: expected {expected}, got {value!r}"]
 
 
 @dataclass(frozen=True)
@@ -57,20 +89,13 @@ class ScenarioConfig:
         return tuple(axis.points for axis in self.sweep) if self.sweep else ()
 
     def grid_size(self):
-        n = 1
-        for axis in self.sweep:
-            n *= axis.points
-        return n
+        return math.prod(self.grid_shape())
 
     def point_parameters(self, flat_index):
         """Parameter map for one sweep-grid point (row-major order)."""
         p = dict(self.parameters)
-        remaining = flat_index
-        shape = self.grid_shape()
-        for axis_i in range(len(shape) - 1, -1, -1):
-            axis = self.sweep[axis_i]
-            idx = remaining % shape[axis_i]
-            remaining //= shape[axis_i]
+        for axis in reversed(self.sweep):  # the last axis varies fastest
+            flat_index, idx = divmod(flat_index, axis.points)
             p[axis.name] = float(axis.values[idx])
         return p
 
@@ -83,20 +108,21 @@ class ScenarioConfig:
         return sha256(canon).hexdigest()[:16]
 
 
-def _reserved_names(exp_name):
+def _kinds(exp_name):
+    """Each parameter's kind; every experiment takes a seed."""
     exp = EXPERIMENTS[exp_name]
-    return frozenset(exp.required) | frozenset(exp.optional)
+    return {"seed": "count", **exp.required, **exp.optional}
 
 
 def parse_config(raw):
     errors = validate_raw(raw)
     if errors:
         raise ConfigError("; ".join(errors))
-    reserved = _reserved_names(raw["experiment"])
-    params = normalize(raw.get("parameters", {}), reserved)
+    kinds = _kinds(raw["experiment"])
+    params = normalize(raw.get("parameters", {}), kinds)
     axes = []
     for ax in raw.get("sweep", []):
-        name, factor = strip_suffix(ax["name"], reserved)
+        name, factor = strip_suffix(ax["name"], kinds)
         axes.append(SweepAxis(name=name, start=ax["start"] * factor,
                               stop=ax["stop"] * factor, points=int(ax["points"]),
                               scale=ax.get("scale", "lin")))
@@ -107,78 +133,72 @@ def parse_config(raw):
                           seed=int(raw.get("seed", 0)), raw=raw)
 
 
+def _swept_errors(where, name, kind, ax, factor):
+    """Schema errors of a well-formed axis over a parameter of this kind."""
+    start, stop, log = ax["start"] * factor, ax["stop"] * factor, ax["scale"] == "log"
+    errors = kind_errors(f"{where}.start", kind, start) + kind_errors(f"{where}.stop", kind, stop)
+    if log and not (min(start, stop) > 0 or max(start, stop) < 0):
+        errors.append(f"{where}: log scale needs nonzero same-sign bounds")
+    if not errors and not is_number(stop - start):  # linspace's step would overflow
+        errors.append(f"{where}: stop - start lies beyond the float range")
+    integral = not log and (ax["points"] == 1 or (stop - start) % (ax["points"] - 1) == 0)
+    if not errors and kind in INTEGER_KINDS and not integral:
+        errors.append(f"{where}: {name} takes integers, so needs a lin axis with an integral step")
+    return errors
+
+
 def validate_raw(raw):
-    """Schema errors for a raw config dict (empty list when valid)."""
+    """Schema errors for a raw config dict (empty list when valid): each value
+    against its kind, a swept parameter's on the axis's unit-scaled endpoints."""
     if not isinstance(raw, dict):
         return ["config must be a JSON object"]
     exp_name = raw.get("experiment")
     if not isinstance(exp_name, str) or exp_name not in EXPERIMENTS:
         return [f"experiment: unknown value {exp_name!r}; choose one of "
                 + ", ".join(sorted(EXPERIMENTS))]
-    exp = EXPERIMENTS[exp_name]
-    reserved = _reserved_names(exp_name)
-    # container shapes first: the checks below index into them
-    errors = []
-    parameters = raw.get("parameters", {})
-    if not isinstance(parameters, dict):
-        errors.append("parameters: must be a JSON object")
-    axes = raw.get("sweep", [])
+    exp, kinds = EXPERIMENTS[exp_name], _kinds(exp_name)
+    errors = kind_errors("seed", "count", raw.get("seed", 0))
+    output, axes = raw.get("output", {}), raw.get("sweep", [])
+    if not isinstance(output, dict):
+        errors.append("output: must be a JSON object")
+    else:
+        errors += (kind_errors("output.path", "str", output.get("path", ""))
+                   + kind_errors("output.format", ("csv",), output.get("format", "csv")))
     if not isinstance(axes, list):
         errors.append("sweep: must be a JSON array")
         axes = []
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        errors.append("output: must be a JSON object")
-        output = {}
-    if not isinstance(output.get("path", ""), str):
-        errors.append("output.path: must be a string")
-    seed = raw.get("seed", 0)
-    if type(seed) not in (int, float) or seed % 1:
-        errors.append("seed: must be an integer")
+    elif len(axes) > MAX_AXES:
+        errors.append(f"sweep: at most {MAX_AXES} axes supported, got {len(axes)}")
+    parameters = raw.get("parameters", {})
     if not isinstance(parameters, dict):
-        return errors
+        return errors + ["parameters: must be a JSON object"]
     try:
-        params = normalize(parameters, reserved)
+        params = normalize(parameters, kinds)
     except ValueError as exc:
         return errors + [f"parameters: {exc}"]
-    if len(axes) > MAX_AXES:
-        errors.append(f"sweep: at most {MAX_AXES} axes supported, got {len(axes)}")
-    axis_names = []
     for i, ax in enumerate(axes):
+        where = f"sweep[{i}]"
         if not isinstance(ax, dict):
-            errors.append(f"sweep[{i}]: must be a JSON object")
+            errors.append(f"{where}: must be a JSON object")
             continue
-        for key in ("name", "start", "stop", "points"):
-            if key not in ax:
-                errors.append(f"sweep[{i}].{key}: missing")
-        if not isinstance(ax.get("name", ""), str):
-            errors.append(f"sweep[{i}].name: must be a string")
-        elif "name" in ax:
-            axis_names.append(strip_suffix(ax["name"], reserved)[0])
-        if ax.get("scale", "lin") not in ("lin", "log"):
-            errors.append(f"sweep[{i}].scale: must be 'lin' or 'log'")
-        # exact types: JSON true and false parse to bool, a subclass of int
-        bad = [key for key in ("start", "stop") if type(ax.get(key, 1)) not in (int, float)]
-        errors += [f"sweep[{i}].{key}: must be a number" for key in bad]
-        points = ax.get("points", 1)
-        if type(points) not in (int, float) or points % 1 or points < 1:
-            errors.append(f"sweep[{i}].points: must be a positive integer")
-        if ax.get("scale") == "log" and not bad and ax.get("start", 1) * ax.get("stop", 1) <= 0:
-            errors.append(f"sweep[{i}]: log scale needs nonzero same-sign bounds")
-    if output.get("format", "csv") != "csv":
-        errors.append("output.format: only 'csv' tables are produced")
-    known = set(exp.required) | set(exp.optional) | {"seed"}
-    for name in exp.required:
-        if name not in params and name not in axis_names:
-            errors.append(f"parameters.{name}: required by {exp_name}")
+        ax = {"scale": "lin", **ax}
+        bad = [e for key, kind in _AXIS_KINDS.items()
+               for e in (kind_errors(f"{where}.{key}", kind, ax[key]) if key in ax
+                         else [f"{where}.{key}: missing"])]
+        errors += bad
+        if not bad:
+            name, factor = strip_suffix(ax["name"], kinds)
+            errors += (_swept_errors(where, name, kinds[name], ax, factor) if name in kinds
+                       else [f"sweep axis {name!r}: not recognized by {exp_name}"])
+    given = set(params) | {strip_suffix(ax["name"], kinds)[0] for ax in axes
+                           if isinstance(ax, dict) and type(ax.get("name")) is str}
+    alts = exp.alternatives
+    chosen = next((alt for alt in alts if alt[0] in given), alts[-1] if alts else ())
+    errors += [f"parameters.{name}: required by {exp_name}"
+               for name in (*exp.required, *chosen) if name not in given]
     for name, value in params.items():
-        if name not in known:
-            errors.append(f"parameters.{name}: not recognized by {exp_name}")
-            continue
-        check_value(name, exp.required.get(name, exp.optional.get(name, "any")), value, errors)
-    for name in axis_names:
-        if name not in known:
-            errors.append(f"sweep axis {name!r}: not recognized by {exp_name}")
+        errors += (kind_errors(f"parameters.{name}", kinds[name], value) if name in kinds
+                   else [f"parameters.{name}: not recognized by {exp_name}"])
     return errors
 
 
@@ -187,10 +207,7 @@ def sanity_warnings(config):
     exp = EXPERIMENTS[config.experiment]
     if exp.sanity is None:
         return []
-    p = dict(config.parameters)
-    # evaluate at the first grid point so axis-supplied values participate
-    if config.sweep:
-        p = config.point_parameters(0)
+    p = config.point_parameters(0)  # the first grid point, so axis values participate
     p.setdefault("seed", config.seed)
     try:
         return list(exp.sanity(p))

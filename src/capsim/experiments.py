@@ -2,8 +2,9 @@
 
 Each experiment is a pure function of its (unit-normalized) parameter map;
 it returns a list of output rows.  The Monte-Carlo experiments draw from
-the config seed.  Schemas drive config validation and the CLI's
-physical-sanity report.
+the config seed.  Each schema maps a parameter name to its kind (see
+config.KINDS; a tuple is an enum of its strings); the schemas drive config
+validation and the CLI's physical-sanity report.
 """
 
 import math
@@ -34,18 +35,9 @@ class ExperimentDef:
     # parameter that fn also accepts as a 1-D array, returning one row per
     # element in order; the runner then hands it a whole sweep line at once
     array_param: str = None
-
-
-_CHECKS = {
-    "positive": lambda v: isinstance(v, (int, float)) and v > 0,
-    "nonneg": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "real": lambda v: isinstance(v, (int, float)),
-    "prob": lambda v: isinstance(v, (int, float)) and 0 <= v <= 1,
-    "posint": lambda v: (isinstance(v, (int, float)) and v > 0
-                         and float(v).is_integer()),
-    "str": lambda v: isinstance(v, str),
-    "outfile": lambda v: isinstance(v, str),   # relative to the CSV's directory
-}
+    # groups of parameters fn reads in place of one another: the first group
+    # whose first name is given, else the last group, must be given in full
+    alternatives: tuple = ()
 
 
 def _cavity_from(p):
@@ -321,58 +313,60 @@ def _sanity_tm(p):
     return warnings
 
 
-_CAVITY_OPT = {
-    "c_in": "positive", "g": "positive", "kappa_in": "positive",
-    "kappa_ex": "any", "delta_a": "real", "r_m": "any",
-}
+_CAVITY = {"c_in": "positive", "g": "positive", "kappa_in": "positive",
+           "kappa_ex": "coupling", "delta_a": "real"}
+_OPTICS = dict(_CAVITY, r_m="mirror")
+_CAVITY_FROM = (("g", "kappa_in"), ("c_in",))  # _cavity_from's two ways to build a cavity
 
 EXPERIMENTS = {
     "reflection_scan": ExperimentDef(
         "reflection_scan", _reflection_scan,
         required={"gamma": "positive", "delta": "real"},
-        optional=_CAVITY_OPT,
+        optional=_CAVITY, alternatives=_CAVITY_FROM,
         columns=("re_r0", "im_r0", "abs2_r0", "arg_r0",
                  "re_r1", "im_r1", "abs2_r1", "arg_r1")),
     "longpulse_metrics": ExperimentDef(
         "longpulse_metrics", _longpulse_metrics,
         required={"gamma": "positive"},
-        optional=_CAVITY_OPT,
+        optional=_OPTICS, alternatives=_CAVITY_FROM,
         columns=("f_c", "infidelity", "p_success", "leakage",
                  "p_conventional", "p_opt")),
     "bandwidth_scan": ExperimentDef(
         "bandwidth_scan", _bandwidth_scan,
         required={"gamma": "positive", "sigma_t": "positive"},
-        optional=dict(_CAVITY_OPT, length_dev="real"),
+        optional=dict(_OPTICS, length_dev="real"), alternatives=_CAVITY_FROM,
         columns=("f_c", "infidelity", "p_success"),
         sanity=_sanity_bandwidth),
     "robustness": ExperimentDef(
         "robustness", _robustness,
         required={"gamma": "positive", "sigma_t": "positive",
                   "target": FluctuationSpec._TARGETS},
-        optional=dict(_CAVITY_OPT, fwhm="nonneg", samples="posint",
-                      length_dev="real", seed="any", samples_out="outfile"),
+        optional=dict(_OPTICS, fwhm="nonneg", samples="posint",
+                      length_dev="real", samples_out="outfile"),
+        alternatives=_CAVITY_FROM,
         columns=("mean_infidelity", "mean_success", "n_resampled"),
         sanity=_sanity_bandwidth),
     "crosstalk_scan": ExperimentDef(
         "crosstalk_scan", _crosstalk_scan,
         required={"gamma": "positive", "c_in": "positive", "n_atoms": "posint"},
         optional={"delta_a": "real", "delta_ratio": "positive"},
+        alternatives=(("delta_ratio",), ("delta_a",)),
         columns=("delta_a", "exact_infidelity", "approx_infidelity",
                  "p_success", "per_atom_infidelity")),
     "source_characterize": ExperimentDef(
         "source_characterize", _source_characterize,
         required={"gamma": "positive", "sigma_t": "positive"},
-        optional=dict(_CAVITY_OPT, p_br="prob",
+        optional=dict(_CAVITY, p_br="prob",
                       level_scheme=(src.LAMBDA_3LVL, src.ENTANGLER_4LVL),
                       kernel_points="posint", kernel_out="outfile"),
+        alternatives=_CAVITY_FROM,
         columns=("p_gen", "purity", "lambda_1", "lambda_2", "overlap_target")),
     "protocol_eval": ExperimentDef(
         "protocol_eval", _protocol_eval,
         required={"gamma": "positive", "sigma_t": "positive",
                   "c_in": "positive", "protocol": _PROTOCOLS},
-        optional=dict({k: v for k, v in _CAVITY_OPT.items() if k != "c_in"},
-                      p_br="prob", source=_SOURCES, source_c_in="positive",
-                      kernel_in="str"),
+        optional={"p_br": "prob", "source": _SOURCES, "source_c_in": "positive",
+                  "kernel_in": "str"},
         columns=("fidelity", "infidelity", "p_success", "p_gen",
                  "p_gen_times_p_opt"),
         sanity=_sanity_bandwidth),
@@ -381,7 +375,7 @@ EXPERIMENTS = {
         required={"gamma": "positive", "omega_fsr": "positive",
                   "omega_a": "positive", "sigma0_over_aeff": "positive",
                   "c_over_vg": "positive", "f_int": "positive", "delta": "real"},
-        optional={"n_channels": "posint", "atom_state": "any"},
+        optional={"n_channels": "posint", "atom_state": "bit"},
         columns=("delta_rad_s", "re_r", "im_r", "abs2_r"),
         sanity=_sanity_tm, array_param="delta"),
     "wvm_crosstalk": ExperimentDef(
@@ -390,7 +384,7 @@ EXPERIMENTS = {
                   "omega_a": "positive", "sigma0_over_aeff": "positive",
                   "c_over_vg": "positive", "f_int": "positive",
                   "n_channels": "posint"},
-        optional={"trials": "posint", "n_atoms": "posint", "seed": "any"},
+        optional={"trials": "posint", "n_atoms": "posint"},
         columns=("trial", "channel", "infidelity", "mean_infidelity"),
         sanity=_sanity_tm),
     "rate_tables": ExperimentDef(
@@ -403,17 +397,3 @@ EXPERIMENTS = {
                  "dark_count_error")),
 }
 
-
-def check_value(name, kind, value, errors):
-    if isinstance(kind, tuple):
-        if value not in kind:
-            errors.append(f"parameters.{name}: expected one of {', '.join(kind)}, "
-                          f"got {value!r}")
-        return
-    if kind == "any":
-        return
-    check = _CHECKS.get(kind)
-    if check is None:
-        return
-    if not check(value):
-        errors.append(f"parameters.{name}: expected {kind}, got {value!r}")

@@ -8,6 +8,7 @@ assumed to already be in base units.
 """
 
 import math
+import sys
 
 # Suffix -> multiplicative factor to base units.  Longest match wins.
 _SUFFIXES = {
@@ -44,19 +45,21 @@ def strip_suffix(key, reserved=()):
     return key, 1.0
 
 
+def is_number(value):
+    """An exact JSON number: an int or float within float range, never bool, inf or NaN."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def normalize(mapping, reserved=()):
     """Convert a {key: value} mapping to base units, stripping suffixes.
 
-    Non-numeric values pass through untouched.  Raises ValueError when two
-    keys collapse onto the same base name.
+    Values other than numbers (see is_number) pass through untouched.
+    Raises ValueError when two keys collapse onto the same base name.
     """
     out = {}
     for key, value in mapping.items():
         base, factor = strip_suffix(key, reserved)
         if base in out:
             raise ValueError(f"duplicate parameter after unit conversion: {base!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            out[base] = value
-        else:
-            out[base] = value * factor
+        out[base] = value * factor if is_number(value) else value
     return out

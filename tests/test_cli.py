@@ -122,7 +122,7 @@ _BAD_ENUMS = [
     ({"experiment": "protocol_eval", "parameters": dict(_PROTOCOL_PARAMS, source="gausian")},
      "parameters.source", ("cavity", "gaussian")),
     ({"experiment": "source_characterize",
-      "parameters": dict(GAMMA_KEY, sigma_t_ns=217.6, level_scheme="lambda")},
+      "parameters": dict(GAMMA_KEY, c_in=10, sigma_t_ns=217.6, level_scheme="lambda")},
      "parameters.level_scheme", ("lambda_3lvl", "entangler_4lvl")),
     ({"experiment": "robustness",
       "parameters": dict(GAMMA_KEY, c_in=100, sigma_t_ns=217.6, target="couplng_g")},
@@ -163,7 +163,8 @@ def test_grid_knobs_accepted_only_by_protocol_eval():
                          "parameters": params}) == []
     # the source model lives on its single-excitation basis: no Fock cutoff
     errors = validate_raw({"experiment": "source_characterize",
-                           "parameters": dict(GAMMA_KEY, sigma_t_ns=217.6, fock_cutoff=2)})
+                           "parameters": dict(GAMMA_KEY, c_in=10, sigma_t_ns=217.6,
+                                              fock_cutoff=2)})
     assert errors == ["parameters.fock_cutoff: not recognized by source_characterize"]
 
 
