@@ -8,9 +8,7 @@ time-multiplexed rate by the channel count.
 
 import math
 
-import numpy as np
-
-from capsim import (MuxScenario, TmCavity, WvmSystem, calibrated_coupler,
+from capsim import (MuxScenario, WvmSystem, calibrated_coupler, channel_chain,
                     channel_offsets, rate_wavelength_mux, tm_reflectance,
                     wvm_crosstalk)
 
@@ -26,17 +24,7 @@ print(f"chain-calibrated coupler transmittance {t_ex:.4f}, mirror r_m {r_m:.4f}"
 
 print("\nReflection spectrum with ten atoms on ten neighboring modes:")
 offsets = channel_offsets(10)
-positions = []
-for off in offsets:
-    n_mode = SYSTEM.n0 + off
-    k = int(round(0.5 * n_mode - 0.5))
-    positions.append((k + 0.5) / n_mode)
-order = np.argsort(positions)
-cavity = TmCavity(omega_fsr=SYSTEM.omega_fsr, n0=SYSTEM.n0, t_ex=t_ex,
-                  t_in=SYSTEM.t_in, atom_positions=np.array(positions)[order],
-                  atom_gamma_1d=np.full(10, SYSTEM.gamma_1d),
-                  atom_gamma_total=np.full(10, 2 * GAMMA),
-                  atom_delta_a=np.array(offsets, float)[order] * SYSTEM.omega_fsr)
+cavity = channel_chain(SYSTEM, 10)
 print(f"{'mode offset':>12} {'Re r, all |0>':>14} {'Re r, all |1>':>14}")
 for off in offsets:
     probe = off * SYSTEM.omega_fsr

@@ -37,6 +37,7 @@ from .source import (ENTANGLER_4LVL, LAMBDA_3LVL, DriveProfile, MasterEvolution,
                      autocorrelation, decompose, drive_profile, evolve_master,
                      gaussian_target, mode_overlap, source_kernel)
 from .transfer_matrix import (TmCavity, WvmSystem, calibrated_coupler,
-                              channel_offsets, single_mode_equivalent, tm_atom,
-                              tm_mirror_in, tm_mirror_out, tm_propagation,
-                              tm_reflectance, wvm_crosstalk)
+                              central_antinode, channel_chain, channel_offsets,
+                              single_mode_equivalent, tm_atom, tm_mirror_in,
+                              tm_mirror_out, tm_propagation, tm_reflectance,
+                              wvm_crosstalk)

@@ -207,7 +207,9 @@ def sanity_warnings(config):
     exp = EXPERIMENTS[config.experiment]
     if exp.sanity is None:
         return []
-    p = config.point_parameters(0)  # the first grid point, so axis values participate
+    # the first grid point, where every axis is at its start: the grid is
+    # not built, so a sweep of any size is checked in constant memory
+    p = dict(config.parameters, **{axis.name: float(axis.start) for axis in config.sweep})
     p.setdefault("seed", config.seed)
     try:
         return list(exp.sanity(p))

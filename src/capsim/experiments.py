@@ -9,7 +9,6 @@ validation and the CLI's physical-sanity report.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -227,29 +226,10 @@ def _wvm_system(p):
                         c_over_vg=p["c_over_vg"], f_int=p["f_int"])
 
 
-@lru_cache(maxsize=64)
-def _spectrum_cavity(system, n_ch):
-    """Calibrated chain with one atom per channel at its mode's central antinode."""
-    t_ex, _ = tm.calibrated_coupler(system) if n_ch else (system.t_ex, None)
-    offsets = tm.channel_offsets(n_ch)
-    positions = []
-    for off in offsets:
-        n_mode = system.n0 + off
-        k = int(round(0.5 * n_mode - 0.5))
-        positions.append((k + 0.5) / n_mode)
-    order = np.argsort(positions)
-    return tm.TmCavity(
-        omega_fsr=system.omega_fsr, n0=system.n0, t_ex=t_ex, t_in=system.t_in,
-        atom_positions=np.array(positions)[order],
-        atom_gamma_1d=np.full(n_ch, system.gamma_1d),
-        atom_gamma_total=np.full(n_ch, 2.0 * system.gamma),
-        atom_delta_a=np.array(offsets, dtype=float)[order] * system.omega_fsr)
-
-
 def _tm_spectrum(p):
     n_ch = int(p.get("n_channels", 0))
     state = int(p.get("atom_state", 1))
-    cavity = _spectrum_cavity(_wvm_system(p), n_ch)
+    cavity = tm.channel_chain(_wvm_system(p), n_ch)
     deltas = np.atleast_1d(np.asarray(p["delta"], dtype=float))
     r = tm.tm_reflectance(cavity, deltas, atom_states=[state] * n_ch)
     return [{"delta_rad_s": d, "re_r": x.real, "im_r": x.imag, "abs2_r": abs(x) ** 2}

@@ -6,12 +6,13 @@ on which other points share its task, so results are byte-identical for
 any worker count.  When an experiment accepts one parameter as an array
 and the sweep has that axis, the points that differ only along it form a
 line, and each line is one task: the experiment evaluates the whole line
-in one call.  A point that raises becomes an error row; a line that raises
-is evaluated again point by point, so each failing point keeps its own
-row.  Relative "outfile" parameters are placed in the CSV's directory.
-Each point's rows become CSV lines (shortest-roundtrip floats) as its task
-returns, and the lines are streamed to the file; run metadata and health
-(timings, peak RSS) go to a JSON sidecar so the CSV body stays reproducible.
+in one call.  A point that raises, or returns a NaN or infinite output,
+becomes an error row; a line that fails is evaluated again point by point,
+so each failing point keeps its own row.  Relative "outfile" parameters
+are placed in the CSV's directory.  Each point's rows become CSV lines
+(shortest-roundtrip floats) as its task returns, and the lines are streamed
+to the file; run metadata and health (timings, peak RSS) go to a JSON
+sidecar so the CSV body stays reproducible.
 """
 
 import collections
@@ -28,6 +29,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .errors import DomainError
 from .experiments import EXPERIMENTS
 
 # a parallel sweep's window: tasks per chunk, and chunks in flight per worker.
@@ -40,7 +42,12 @@ _CHUNKS_PER_WORKER = 2
 
 def _call(fn, params):
     try:
-        return fn(dict(params)), None
+        rows = fn(dict(params))
+        for row in rows:  # a NaN or inf output is a failure too, never a cell
+            for name, value in row.items():
+                if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+                    raise DomainError(f"non-finite output {name} = {float(value)!r}")
+        return rows, None
     except Exception as exc:  # any failure becomes an error row, never a lost sweep
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -50,7 +57,7 @@ def _eval_task(task):
 
     A task is one point (axis None) or one line, whose axis parameter
     holds the line's values as an array and yields one row per value.  A
-    line that raises, or returns another number of rows, is evaluated
+    line that fails, or returns another number of rows, is evaluated
     again point by point.
     """
     experiment, params, indices, axis = task

@@ -27,7 +27,7 @@ HIDDEN_DETUNING_FACTOR = 1e10
 
 @dataclass(frozen=True)
 class TmCavity:
-    """Mirrors, atoms and the mode bookkeeping of the resonator.
+    """Mirrors, identical atoms and the mode bookkeeping of the resonator.
 
     omega_fsr is the free spectral range (rad/s); omega_0 = n0 * omega_fsr
     is the reference mode all detunings are measured from.  Atom positions
@@ -41,18 +41,16 @@ class TmCavity:
     t_ex: float
     t_in: float
     atom_positions: np.ndarray      # fractions of L_cav, ascending
-    atom_gamma_1d: np.ndarray
-    atom_gamma_total: np.ndarray
+    gamma_1d: float
+    gamma_total: float
     atom_delta_a: np.ndarray        # detuning of each atom's resonance from omega_0
 
     def __post_init__(self):
         pos = np.atleast_1d(np.asarray(self.atom_positions, dtype=float))
-        for name in ("atom_gamma_1d", "atom_gamma_total", "atom_delta_a"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if arr.shape != pos.shape:
-                raise DomainError("per-atom arrays must share the positions' shape")
-            object.__setattr__(self, name, arr)
-        if np.any(self.atom_gamma_1d < 0.0) or np.any(self.atom_gamma_total <= 0.0):
+        delta_a = np.atleast_1d(np.asarray(self.atom_delta_a, dtype=float))
+        if delta_a.shape != pos.shape:
+            raise DomainError("atom detunings must share the positions' shape")
+        if not (self.gamma_1d >= 0.0 and self.gamma_total > 0.0):
             raise DomainError("atomic rates: gamma_1d must be non-negative, "
                               "gamma_total positive")
         if pos.size and (np.any(pos < 0.0) or np.any(pos > 1.0)):
@@ -60,6 +58,7 @@ class TmCavity:
         if pos.size > 1 and np.any(np.diff(pos) < 0.0):
             raise DomainError("atom positions must be ordered")
         object.__setattr__(self, "atom_positions", pos)
+        object.__setattr__(self, "atom_delta_a", delta_a)
         if self.omega_fsr <= 0.0 or self.n0 < 1:
             raise DomainError("omega_fsr must be positive and n0 a positive mode index")
         if not (0.0 < self.t_ex < 1.0 and 0.0 < self.t_in < 1.0):
@@ -125,15 +124,14 @@ def _chain_reflectance(cavity, delta, states=None):
     k > 1, which would make a row's reflection depend on its batch.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=float))[:, None]
-    positions, gamma_1d, gamma_total, delta_a = (np.atleast_2d(a) for a in (
-        cavity.atom_positions, cavity.atom_gamma_1d, cavity.atom_gamma_total,
-        cavity.atom_delta_a))
-    hidden = HIDDEN_DETUNING_FACTOR * gamma_total
-    branch_delta_a = (np.stack([hidden, delta_a], axis=-1) if states is None
-                      else np.where(np.atleast_2d(states) == 1, delta_a, hidden)[..., None])
+    positions, delta_a = np.atleast_2d(cavity.atom_positions, cavity.atom_delta_a)
+    # each atom's branches: both states, or the one it is fixed in
+    branches = np.array([0, 1]) if states is None else np.atleast_2d(states)[..., None]
+    branch_delta_a = np.where(branches == 1, delta_a[..., None],
+                              HIDDEN_DETUNING_FACTOR * cavity.gamma_total)
     # i zeta of every atom's branches, (rows, n, branches)
-    i_zeta = 1j * (gamma_1d[..., None] / (2.0 * (delta[..., None] - branch_delta_a)
-                                          + 1j * gamma_total[..., None]))
+    i_zeta = 1j * (cavity.gamma_1d / (2.0 * (delta[..., None] - branch_delta_a)
+                                      + 1j * cavity.gamma_total))
     wavenumber = math.pi * (delta / cavity.omega_fsr + cavity.n0)
     v0, v1 = tm_mirror_out(cavity.t_in)[:, 0]
     end = 1.0
@@ -174,7 +172,8 @@ class WvmSystem:
     alpha_loss defaults to 2 pi / intrinsic finesse.  kappa_ex (and hence
     the input-coupler transmittance) is optimized for the unshifted target
     atom.  Only length ratios enter the transfer matrices, so no absolute
-    cavity length is needed.
+    cavity length is needed.  omega_a / omega_fsr must round to a finite
+    mode number n0 >= 1, else DomainError.
     """
 
     gamma: float
@@ -183,6 +182,11 @@ class WvmSystem:
     sigma0_over_aeff: float
     c_over_vg: float
     f_int: float
+
+    def __post_init__(self):
+        ratio = self.omega_a / self.omega_fsr
+        if not (math.isfinite(ratio) and round(ratio) >= 1):
+            raise DomainError(f"omega_a / omega_fsr = {ratio!r} is no mode number >= 1")
 
     @property
     def alpha_loss(self):
@@ -216,10 +220,26 @@ class WvmSystem:
     def n0(self):
         return int(round(self.omega_a / self.omega_fsr))
 
+    def chain(self, t_ex, positions, delta_a):
+        """The system's TmCavity: coupler t_ex, identical atoms (gamma_total = 2 gamma)."""
+        return TmCavity(omega_fsr=self.omega_fsr, n0=self.n0, t_ex=t_ex, t_in=self.t_in,
+                        atom_positions=positions, gamma_1d=self.gamma_1d,
+                        gamma_total=2.0 * self.gamma, atom_delta_a=delta_a)
+
 
 def channel_offsets(n_channels):
     """Mode offsets assigned to the channels, centered on the reference mode."""
     return [n - n_channels // 2 for n in range(n_channels)]
+
+
+def central_antinode(n_mode):
+    """Antinode k = round(n_mode/2 - 1/2) of mode n_mode, at (k + 1/2) / n_mode.
+
+    For odd n_mode that is the center 1/2; for even n_mode, round-half-even
+    picks k = n_mode/2 - 1 when n_mode = 2 (mod 4) and n_mode/2 when
+    n_mode = 0 (mod 4), 1/(2 n_mode) either side of the center.
+    """
+    return (round(0.5 * n_mode - 0.5) + 0.5) / n_mode
 
 
 def _bisect(f, a, b):
@@ -260,18 +280,10 @@ def calibrated_coupler(system):
     Returns (t_ex, r_m); raises DomainError when the search bracket holds
     no balance point.
     """
-    x = (system.n0 // 2 + 0.5) / system.n0
-
-    def build(t_ex):
-        return TmCavity(omega_fsr=system.omega_fsr, n0=system.n0,
-                        t_ex=t_ex, t_in=system.t_in,
-                        atom_positions=np.array([x]),
-                        atom_gamma_1d=np.array([system.gamma_1d]),
-                        atom_gamma_total=np.array([2.0 * system.gamma]),
-                        atom_delta_a=np.array([0.0]))
+    x = central_antinode(system.n0)
 
     def magnitudes(t_ex):  # (|r0|, |r1|) at the bare mode center
-        return np.abs(_chain_reflectance(build(t_ex), 0.0)[0])
+        return np.abs(_chain_reflectance(system.chain(t_ex, [x], [0.0]), 0.0)[0])
 
     def imbalance(t_ex):
         r0, r1 = magnitudes(t_ex)
@@ -280,6 +292,20 @@ def calibrated_coupler(system):
     lo, hi = system.t_in * 1.0001, min(0.9, 10.0 * system.t_ex)
     t_star = _bisect(imbalance, lo, hi)
     return t_star, float(magnitudes(t_star)[1])
+
+
+def channel_chain(system, n_channels):
+    """Calibrated chain with one atom per channel at its mode's central antinode.
+
+    Offset off's atom is detuned off * omega_fsr; atoms in position order.
+    With no channels the chain is empty and keeps the closed-form t_ex.
+    """
+    t_ex = calibrated_coupler(system)[0] if n_channels else system.t_ex
+    offsets = channel_offsets(n_channels)
+    positions = [central_antinode(system.n0 + off) for off in offsets]
+    order = np.argsort(positions)
+    return system.chain(t_ex, np.array(positions)[order],
+                        np.array(offsets, dtype=float)[order] * system.omega_fsr)
 
 
 @dataclass(frozen=True)
@@ -370,13 +396,8 @@ def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None,
     for start in range(0, row_trial.size, per_block):
         block = slice(start, start + per_block)
         trial = row_trial[block]
-        cavity = TmCavity(
-            omega_fsr=system.omega_fsr, n0=system.n0, t_ex=t_ex, t_in=system.t_in,
-            atom_positions=positions[trial],
-            atom_gamma_1d=np.full(trial.shape + (n_atoms,), system.gamma_1d),
-            atom_gamma_total=np.full(trial.shape + (n_atoms,), 2.0 * system.gamma),
-            atom_delta_a=delta_a[trial])
-        refl = _chain_reflectance(cavity, row_probe[block])
+        refl = _chain_reflectance(system.chain(t_ex, positions[trial], delta_a[trial]),
+                                  row_probe[block])
         signed = np.where(cases >> row_shift[block, None] & 1, 1.0, -1.0)
         infidelity[block] = _heralded(r_m, np.sum(np.abs(refl) ** 2, axis=-1) / scale,
                                       np.sum(signed * refl, axis=-1) / scale, n_atoms)[0]

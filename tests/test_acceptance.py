@@ -177,8 +177,7 @@ def test_criterion_09_transfer_matrix_oracle():
         cav = TmCavity(omega_fsr=omega_fsr, n0=n0, t_ex=t_ex,
                        t_in=4 * math.pi * p.kappa_in / omega_fsr,
                        atom_positions=np.array([((n0 - 1) // 2 + 0.5) / n0]),
-                       atom_gamma_1d=np.array([math.pi * p.g**2 / omega_fsr]),
-                       atom_gamma_total=np.array([2 * p.gamma]),
+                       gamma_1d=math.pi * p.g**2 / omega_fsr, gamma_total=2 * p.gamma,
                        atom_delta_a=np.array([0.0]))
         deltas = np.linspace(-5 * p.kappa, 5 * p.kappa, 301)
         t0 = time.perf_counter()

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,22 @@ def test_short_pulse_triggers_bandwidth_warning():
     assert any("minimum-pulse-width" in w for w in warnings)
 
 
+@pytest.mark.parametrize("scale", ["lin", "log"])
+def test_sanity_check_builds_no_sweep_grid(scale):
+    def config(points):
+        return parse_config({"experiment": "bandwidth_scan", "seed": 1,
+                             "parameters": dict(GAMMA_KEY, c_in=100),
+                             "sweep": [{"name": "sigma_t_ns", "start": 50.0, "stop": 500.0,
+                                        "points": points, "scale": scale}]})
+
+    huge = config(10**6)
+    found = sanity_warnings(huge)
+    assert "values" not in vars(huge.sweep[0])  # the grid was never built
+    assert any("minimum-pulse-width" in w for w in found)
+    # the check reads the axis start, which is the grid's first point
+    assert config(3).point_parameters(0)["sigma_t"] == huge.sweep[0].start
+
+
 def test_failing_sanity_check_becomes_warning(monkeypatch):
     exp = EXPERIMENTS["bandwidth_scan"]
 
@@ -321,6 +338,22 @@ def test_numeric_failures_recorded_as_rows(tmp_path):
     lines = (tmp_path / "fail.csv").read_text().splitlines()
     assert len(lines) == 2
     assert "DomainError" in lines[1]
+
+
+def test_non_finite_output_becomes_error_row(tmp_path):
+    # numpy overflows inside reflection_r1; outside the suite's warning filter
+    # the point used to write nan into every r1 cell with an empty error cell
+    cfg = {"experiment": "reflection_scan",
+           "parameters": {"gamma": 1.6e308, "g": 1.0, "kappa_in": 1.6e299,
+                          "kappa_ex": 1.0, "delta": 0.0},
+           "output": {"path": str(tmp_path / "overflow.csv")}}
+    path = _write(tmp_path, "overflow.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["run", path]) == 3
+    row = next(csv.DictReader(open(tmp_path / "overflow.csv")))
+    assert row["error"] == "DomainError: non-finite output re_r1 = nan"
+    assert all(row[c] == "" for c in EXPERIMENTS["reflection_scan"].columns)
 
 
 def test_unexpected_exception_becomes_error_row(tmp_path, monkeypatch):
@@ -571,6 +604,30 @@ def test_failing_detuning_becomes_its_own_error_row(monkeypatch):
     assert rows[:2] + rows[3:] == good[:2] + good[3:]
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.nan)],
+                         ids=["inf", "-inf", "nan", "numpy-nan"])
+def test_non_finite_detuning_becomes_its_own_error_row(bad, monkeypatch):
+    exp = EXPERIMENTS["tm_spectrum"]
+
+    def overflowing(p):
+        rows = exp.fn(p)
+        for row in rows:
+            if row["delta_rad_s"] == 0.0:
+                row["abs2_r"] = bad
+        return rows
+
+    raw = _spectrum_config([{"name": "delta_2pi_GHz", "start": -4.0, "stop": 4.0,
+                             "points": 5}])
+    good = _table_rows(*run_sweep(parse_config(raw))[:2])
+    monkeypatch.setitem(EXPERIMENTS, "tm_spectrum", dataclasses.replace(exp, fn=overflowing))
+    lines, cols, n_failures = run_sweep(parse_config(raw))
+    rows = _table_rows(lines, cols)
+    assert n_failures == 1
+    assert rows[2]["error"] == f"DomainError: non-finite output abs2_r = {float(bad)!r}"
+    assert rows[2]["re_r"] == "" and float(rows[2]["delta"]) == 0.0
+    assert rows[:2] + rows[3:] == good[:2] + good[3:]
+
+
 def test_short_line_is_rerun_point_by_point(monkeypatch):
     exp = EXPERIMENTS["tm_spectrum"]
     raw = _spectrum_config(_DELTA_INNER)
@@ -600,7 +657,8 @@ def _reference_body(config):
     """The CSV body built from row dicts, one per row, through csv.writer.
 
     Every point is evaluated on its own, so line tasks, their order and
-    the worker count play no part.
+    the worker count play no part.  A point that raises, or returns a NaN
+    or infinite float, is one row of empty outputs and the error.
     """
     exp = EXPERIMENTS[config.experiment]
     names = config.axis_names()
@@ -612,9 +670,13 @@ def _reference_body(config):
         axis_values = {name: p[name] for name in names}
         try:
             outs = exp.fn(dict(p))
+            error = next((f"DomainError: non-finite output {c} = {float(v)!r}"
+                          for out in outs for c, v in out.items()
+                          if isinstance(v, float) and not math.isfinite(v)), None)
         except Exception as exc:
-            rows.append(dict(axis_values, **dict.fromkeys(exp.columns, ""),
-                             error=f"{type(exc).__name__}: {exc}"))
+            error = f"{type(exc).__name__}: {exc}"
+        if error is not None:
+            rows.append(dict(axis_values, **dict.fromkeys(exp.columns, ""), error=error))
             continue
         rows += [dict(axis_values, **{c: out.get(c, "") for c in exp.columns}, error="")
                  for out in outs]

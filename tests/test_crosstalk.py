@@ -121,8 +121,7 @@ def test_transfer_chain_oracle_for_spectators(n_atoms):
     cav = TmCavity(omega_fsr=omega_fsr, n0=n0, t_ex=t_ex,
                    t_in=4 * math.pi * p.kappa_in / omega_fsr,
                    atom_positions=(k0 + np.arange(n_atoms) + 0.5) / n0,
-                   atom_gamma_1d=np.full(n_atoms, math.pi * p.g**2 / omega_fsr),
-                   atom_gamma_total=np.full(n_atoms, 2 * p.gamma),
+                   gamma_1d=math.pi * p.g**2 / omega_fsr, gamma_total=2 * p.gamma,
                    atom_delta_a=np.r_[0.0, np.full(n_atoms - 1, detuning)])
     for bits in np.ndindex(*[2] * n_atoms):
         chain = tm_reflectance(cav, 0.0, atom_states=list(bits))

@@ -13,10 +13,11 @@ from capsim.config import parse_config
 from capsim.errors import DomainError
 from capsim.experiments import _wvm_system
 from capsim.gate import _heralded, _snap_unit
-from capsim.transfer_matrix import (TmCavity, WvmSystem,
-                                    calibrated_coupler, channel_offsets,
-                                    single_mode_equivalent, tm_atom,
-                                    tm_mirror_in, tm_mirror_out,
+from capsim.runner import run_sweep
+from capsim.transfer_matrix import (TmCavity, WvmSystem, calibrated_coupler,
+                                    central_antinode, channel_chain,
+                                    channel_offsets, single_mode_equivalent,
+                                    tm_atom, tm_mirror_in, tm_mirror_out,
                                     tm_propagation, tm_reflectance,
                                     wvm_crosstalk)
 
@@ -32,8 +33,8 @@ def _nanofiber_system(f_int=2000):
 def _empty_cavity(t_ex=0.01, t_in=0.01, n0=1000, omega_fsr=1.0):
     empty = np.array([])
     return TmCavity(omega_fsr=omega_fsr, n0=n0, t_ex=t_ex, t_in=t_in,
-                    atom_positions=empty, atom_gamma_1d=empty,
-                    atom_gamma_total=empty, atom_delta_a=empty)
+                    atom_positions=empty, gamma_1d=0.0, gamma_total=1.0,
+                    atom_delta_a=empty)
 
 
 def _single_atom_cavity(params, t_ex_target=0.001, n0=1001):
@@ -42,10 +43,8 @@ def _single_atom_cavity(params, t_ex_target=0.001, n0=1001):
     gamma_1d = math.pi * params.g**2 / omega_fsr
     x = ((n0 - 1) // 2 + 0.5) / n0  # exact central antinode for odd n0
     return TmCavity(omega_fsr=omega_fsr, n0=n0, t_ex=t_ex_target, t_in=t_in,
-                    atom_positions=np.array([x]),
-                    atom_gamma_1d=np.array([gamma_1d]),
-                    atom_gamma_total=np.array([2 * params.gamma]),
-                    atom_delta_a=np.array([0.0]))
+                    atom_positions=np.array([x]), gamma_1d=gamma_1d,
+                    gamma_total=2 * params.gamma, atom_delta_a=np.array([0.0]))
 
 
 # --------------------------------------------------------------------------
@@ -162,8 +161,8 @@ def _random_cavity(rng, n):
                     t_ex=float(rng.uniform(1e-3, 0.1)),
                     t_in=2 * math.pi / rng.uniform(100, 2000),
                     atom_positions=np.sort(rng.uniform(0.0, 1.0, n)),
-                    atom_gamma_1d=rng.uniform(0.0, 1e-3, n),
-                    atom_gamma_total=rng.uniform(1e-4, 1e-2, n),
+                    gamma_1d=float(rng.uniform(0.0, 1e-3)),
+                    gamma_total=float(rng.uniform(1e-4, 1e-2)),
                     atom_delta_a=rng.integers(-3, 4, n).astype(float))
 
 
@@ -187,10 +186,9 @@ def _element_product_reflectance(cavity, delta, state_row):
     prev = 0.0
     for i, x in enumerate(cavity.atom_positions):
         m = m @ tm_propagation(x - prev, delta, cavity.omega_fsr, cavity.n0)
-        gamma_total = cavity.atom_gamma_total[i]
         delta_a = (cavity.atom_delta_a[i] if state_row[i] == 1
-                   else tmod.HIDDEN_DETUNING_FACTOR * gamma_total)
-        m = m @ tm_atom(cavity.atom_gamma_1d[i], gamma_total, delta, delta_a)
+                   else tmod.HIDDEN_DETUNING_FACTOR * cavity.gamma_total)
+        m = m @ tm_atom(cavity.gamma_1d, cavity.gamma_total, delta, delta_a)
         prev = x
     m = m @ tm_propagation(1.0 - prev, delta, cavity.omega_fsr, cavity.n0)
     m = m @ tm_mirror_out(cavity.t_in)
@@ -236,13 +234,13 @@ def test_enumerated_cases_are_bitwise_the_fixed_state_chains():
                 assert np.array_equal(enumerated[:, case], tm_reflectance(cav, delta, bits))
 
 
-@pytest.mark.parametrize("change", [{"t_ex": 1.5}, {"atom_gamma_1d": [-0.1]},
-                                    {"atom_gamma_total": [0.0]}],
+@pytest.mark.parametrize("change", [{"t_ex": 1.5}, {"gamma_1d": -0.1},
+                                    {"gamma_total": 0.0}],
                          ids=["t_ex", "gamma_1d", "gamma_total"])
 def test_invalid_cavity_rejected_at_construction(change):
     fields = dict(omega_fsr=1.0, n0=1001, t_ex=0.01, t_in=0.01,
-                  atom_positions=[0.5], atom_gamma_1d=[0.1],
-                  atom_gamma_total=[2.0], atom_delta_a=[0.0])
+                  atom_positions=[0.5], gamma_1d=0.1, gamma_total=2.0,
+                  atom_delta_a=[0.0])
     TmCavity(**fields)
     with pytest.raises(DomainError):
         TmCavity(**dict(fields, **change))
@@ -332,6 +330,82 @@ def test_calibration_balances_the_chain():
 def test_channel_offsets_are_centered():
     assert channel_offsets(10) == [-5, -4, -3, -2, -1, 0, 1, 2, 3, 4]
     assert channel_offsets(3) == [-1, 0, 1]
+
+
+def _system_at_mode(n0):
+    fsr = 2 * math.pi * 2.7e9
+    return WvmSystem(gamma=GAMMA, omega_fsr=fsr, omega_a=n0 * fsr, sigma0_over_aeff=0.10,
+                     c_over_vg=1.4, f_int=2000)
+
+
+@given(st.integers(1, 10**9))
+def test_central_antinode_is_the_antinode_nearest_the_center(n):
+    x = central_antinode(n)
+    if n % 2:
+        assert x == ((n - 1) / 2 + 0.5) / n
+    else:
+        assert x == ((n // 2 - 1 if n % 4 == 2 else n // 2) + 0.5) / n
+        assert abs(x - 0.5) <= 0.5 / n + 1e-15
+
+
+@pytest.mark.parametrize("n0", [81481, 81482, 81484], ids=["odd", "2mod4", "0mod4"])
+def test_system_chain_carries_the_shared_atomic_rates(n0):
+    system = _system_at_mode(n0)
+    positions = np.sort(np.random.default_rng(n0).uniform(0.0, 1.0, (3, 4)), axis=-1)
+    cavity = system.chain(0.01, positions, np.zeros((3, 4)))
+    assert (cavity.omega_fsr, cavity.n0, cavity.t_ex, cavity.t_in) == (
+        system.omega_fsr, n0, 0.01, system.t_in)
+    assert cavity.gamma_1d == system.gamma_1d and cavity.gamma_total == 2 * GAMMA
+    assert np.array_equal(cavity.atom_positions, positions)
+
+
+@pytest.mark.parametrize("n0", [81481, 81482, 81484], ids=["odd", "2mod4", "0mod4"])
+@pytest.mark.parametrize("n_channels", [0, 1, 2, 5, 10])
+def test_channel_chain_puts_one_atom_per_channel_on_its_central_antinode(n0, n_channels):
+    system = _system_at_mode(n0)
+    cavity = channel_chain(system, n_channels)
+    atoms = [(central_antinode(n0 + off), off * system.omega_fsr)
+             for off in channel_offsets(n_channels)]
+    # modes of one parity can share an antinode (every odd mode's is 1/2)
+    assert np.all(np.diff(cavity.atom_positions) >= 0.0)
+    chain_atoms = zip(cavity.atom_positions.tolist(), cavity.atom_delta_a.tolist())
+    assert sorted(chain_atoms) == sorted(atoms)
+    assert cavity.gamma_1d == system.gamma_1d and cavity.gamma_total == 2 * GAMMA
+    assert cavity.t_ex == (calibrated_coupler(system)[0] if n_channels else system.t_ex)
+
+
+@pytest.mark.parametrize("n0", [81481, 81482, 81484], ids=["odd", "2mod4", "0mod4"])
+def test_calibrated_coupler_unchanged_on_even_modes(n0):
+    # the bits the n0 // 2 antinode gave: at n0 = 2 (mod 4) the shared rule
+    # takes the antinode mirrored about the center, and the chain is unmoved
+    t_ex, r_m = calibrated_coupler(_system_at_mode(n0))
+    assert (t_ex.hex(), r_m.hex()) == ("0x1.51b1d0c8534c3p-5", "0x1.b8c7d235d6c0ep-1")
+
+
+_NO_MODE = {"rounds-to-0": {"omega_a_2pi_GHz": 1.0, "omega_fsr_2pi_GHz": 2.7},
+            "overflows": {"omega_a": 1e300, "omega_fsr": 1e-300}}
+
+
+@pytest.mark.parametrize("omega_a, omega_fsr", [(0.37, 1.0), (0.5, 1.0), (1e300, 1e-300),
+                                                (math.inf, 1.0), (math.nan, 1.0)])
+def test_mode_number_below_one_rejected_at_construction(omega_a, omega_fsr):
+    with pytest.raises(DomainError, match="mode number"):
+        WvmSystem(gamma=1.0, omega_fsr=omega_fsr, omega_a=omega_a,
+                  sigma0_over_aeff=0.1, c_over_vg=1.4, f_int=2000)
+
+
+@pytest.mark.parametrize("experiment, extra, axis", [
+    ("tm_spectrum", {}, {"name": "delta", "start": -1.0, "stop": 1.0, "points": 3}),
+    ("wvm_crosstalk", {"n_channels": 2}, {"name": "trials", "start": 1, "stop": 3, "points": 3})])
+@pytest.mark.parametrize("modes", _NO_MODE.values(), ids=_NO_MODE.keys())
+def test_mode_number_below_one_is_a_domain_error_row(experiment, extra, axis, modes):
+    raw = {"experiment": experiment, "sweep": [axis], "output": {"path": "wvm.csv"},
+           "parameters": dict({"gamma_2pi_MHz": 0.24, "sigma0_over_aeff": 0.1,
+                               "c_over_vg": 1.4, "f_int": 2000}, **modes, **extra)}
+    lines, columns, failures = run_sweep(parse_config(raw))
+    errors = [line.rstrip("\n").split(",")[-1] for line in lines]
+    assert failures == len(lines) == 3
+    assert all(e.startswith("DomainError: ") for e in errors), errors
 
 
 def test_nanofiber_parameter_crosstalk_bounds():
@@ -427,11 +501,7 @@ def _scalar_rows(system, n_channels, n_atoms, trials, seed):
     scale = 2.0 ** (n_atoms - 1)
     rows = []
     for trial in range(trials):
-        cavity = TmCavity(omega_fsr=system.omega_fsr, n0=system.n0, t_ex=t_ex,
-                          t_in=system.t_in, atom_positions=positions[trial],
-                          atom_gamma_1d=np.full(n_atoms, system.gamma_1d),
-                          atom_gamma_total=np.full(n_atoms, 2.0 * system.gamma),
-                          atom_delta_a=delta_a[trial])
+        cavity = system.chain(t_ex, positions[trial], delta_a[trial])
         for i in range(n_atoms):
             off = offsets[i % n_channels]
             refl = tmod._chain_reflectance(cavity, off * system.omega_fsr, cases)
