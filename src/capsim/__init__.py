@@ -20,16 +20,15 @@ from .cavity import (CavityParams, InterfaceOptics, LengthModel,
                      r_opt, reflection_r0, reflection_r1,
                      scaled_by_length_deviation)
 from .crosstalk import (MultiAtomScenario, crosstalk_fidelity_approx,
-                        crosstalk_fidelity_enumerated, crosstalk_fidelity_exact,
-                        matched_scenario, per_atom_infidelity, reflection_multi,
-                        required_detuning)
+                        crosstalk_fidelity_exact, matched_scenario,
+                        per_atom_infidelity, reflection_multi, required_detuning)
 from .errors import CapsError, ConfigError, ConvergenceError, DomainError
 from .gate import (FluctuationSpec, GateOutcome, GateScenario, GaussianPhoton,
                    RobustnessSummary, caps_finite_bandwidth, caps_longpulse,
                    min_sigma_t, robustness_mc)
-from .protocols import (IdealNode, NodeConfig, ProtocolResult,
-                        components_from_kernel, matched_node, memory_load,
-                        type1, type2, type2_mismatched, type2_pair, type3)
+from .protocols import (NodeConfig, ProtocolResult, components_from_kernel,
+                        matched_node, memory_load, type1, type2,
+                        type2_mismatched, type2_pair, type3)
 from .rates import (MuxScenario, dark_count_error, rate_time_mux,
                     rate_wavelength_mux, remainder_atoms)
 from .source import (ENTANGLER_4LVL, LAMBDA_3LVL, DriveProfile, MasterEvolution,
@@ -38,6 +37,5 @@ from .source import (ENTANGLER_4LVL, LAMBDA_3LVL, DriveProfile, MasterEvolution,
                      gaussian_target, mode_overlap, source_kernel)
 from .transfer_matrix import (TmCavity, WvmSystem, calibrated_coupler,
                               central_antinode, channel_chain, channel_offsets,
-                              single_mode_equivalent, tm_atom, tm_mirror_in,
-                              tm_mirror_out, tm_propagation, tm_reflectance,
-                              wvm_crosstalk)
+                              tm_atom, tm_mirror_in, tm_mirror_out,
+                              tm_propagation, tm_reflectance, wvm_crosstalk)

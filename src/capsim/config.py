@@ -69,9 +69,13 @@ class SweepAxis:
 
     @cached_property
     def values(self):
-        """The axis grid, built once per axis and read-only."""
-        space = np.geomspace if self.scale == "log" else np.linspace
-        grid = space(self.start, self.stop, self.points)
+        """The axis grid, built once per axis and read-only, within its endpoints."""
+        if self.scale == "log":  # geomspace's 10**log10(x) can round past the float maximum
+            with np.errstate(over="ignore"):
+                grid = np.clip(np.geomspace(self.start, self.stop, self.points),
+                               *sorted((self.start, self.stop)))
+        else:
+            grid = np.linspace(self.start, self.stop, self.points)
         grid.setflags(write=False)
         return grid
 

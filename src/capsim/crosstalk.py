@@ -26,15 +26,12 @@ class MultiAtomScenario:
     n_atoms: int
     detuning_spectators: float
     r_m: float
-    target_index: int = 1
 
     def __post_init__(self):
         if self.n_atoms < 1:
             raise DomainError("n_atoms must be at least 1")
         if self.n_atoms > 1 and self.detuning_spectators == 0.0:
             raise DomainError("spectators exactly on resonance are a degenerate configuration")
-        if not (1 <= self.target_index <= self.n_atoms):
-            raise DomainError("target_index out of range")
 
 
 def matched_scenario(c_in, gamma, n_atoms, detuning_spectators):
@@ -87,27 +84,6 @@ def crosstalk_fidelity_exact(scenario):
     w = _binom_weights(scenario.n_atoms - 1)
     infidelity, p = _heralded(scenario.r_m, np.sum(w * (np.abs(r0) ** 2 + np.abs(r1) ** 2)),
                               np.sum(w * (r1 - r0)), scenario.n_atoms)
-    return GateOutcome(f_c=1.0 - infidelity, p_success=p)
-
-
-def crosstalk_fidelity_enumerated(scenario):
-    """Reference evaluation by explicit bit-string enumeration.
-
-    Exponential cost; intended for cross-checking the regrouped path at
-    small atom numbers.
-    """
-    n = scenario.n_atoms
-    if n > 16:
-        raise DomainError("enumeration limited to 16 atoms")
-    r0, r1 = _reflections_all_m(scenario)
-    total_abs2 = 0.0
-    total_diff = 0.0 + 0.0j
-    for bits in range(2 ** (n - 1)):
-        m = bin(bits).count("1")
-        total_abs2 += abs(r0[m]) ** 2 + abs(r1[m]) ** 2
-        total_diff += r1[m] - r0[m]
-    scale = 2.0 ** (n - 1)
-    infidelity, p = _heralded(scenario.r_m, total_abs2 / scale, total_diff / scale, n)
     return GateOutcome(f_c=1.0 - infidelity, p_success=p)
 
 

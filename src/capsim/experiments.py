@@ -25,7 +25,6 @@ from .gate import (FluctuationSpec, GateScenario, GaussianPhoton, caps_finite_ba
 
 @dataclass(frozen=True)
 class ExperimentDef:
-    name: str
     fn: callable
     required: dict
     optional: dict
@@ -300,25 +299,25 @@ _CAVITY_FROM = (("g", "kappa_in"), ("c_in",))  # _cavity_from's two ways to buil
 
 EXPERIMENTS = {
     "reflection_scan": ExperimentDef(
-        "reflection_scan", _reflection_scan,
+        _reflection_scan,
         required={"gamma": "positive", "delta": "real"},
         optional=_CAVITY, alternatives=_CAVITY_FROM,
         columns=("re_r0", "im_r0", "abs2_r0", "arg_r0",
                  "re_r1", "im_r1", "abs2_r1", "arg_r1")),
     "longpulse_metrics": ExperimentDef(
-        "longpulse_metrics", _longpulse_metrics,
+        _longpulse_metrics,
         required={"gamma": "positive"},
         optional=_OPTICS, alternatives=_CAVITY_FROM,
         columns=("f_c", "infidelity", "p_success", "leakage",
                  "p_conventional", "p_opt")),
     "bandwidth_scan": ExperimentDef(
-        "bandwidth_scan", _bandwidth_scan,
+        _bandwidth_scan,
         required={"gamma": "positive", "sigma_t": "positive"},
         optional=dict(_OPTICS, length_dev="real"), alternatives=_CAVITY_FROM,
         columns=("f_c", "infidelity", "p_success"),
         sanity=_sanity_bandwidth),
     "robustness": ExperimentDef(
-        "robustness", _robustness,
+        _robustness,
         required={"gamma": "positive", "sigma_t": "positive",
                   "target": FluctuationSpec._TARGETS},
         optional=dict(_OPTICS, fwhm="nonneg", samples="posint",
@@ -327,14 +326,14 @@ EXPERIMENTS = {
         columns=("mean_infidelity", "mean_success", "n_resampled"),
         sanity=_sanity_bandwidth),
     "crosstalk_scan": ExperimentDef(
-        "crosstalk_scan", _crosstalk_scan,
+        _crosstalk_scan,
         required={"gamma": "positive", "c_in": "positive", "n_atoms": "posint"},
         optional={"delta_a": "real", "delta_ratio": "positive"},
         alternatives=(("delta_ratio",), ("delta_a",)),
         columns=("delta_a", "exact_infidelity", "approx_infidelity",
                  "p_success", "per_atom_infidelity")),
     "source_characterize": ExperimentDef(
-        "source_characterize", _source_characterize,
+        _source_characterize,
         required={"gamma": "positive", "sigma_t": "positive"},
         optional=dict(_CAVITY, p_br="prob",
                       level_scheme=(src.LAMBDA_3LVL, src.ENTANGLER_4LVL),
@@ -342,7 +341,7 @@ EXPERIMENTS = {
         alternatives=_CAVITY_FROM,
         columns=("p_gen", "purity", "lambda_1", "lambda_2", "overlap_target")),
     "protocol_eval": ExperimentDef(
-        "protocol_eval", _protocol_eval,
+        _protocol_eval,
         required={"gamma": "positive", "sigma_t": "positive",
                   "c_in": "positive", "protocol": _PROTOCOLS},
         optional={"p_br": "prob", "source": _SOURCES, "source_c_in": "positive",
@@ -351,7 +350,7 @@ EXPERIMENTS = {
                  "p_gen_times_p_opt"),
         sanity=_sanity_bandwidth),
     "tm_spectrum": ExperimentDef(
-        "tm_spectrum", _tm_spectrum,
+        _tm_spectrum,
         required={"gamma": "positive", "omega_fsr": "positive",
                   "omega_a": "positive", "sigma0_over_aeff": "positive",
                   "c_over_vg": "positive", "f_int": "positive", "delta": "real"},
@@ -359,7 +358,7 @@ EXPERIMENTS = {
         columns=("delta_rad_s", "re_r", "im_r", "abs2_r"),
         sanity=_sanity_tm, array_param="delta"),
     "wvm_crosstalk": ExperimentDef(
-        "wvm_crosstalk", _wvm_crosstalk,
+        _wvm_crosstalk,
         required={"gamma": "positive", "omega_fsr": "positive",
                   "omega_a": "positive", "sigma0_over_aeff": "positive",
                   "c_over_vg": "positive", "f_int": "positive",
@@ -368,7 +367,7 @@ EXPERIMENTS = {
         columns=("trial", "channel", "infidelity", "mean_infidelity"),
         sanity=_sanity_tm),
     "rate_tables": ExperimentDef(
-        "rate_tables", _rate_tables,
+        _rate_tables,
         required={"n_atoms": "posint", "tau_shuttle": "positive",
                   "sigma_t": "positive", "p_success": "prob"},
         optional={"n_channels": "posint", "pulse_spacing_factor": "positive",

@@ -343,20 +343,17 @@ def _gate_metrics(optics, sigma_t, g, kappa_in, kappa_ex, gamma, delta_a, cavity
     return norms, overlap
 
 
-def caps_finite_bandwidth(params, optics, sigma_t, cavity_shift=0.0):
+def caps_finite_bandwidth(params, optics, sigma_t):
     """Gate metrics for a Gaussian photon of temporal width sigma_t.
 
     The input spectrum is filtered by the state-dependent cavity response
     (and the mirror path by exp(-i tau_m d)).  The responses are rational
     in the detuning, so every spectral integral has an exact closed form
     through the Faddeeva function; nothing is sampled on a grid.
-    cavity_shift moves the cavity resonance relative to the photon carrier
-    (the caller sets params.delta_a consistently when modeling resonance
-    jitter).
     """
     infidelity, p = _heralded(optics.r_m, *_gate_metrics(
         optics, sigma_t, params.g, params.kappa_in, params.kappa_ex, params.gamma,
-        params.delta_a, cavity_shift))
+        params.delta_a, 0.0))
     return GateOutcome(f_c=1.0 - infidelity[0], p_success=p[0])
 
 

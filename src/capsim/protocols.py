@@ -50,13 +50,6 @@ class NodeConfig:
                           self.optics.tau_m)
 
 
-class IdealNode:
-    """Lossless reference responses: -r0 = r1 = r_m = 1, no delay."""
-
-    r_m = 1.0
-    responses = (Response(-1.0), Response(1.0))
-
-
 def matched_node(c_in, gamma, r_m=None):
     """Delay- and reflectivity-matched node of given internal cooperativity."""
     params = delay_matched_params(c_in, gamma)
@@ -208,17 +201,15 @@ _E00, _E01, _E11 = np.array([_MIRROR, -_R_PLUS, _R_MINUS]) / math.sqrt(2.0)
 # Memory loading
 # --------------------------------------------------------------------------
 
-def memory_load(node, photon, input_state=(1.0 / math.sqrt(2), 1.0 / math.sqrt(2))):
+def memory_load(node, photon):
     """Teleport a photonic qubit into the atom; herald on photon detection.
 
-    input_state is the photonic qubit amplitude pair (alpha, beta).  The
-    per-outcome fidelity compares against the outcome's ideal byproduct
-    state; outcome keys are the photon measurement results 0 and 1.
+    The photonic qubit is (|0> + |1>)/sqrt(2).  The per-outcome fidelity
+    compares against the outcome's ideal byproduct state; outcome keys are
+    the photon measurement results 0 and 1.
     """
     gram = _gram(photon, _node_paths(node))
-    alpha, beta = complex(input_state[0]), complex(input_state[1])
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
-    alpha, beta = alpha / math.sqrt(norm), beta / math.sqrt(norm)
+    alpha = beta = complex(math.sqrt(0.5))
     outcomes = {}
     for j in (0, 1):
         # state entering E is Z^(1+j) |psi>

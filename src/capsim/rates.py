@@ -6,7 +6,7 @@ pulse_spacing_factor * sigma_t; wavelength multiplexing runs n_channels
 such pipelines in parallel on floor(n_atoms / n_channels) atoms each.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError
 
@@ -48,11 +48,7 @@ def rate_wavelength_mux(s):
     Atoms are split floor(n_atoms / n_channels) per channel; the remainder
     is idle (see remainder_atoms).
     """
-    per_channel = s.n_atoms // s.n_channels
-    sub = MuxScenario(n_atoms=per_channel, tau_s=s.tau_s, sigma_t=s.sigma_t,
-                      p_success=s.p_success,
-                      pulse_spacing_factor=s.pulse_spacing_factor,
-                      r_dark=s.r_dark)
+    sub = replace(s, n_atoms=s.n_atoms // s.n_channels, n_channels=1)
     return s.n_channels * rate_time_mux(sub)
 
 

@@ -162,11 +162,6 @@ def _line(cells):
     return buf.getvalue()
 
 
-def table_bytes(lines, columns):
-    """Deterministic CSV body for a result table."""
-    return (_line(columns) + "".join(lines)).encode()
-
-
 def _peak_rss_mb():  # None on Windows, which has no resource module
     try:
         import resource

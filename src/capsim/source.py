@@ -455,7 +455,7 @@ def _trapezoid_weights(t):
     return w
 
 
-def autocorrelation(spec, evolution=None):
+def autocorrelation(evolution):
     """Two-time autocorrelation of the emitted field on the kernel subgrid.
 
     Fills the lower triangle t >= t' by propagating the jump-dressed rows
@@ -463,8 +463,6 @@ def autocorrelation(spec, evolution=None):
     channels; the upper triangle follows by symmetry of the real kernel.
     All active columns advance together, so the cost is one sweep.
     """
-    if evolution is None:
-        evolution = evolve_master(spec)
     model = evolution.model
     sector = evolution.sector
     n = evolution.times.size
@@ -487,7 +485,7 @@ def autocorrelation(spec, evolution=None):
 
 def source_kernel(spec):
     """Convenience pipeline: drive inversion, evolution, autocorrelation."""
-    return autocorrelation(spec, evolve_master(spec))
+    return autocorrelation(evolve_master(spec))
 
 
 @dataclass(frozen=True)
@@ -525,9 +523,9 @@ def decompose(kernel):
                              times=kernel.times, weights=kernel.weights)
 
 
-def mode_overlap(decomp, target, mode_index=0):
-    """Modulus overlap between one eigenmode and a target function of time."""
-    v = decomp.eigenmodes[mode_index]
+def mode_overlap(decomp, target):
+    """Modulus overlap between the leading eigenmode and a target function of time."""
+    v = decomp.eigenmodes[0]
     tgt = np.asarray(target(decomp.times) if callable(target) else target,
                      dtype=complex)
     tgt_norm = math.sqrt(abs(np.sum(decomp.weights * np.abs(tgt) ** 2)))

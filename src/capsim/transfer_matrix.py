@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cavity import CavityParams, kappa_ex_opt
+from .cavity import kappa_ex_opt
 from .errors import DomainError
 from .gate import _heralded, _snap_unit
 
@@ -321,6 +321,9 @@ class WvmResult:
 # 64 kB whatever the trial count.
 _BLOCK_CASES = 2**12
 
+# where wvm_crosstalk draws its antinodes, as x in units of the cavity length
+_WINDOW = (0.45, 0.55)
+
 
 def _antinode_draws(system, n_channels, n_atoms, trials, seed, window):
     """Every trial's antinode draws, as (positions, delta_a, chain_index).
@@ -341,7 +344,7 @@ def _antinode_draws(system, n_channels, n_atoms, trials, seed, window):
         lo = math.ceil(window[0] * (system.n0 + off) - 0.5)
         hi = math.floor(window[1] * (system.n0 + off) - 0.5)
         if atom_channel.count(off) > hi - lo + 1:
-            raise DomainError("antinode sampling failed; widen the window")
+            raise DomainError(f"channel {off} has fewer antinodes in x = {window} than atoms")
         antinodes[off] = (lo, hi)
     positions = np.empty((trials, n_atoms))
     order = np.empty((trials, n_atoms), dtype=int)
@@ -362,8 +365,7 @@ def _antinode_draws(system, n_channels, n_atoms, trials, seed, window):
             np.argsort(order, axis=1))
 
 
-def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None,
-                  window=(0.45, 0.55)):
+def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None):
     """Cross-channel crosstalk of parallel gates on distinct cavity modes.
 
     The antinodes of every trial are drawn first (_antinode_draws).  Each
@@ -373,7 +375,7 @@ def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None,
     row when 2^n is larger) and through one array _heralded per block.
     Results are averaged over targets and trials.  Unless trials >= 1 and
     1 <= n_channels <= n_atoms <= 20, and when a channel has fewer
-    antinodes in the window than atoms, DomainError is raised before any
+    antinodes in _WINDOW than atoms, DomainError is raised before any
     draw.  Rounding below zero is snapped to 0.
     """
     if n_atoms is None:
@@ -382,7 +384,7 @@ def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None,
         raise DomainError("need trials >= 1 and 1 <= n_channels <= n_atoms <= 20 "
                           "(every trial enumerates 2^n_atoms spectator cases)")
     positions, delta_a, chain_index = _antinode_draws(system, n_channels, n_atoms,
-                                                      trials, seed, window)
+                                                      trials, seed, _WINDOW)
     t_ex, r_m = calibrated_coupler(system)
     # row trial * n_atoms + i reads out trial's i-th drawn atom, of channel row_channel
     row_trial = np.repeat(np.arange(trials), n_atoms)
@@ -407,10 +409,3 @@ def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None,
     rows = list(zip(row_trial.tolist(), row_channel.tolist(), infidelity.tolist()))
     return WvmResult(mean_infidelity=float(np.mean(infidelity)), per_channel=per_channel,
                      rows=rows, n_resampled_trials=0)
-
-
-def single_mode_equivalent(system):
-    """CavityParams matching one isolated mode of the chain."""
-    g = math.sqrt(system.gamma_1d * system.omega_fsr / math.pi)
-    return CavityParams(g=g, kappa_in=system.kappa_in, kappa_ex=system.kappa_ex,
-                        gamma=system.gamma)

@@ -20,10 +20,11 @@ from capsim.gate import (FluctuationSpec, GateScenario, caps_finite_bandwidth,
                          caps_longpulse, robustness_mc)
 from capsim.protocols import matched_node, type1, type2, type3
 from capsim.rates import MuxScenario, rate_time_mux, rate_wavelength_mux
-from capsim.runner import run_sweep, table_bytes
+from capsim.runner import run_sweep
 from capsim.source import (ENTANGLER_4LVL, SourceSpec, decompose,
                            gaussian_target, mode_overlap, source_kernel)
 from capsim.transfer_matrix import TmCavity, WvmSystem, tm_reflectance, wvm_crosstalk
+from helpers import table_bytes
 
 GAMMA_YB = 2 * math.pi * 0.24e6
 

@@ -22,8 +22,9 @@ from capsim.cli import _recipe_names, _resolve_config, main
 from capsim.config import parse_config, sanity_warnings, validate_raw
 from capsim.errors import ConvergenceError
 from capsim.experiments import EXPERIMENTS
-from capsim.runner import _peak_rss_mb, run_sweep, table_bytes, write_outputs
+from capsim.runner import _peak_rss_mb, run_sweep, write_outputs
 from capsim.units import _SUFFIXES, normalize, strip_suffix
+from helpers import table_bytes
 
 GAMMA_KEY = {"gamma_2pi_MHz": 0.24}
 

@@ -6,16 +6,33 @@ import numpy as np
 import pytest
 
 from capsim.cavity import CavityParams, InterfaceOptics, delay_matched_params
-from capsim.crosstalk import (MultiAtomScenario, crosstalk_fidelity_approx,
-                              crosstalk_fidelity_enumerated,
-                              crosstalk_fidelity_exact, matched_scenario,
-                              per_atom_infidelity, reflection_multi,
+from capsim.crosstalk import (MultiAtomScenario, _reflections_all_m,
+                              crosstalk_fidelity_approx, crosstalk_fidelity_exact,
+                              matched_scenario, per_atom_infidelity, reflection_multi,
                               required_detuning)
 from capsim.errors import DomainError
-from capsim.gate import caps_longpulse
+from capsim.gate import GateOutcome, _heralded, caps_longpulse
 from capsim.transfer_matrix import TmCavity, tm_reflectance
 
 GAMMA = 2 * math.pi * 0.24e6
+
+
+def crosstalk_fidelity_enumerated(scenario):
+    """Reference evaluation by explicit bit-string enumeration.
+
+    Exponential cost; cross-checks the regrouped path at small atom numbers.
+    """
+    n = scenario.n_atoms
+    r0, r1 = _reflections_all_m(scenario)
+    total_abs2 = 0.0
+    total_diff = 0.0 + 0.0j
+    for bits in range(2 ** (n - 1)):
+        m = bin(bits).count("1")
+        total_abs2 += abs(r0[m]) ** 2 + abs(r1[m]) ** 2
+        total_diff += r1[m] - r0[m]
+    scale = 2.0 ** (n - 1)
+    infidelity, p = _heralded(scenario.r_m, total_abs2 / scale, total_diff / scale, n)
+    return GateOutcome(f_c=1.0 - infidelity, p_success=p)
 
 
 def test_no_spectators_reduces_to_single_atom_reflection():

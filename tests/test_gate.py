@@ -101,13 +101,21 @@ def test_infidelity_monotone_in_pulse_width():
     assert all(b <= a + 1e-15 for a, b in zip(infs, infs[1:]))
 
 
+def _shifted_outcome(params, optics, sigma_t, cavity_shift):
+    """caps_finite_bandwidth with the cavity resonance moved by cavity_shift."""
+    infidelity, p = gate._heralded(optics.r_m, *gate._gate_metrics(
+        optics, sigma_t, params.g, params.kappa_in, params.kappa_ex, params.gamma,
+        params.delta_a, cavity_shift))
+    return GateOutcome(f_c=1.0 - infidelity[0], p_success=p[0])
+
+
 def test_grid_reflection_symmetry():
     # mirroring the detuning axis: r(-d; delta_a) = conj r(d; -delta_a), so
     # (delta_a, shift) and (-delta_a, -shift) give the same metrics
     p, optics = _matched(20)
     for delta_a, shift in ((0.7, 0.3), (-2.0, 1.1), (0.0, 0.5)):
-        a = caps_finite_bandwidth(p.with_(delta_a=delta_a), optics, 0.8, shift)
-        b = caps_finite_bandwidth(p.with_(delta_a=-delta_a), optics, 0.8, -shift)
+        a = _shifted_outcome(p.with_(delta_a=delta_a), optics, 0.8, shift)
+        b = _shifted_outcome(p.with_(delta_a=-delta_a), optics, 0.8, -shift)
         assert a.f_c == pytest.approx(b.f_c, abs=1e-14)
         assert a.p_success == pytest.approx(b.p_success, abs=1e-14)
 
@@ -158,8 +166,10 @@ def test_closed_form_matches_quadrature_oracle():
         ref_f_pro, ref_one_minus_l = _simpson_metrics(params, optics, sigma_t, shift)
         assert abs(f_pro - ref_f_pro) <= 1e-12
         assert abs(one_minus_l - ref_one_minus_l) <= 1e-12
-        f_c = caps_finite_bandwidth(params, optics, sigma_t, shift).f_c
-        assert abs(f_c - (1.0 - 0.8 * (1.0 - ref_f_pro / ref_one_minus_l))) <= 1e-12
+        out = _shifted_outcome(params, optics, sigma_t, shift)
+        assert abs(out.f_c - (1.0 - 0.8 * (1.0 - ref_f_pro / ref_one_minus_l))) <= 1e-12
+        if shift == 0.0:
+            assert caps_finite_bandwidth(params, optics, sigma_t) == out
 
 
 @pytest.mark.parametrize("decade", range(-3, 3))
@@ -288,7 +298,7 @@ def _reference_outcome(base, target, x):
     else:
         shift = x / base.sigma_t
         params = params.with_(delta_a=params.delta_a - shift)
-    return caps_finite_bandwidth(params, base.optics, base.sigma_t, shift)
+    return _shifted_outcome(params, base.optics, base.sigma_t, shift)
 
 
 def _reference_robustness(base, spec):

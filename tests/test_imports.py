@@ -1,8 +1,10 @@
-"""Every name a capsim module imports is used in that module.
+"""Every name a capsim module imports is used in that module, and every
+top-level function or class is referenced somewhere in the package.
 
-No linter ships with the test dependencies, so this is an AST scan.
-__init__.py only re-exports and is skipped.  A name bound by several
-imports (config.py's sha256 fallbacks) counts as used when any use reads it.
+No linter ships with the test dependencies, so these are AST scans.
+__init__.py only re-exports and is skipped by the import scan.  A name
+bound by several imports (config.py's sha256 fallbacks) counts as used when
+any use reads it.  A re-export from __init__.py counts as a reference.
 """
 
 import ast
@@ -26,6 +28,27 @@ def _unused_imports(source):
     return sorted(imported - used)
 
 
+def _unreferenced_definitions(sources):
+    """module:name of each top-level def or class no statement reads but its own.
+
+    sources maps module file names to their text.  Names are matched across
+    modules, so a definition counts as referenced when any module reads its
+    name, as a bare name, an attribute or a from-import.
+    """
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            nodes = list(ast.walk(stmt))
+            names = ({n.id for n in nodes if isinstance(n, ast.Name)}
+                     | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+                     | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names})
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, stmt.name))
+                names.discard(stmt.name)
+            referenced |= names
+    return sorted(f"{module}:{name}" for module, name in defined if name not in referenced)
+
+
 def test_scan_flags_an_unused_import():
     source = ("import math\nimport os.path\nfrom functools import lru_cache as cache\n"
               "from json import dumps\nprint(os.path.sep, dumps)\n")
@@ -39,3 +62,17 @@ def test_modules_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert _unused_imports((SRC / module).read_text()) == []
+
+
+def test_scan_flags_an_unreferenced_definition():
+    sources = {"a.py": ("import b\ndef loop():\n    return loop()\nclass Used:\n    pass\n"
+                        "def helper():\n    return Used\ndef exported():\n    pass\n"
+                        "x = b.reached()\n"),
+               "b.py": "from .a import helper\ndef reached():\n    return helper()\n",
+               "__init__.py": "from .a import exported\n"}
+    assert _unreferenced_definitions(sources) == ["a.py:loop"]
+
+
+def test_every_definition_is_referenced():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert _unreferenced_definitions(sources) == []

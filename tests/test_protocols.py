@@ -7,14 +7,21 @@ import pytest
 from capsim import gate, protocols
 from capsim.cavity import CavityParams, InterfaceOptics, r_opt, reflection_r0, reflection_r1
 from capsim.errors import ConvergenceError, DomainError
-from capsim.gate import GaussianPhoton
-from capsim.protocols import (IdealNode, NodeConfig, components_from_kernel,
+from capsim.gate import GaussianPhoton, Response
+from capsim.protocols import (NodeConfig, components_from_kernel,
                               matched_node, memory_load, type1, type2,
                               type2_mismatched, type2_pair, type3)
 from capsim.source import TemporalKernel, decompose
 
 GAMMA = 1.0
 LONG = GaussianPhoton(5e3)
+
+
+class IdealNode:
+    """Lossless reference responses: -r0 = r1 = r_m = 1, no delay."""
+
+    r_m = 1.0
+    responses = (Response(-1.0), Response(1.0))
 
 
 def _gaussian_rank1_kernel(sigma=1.0, n=401):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsim.transfer_matrix as tmod
-from capsim.cavity import delay_matched_params, reflection_r0, reflection_r1
+from capsim.cavity import CavityParams, delay_matched_params, reflection_r0, reflection_r1
 from capsim.config import parse_config
 from capsim.errors import DomainError
 from capsim.experiments import _wvm_system
@@ -16,10 +16,9 @@ from capsim.gate import _heralded, _snap_unit
 from capsim.runner import run_sweep
 from capsim.transfer_matrix import (TmCavity, WvmSystem, calibrated_coupler,
                                     central_antinode, channel_chain,
-                                    channel_offsets, single_mode_equivalent,
-                                    tm_atom, tm_mirror_in, tm_mirror_out,
-                                    tm_propagation, tm_reflectance,
-                                    wvm_crosstalk)
+                                    channel_offsets, tm_atom, tm_mirror_in,
+                                    tm_mirror_out, tm_propagation,
+                                    tm_reflectance, wvm_crosstalk)
 
 GAMMA = 2 * math.pi * 0.24e6
 
@@ -464,14 +463,18 @@ def test_antinode_draws_match_list_reference(n_channels, n_atoms, window):
 
 
 def test_antinode_capacity_checked_before_any_draw(monkeypatch):
-    # channel -1 has two antinodes in this window and would need three atoms
+    # at n0 = 3 channel -1's mode, N = 2, has its antinodes at x = 1/4 and
+    # 3/4, none of them in the sampling window
+    omega_fsr = 2 * math.pi * 2.7e9
+    system = WvmSystem(gamma=GAMMA, omega_fsr=omega_fsr, omega_a=3 * omega_fsr,
+                       sigma0_over_aeff=0.10, c_over_vg=1.4, f_int=2000)
+
     def no_draws(*args, **kwargs):
         raise AssertionError("drew antinodes for a trial that cannot fit")
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
-    with pytest.raises(DomainError, match="widen the window"):
-        wvm_crosstalk(_nanofiber_system(), 2, trials=3, seed=1, n_atoms=5,
-                      window=(0.5, 0.500025))
+    with pytest.raises(DomainError, match="channel -1 has fewer antinodes"):
+        wvm_crosstalk(system, 3, trials=3, seed=1)
 
 
 @pytest.mark.parametrize("n_channels, trials, n_atoms",
@@ -562,6 +565,13 @@ def test_hidden_atom_sentinel_insensitive():
         tmod.HIDDEN_DETUNING_FACTOR = original
     diffs = [abs(x[2] - y[2]) for x, y in zip(res_a.rows, res_b.rows)]
     assert max(diffs) < 1e-12
+
+
+def single_mode_equivalent(system):
+    """CavityParams matching one isolated mode of the chain."""
+    g = math.sqrt(system.gamma_1d * system.omega_fsr / math.pi)
+    return CavityParams(g=g, kappa_in=system.kappa_in, kappa_ex=system.kappa_ex,
+                        gamma=system.gamma)
 
 
 def test_single_mode_equivalent_matches_cooperativity():
