@@ -46,6 +46,7 @@ KINDS = {
     "outfile": ("a file name, relative to the CSV's directory", lambda v: type(v) is str),
 }
 INTEGER_KINDS = ("posint", "count", "bit")
+_UNIT_KINDS = ("real", "positive", "nonneg", "coupling")  # the kinds a unit suffix may scale
 _AXIS_KINDS = {"name": "str", "start": "real", "stop": "real", "points": "posint",
                "scale": ("lin", "log")}
 
@@ -137,6 +138,14 @@ def parse_config(raw):
                           seed=int(raw.get("seed", 0)), raw=raw)
 
 
+def _suffix_errors(where, key, kinds):
+    """The schema error of a unit suffix stripped from key onto a dimensionless name."""
+    name = strip_suffix(key, kinds)[0]
+    if name != key and name in kinds and kinds[name] not in _UNIT_KINDS:
+        return [f"{where}: {name} is dimensionless and takes no unit suffix"]
+    return []
+
+
 def _swept_errors(where, name, kind, ax, factor):
     """Schema errors of a well-formed axis over a parameter of this kind."""
     start, stop, log = ax["start"] * factor, ax["stop"] * factor, ax["scale"] == "log"
@@ -194,12 +203,15 @@ def validate_raw(raw):
             name, factor = strip_suffix(ax["name"], kinds)
             errors += (_swept_errors(where, name, kinds[name], ax, factor) if name in kinds
                        else [f"sweep axis {name!r}: not recognized by {exp_name}"])
+            errors += _suffix_errors(f"{where}.name", ax["name"], kinds)
     given = set(params) | {strip_suffix(ax["name"], kinds)[0] for ax in axes
                            if isinstance(ax, dict) and type(ax.get("name")) is str}
     alts = exp.alternatives
     chosen = next((alt for alt in alts if alt[0] in given), alts[-1] if alts else ())
     errors += [f"parameters.{name}: required by {exp_name}"
                for name in (*exp.required, *chosen) if name not in given]
+    for key in parameters:
+        errors += _suffix_errors(f"parameters.{key}", key, kinds)
     for name, value in params.items():
         errors += (kind_errors(f"parameters.{name}", kinds[name], value) if name in kinds
                    else [f"parameters.{name}: not recognized by {exp_name}"])

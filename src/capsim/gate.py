@@ -412,7 +412,7 @@ def robustness_mc(base, spec):
     x = np.zeros(spec.samples)
     n_resampled = 0
     states = _stream_states(spec.seed, spec.samples) if spec.fwhm > 0.0 else None
-    rng = np.random.Generator(np.random.PCG64(0))
+    rng = np.random.Generator(np.random.PCG64(0)) if states is not None else None
     for i in range(spec.samples):
         if states is not None:
             rng.bit_generator.state = states[i]
@@ -445,7 +445,8 @@ def robustness_mc(base, spec):
 # numpy's SeedSequence constants (bit_generator.pyx) and PCG64's multiplier
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT, _MASK32, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**32 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 
 
 def _stream_states(seed, n):
@@ -486,6 +487,42 @@ def _stream_states(seed, n):
         states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                        "has_uint32": 0, "uinteger": 0})
     return states
+
+
+class _Pcg64:
+    """default_rng([seed, i])'s words and integers(n) from its _stream_states entry.
+
+    O'Neill's XSL-RR output of a 128-bit LCG, 32-bit words in halves through
+    numpy's has_uint32 buffer, and Lemire's rejection (random_bounded_uint64_fill).
+    """
+
+    def __init__(self, entry):
+        self.state, self.inc = entry["state"]["state"], entry["state"]["inc"]
+        self.high = None   # the unread high half of the last word next_uint32 split
+
+    def next_uint64(self):
+        self.state = (self.state * _PCG64_MULT + self.inc) & _MASK128
+        word, rot = (self.state >> 64 ^ self.state) & _MASK64, self.state >> 122
+        return (word >> rot | word << (64 - rot)) & _MASK64
+
+    def next_uint32(self):
+        if self.high is not None:
+            word, self.high = self.high, None
+            return word
+        word = self.next_uint64()
+        self.high = word >> 32
+        return word & _MASK32
+
+    def integers(self, n):
+        """Generator.integers(n) for 1 <= n <= 2**63: 32-bit words up to n = 2**32."""
+        if n == 1:
+            return 0
+        bits, draw = (32, self.next_uint32) if n <= 2**32 else (64, self.next_uint64)
+        # Lemire: m // 2**bits is uniform once low words below 2**bits mod n are redrawn
+        m = draw() * n
+        while m & ((1 << bits) - 1) < (1 << bits) % n:
+            m = draw() * n
+        return m >> bits
 
 
 def _valid_draw(params, target, x):

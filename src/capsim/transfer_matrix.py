@@ -17,7 +17,7 @@ import numpy as np
 
 from .cavity import kappa_ex_opt
 from .errors import DomainError
-from .gate import _heralded, _snap_unit
+from .gate import _heralded, _Pcg64, _snap_unit, _stream_states
 
 # Atoms in the uncoupled qubit state are pushed this many linewidths away.
 # 1e10 keeps the residual response below the 1e-12 stability bound asserted
@@ -330,7 +330,8 @@ def _antinode_draws(system, n_channels, n_atoms, trials, seed, window):
 
     Atoms are assigned to channels round-robin and each is placed at a
     random free antinode of its own mode inside the window, trial t drawing
-    from default_rng([seed, t]).  Row t of positions and delta_a is trial
+    default_rng([seed, t]).integers from that stream's own PCG64
+    (gate._Pcg64), so numpy.random is never imported.  Row t of positions and delta_a is trial
     t's chain in ascending position order; chain_index[t, i] is where the
     i-th drawn atom sits in it.  A channel with fewer antinodes in the
     window than atoms raises DomainError before any draw.
@@ -348,8 +349,8 @@ def _antinode_draws(system, n_channels, n_atoms, trials, seed, window):
         antinodes[off] = (lo, hi)
     positions = np.empty((trials, n_atoms))
     order = np.empty((trials, n_atoms), dtype=int)
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
+    for trial, state in enumerate(_stream_states(seed, trials)):
+        rng = _Pcg64(state)
         taken = {off: set() for off in offsets}   # antinode indices k
         for i, off in enumerate(atom_channel):
             lo, hi = antinodes[off]

@@ -854,10 +854,17 @@ def test_gate_runs_import_no_scipy_and_match_in_process(tmp_path):
     ("run", _spectrum_config(_DELTA_INNER)),
     ("validate", {"experiment": "protocol_eval", "parameters": dict(_PROTOCOL_PARAMS),
                   "output": {"path": "protocol.csv"}}),
-], ids=["tm_spectrum_run", "protocol_eval_validate"])
+    ("run", {"experiment": "wvm_crosstalk", "seed": 2,
+             "parameters": dict(_WVM_PARAMETERS, n_channels=3, trials=2),
+             "output": {"path": "crosstalk.csv"}}),
+    ("run", dict(_robustness_config(samples=50),
+                 sweep=[{"name": "fwhm", "start": 0.0, "stop": 0.0, "points": 2}])),
+], ids=["tm_spectrum_run", "protocol_eval_validate", "wvm_crosstalk_run",
+        "robustness_zero_fwhm_run"])
 def test_commands_without_random_draws_load_no_unneeded_module(command, raw, tmp_path):
-    """A one-worker run or a validate of an experiment that draws no random
-    numbers loads none of these (peak RSS each adds, measured after numpy):
+    """A one-worker run or a validate of an experiment that draws no numbers
+    from numpy.random loads none of these (peak RSS each adds, measured after
+    numpy):
 
     - _hashlib maps OpenSSL's libcrypto, 3.4-3.6 MB; hashlib imports it, so
       the config hash uses the interpreter's builtin SHA-256;
@@ -867,12 +874,13 @@ def test_commands_without_random_draws_load_no_unneeded_module(command, raw, tmp
     - concurrent.futures and multiprocessing, 0.2 and 0.4 MB; only a run
       with more than one worker needs a pool;
     - numpy.random, 5.2 MB with the libcrypto its import of secrets -> hmac
-      maps; only robustness and wvm_crosstalk draw random numbers.
+      maps; only robustness draws from it, and only at fwhm > 0.
+      wvm_crosstalk draws default_rng's integers from gate._Pcg64.
     """
     cfg = _write(tmp_path, "config.json", raw)
     extra = ["--workers", "1", "--out", str(tmp_path)] if command == "run" else []
     unneeded = ("_hashlib", "ssl", "scipy", "concurrent.futures", "multiprocessing",
-                "numpy.random")
+                "numpy.random", "secrets")
     assert _cold_start_modules([[command, cfg, *extra]], unneeded) == []
 
 

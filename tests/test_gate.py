@@ -250,6 +250,41 @@ def test_stream_states_equal_default_rng_streams(seed):
         assert state == np.random.default_rng([seed, i]).bit_generator.state
 
 
+# both sides of the 32-bit path's edge, 64-bit bounds up to int64's, and bounds
+# just past a power of two, which reject a quarter to a half of their words
+_EDGE_N = [1, 2, 3, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**62, 2**62 + 1,
+           2**63 - 1, 2**63]
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**32 + 7, 2**40 + 3, 2**64 + 1, 2**70 + 5])
+def test_pcg64_integers_equal_default_rng(seed):
+    pick = np.random.default_rng(seed % 997)
+    widths = pick.integers(1, 64, 300).tolist()
+    sizes = _EDGE_N * 4 + [int(pick.integers(2**w)) + 1 for w in widths]
+    for i, state in enumerate(gate._stream_states(seed, 6)):
+        # 32- and 64-bit draws interleave, around the half word numpy buffers
+        order = pick.permutation(len(sizes)).tolist()
+        stream, rng = gate._Pcg64(state), np.random.default_rng([seed, i])
+        assert [stream.integers(sizes[j]) for j in order] == [
+            int(rng.integers(sizes[j])) for j in order]
+        after = rng.bit_generator.state
+        assert stream.state == after["state"]["state"]
+        assert (stream.high is not None) == after["has_uint32"]
+        assert stream.next_uint64() == int(rng.bit_generator.random_raw())
+
+
+def test_pcg64_integers_of_one_draw_no_word():
+    (state,) = gate._stream_states(5, 1)
+    for before in ([], [2**32 - 5], [2**40]):   # nothing, a half word or a whole word drawn
+        stream, skipped = gate._Pcg64(state), gate._Pcg64(state)
+        rng = np.random.default_rng([5, 0])
+        for n in before:
+            assert stream.integers(n) == skipped.integers(n) == rng.integers(n)
+        assert stream.integers(1) == rng.integers(1) == 0
+        # the next draw is the one a stream that skipped integers(1) makes
+        assert stream.integers(2**32) == skipped.integers(2**32) == rng.integers(2**32)
+
+
 def test_mc_deterministic_for_fixed_seed():
     base = _scenario()
     spec = FluctuationSpec(target="coupling_g", fwhm=0.2, samples=64, seed=42)

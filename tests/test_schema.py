@@ -78,6 +78,11 @@ _PINNED = {
     "protocol-axis": (_config("protocol_eval", [_axis("protocol", 0, 1, 2)]), "sweep[0].start"),
     "samples_out-axis": (_config("robustness", [_axis("samples_out", 0, 1, 2)]),
                          "sweep[0].start"),
+    # a unit suffix on a dimensionless name rescaled it: p_br_ms = 500 ran as p_br = 0.5
+    "p_br_ms": (_config("source_characterize", p_br_ms=500), "parameters.p_br_ms"),
+    "p_br_ms-axis": (_config("source_characterize", [_axis("p_br_ms", 0, 500, 2)]),
+                     "sweep[0].name"),
+    "atom_state_ms": (_config("tm_spectrum", atom_state_ms=1000), "parameters.atom_state_ms"),
     # parameter groups an experiment reads in place of each other (KeyError rows)
     "g-without-kappa_in": (_config("longpulse_metrics", g=1e6), "parameters.kappa_in"),
     "crosstalk-without-detuning": (dict(_config("crosstalk_scan"),
@@ -157,7 +162,7 @@ def _configs(draw):
         return draw(st.sampled_from(kind) if isinstance(kind, tuple) else _VALID[kind])
 
     names = sorted(kinds)
-    suffix = st.sampled_from([""] * 8 + ["_ns", "_2pi_MHz"])  # rescales any number
+    suffix = st.sampled_from([""] * 8 + ["_ns", "_2pi_MHz"])  # a unit, or an error
     params = {name + draw(suffix): value(kinds[name]) for name in names
               if draw(st.integers(0, 5)) or name in exp.required}
     axes = []

@@ -472,7 +472,7 @@ def test_antinode_capacity_checked_before_any_draw(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("drew antinodes for a trial that cannot fit")
 
-    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(tmod, "_stream_states", no_draws)
     with pytest.raises(DomainError, match="channel -1 has fewer antinodes"):
         wvm_crosstalk(system, 3, trials=3, seed=1)
 
@@ -485,7 +485,7 @@ def test_wvm_inputs_checked_before_any_draw(monkeypatch, n_channels, trials, n_a
     def no_draws(*args, **kwargs):
         raise AssertionError("drew antinodes for inputs that cannot run")
 
-    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(tmod, "_stream_states", no_draws)
     with pytest.raises(DomainError):
         wvm_crosstalk(_nanofiber_system(), n_channels, trials, seed=1, n_atoms=n_atoms)
 
