@@ -404,7 +404,7 @@ def robustness_mc(base, spec):
     redrawn up to ten times each; the resample count is reported, and the
     lowest sample left without a valid draw raises.  Deterministic for a
     fixed seed, independent of any execution partitioning: sample i draws
-    from the stream of default_rng([seed, i]), whose states are derived
+    from default_rng([seed, i])'s stream (_Pcg64), whose states are derived
     in one batch (_stream_states) only when fwhm > 0.  All samples are
     then evaluated in one exact kernel call.
     """
@@ -412,13 +412,11 @@ def robustness_mc(base, spec):
     x = np.zeros(spec.samples)
     n_resampled = 0
     states = _stream_states(spec.seed, spec.samples) if spec.fwhm > 0.0 else None
-    rng = np.random.Generator(np.random.PCG64(0)) if states is not None else None
     for i in range(spec.samples):
-        if states is not None:
-            rng.bit_generator.state = states[i]
+        rng = _Pcg64(states[i]) if states is not None else None
         for _ in range(_RESAMPLE_CAP + 1):
-            if states is not None:
-                x[i] = rng.normal(0.0, sigma)
+            if rng is not None:
+                x[i] = sigma * rng.standard_normal()
             if _valid_draw(base.params, spec.target, x[i]):
                 break
             n_resampled += 1
@@ -447,10 +445,12 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+# numpy's ziggurat_nor_r and ziggurat_nor_inv_r: the base of its 256-layer normal ziggurat
+_ZIG_R, _ZIG_INV_R = 3.6541528853610087963519472518, 0.27366123732975827203338247596
 
 
 def _stream_states(seed, n):
-    """bit_generator.state of default_rng([seed, i]) for every i < n <= 2**32.
+    """PCG64 (state, inc) of default_rng([seed, i]) for every i < n <= 2**32.
 
     numpy's stream-stable SeedSequence mixing, vectorised over i in uint32
     arithmetic, feeds a pool of four words with the 32-bit words of seed,
@@ -484,20 +484,19 @@ def _stream_states(seed, n):
     for s0, s1, s2, s3 in (out[0::2] | out[1::2] << 32).T.tolist():
         inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
         state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
+        states.append((state, inc))
     return states
 
 
 class _Pcg64:
-    """default_rng([seed, i])'s words and integers(n) from its _stream_states entry.
+    """default_rng([seed, i])'s draws from its (state, inc) in _stream_states.
 
-    O'Neill's XSL-RR output of a 128-bit LCG, 32-bit words in halves through
-    numpy's has_uint32 buffer, and Lemire's rejection (random_bounded_uint64_fill).
+    O'Neill's XSL-RR output of a 128-bit LCG; 32-bit words in halves (has_uint32),
+    Lemire's rejection (random_bounded_uint64_fill), ziggurat (random_standard_normal).
     """
 
-    def __init__(self, entry):
-        self.state, self.inc = entry["state"]["state"], entry["state"]["inc"]
+    def __init__(self, state_inc):
+        self.state, self.inc = state_inc
         self.high = None   # the unread high half of the last word next_uint32 split
 
     def next_uint64(self):
@@ -523,6 +522,47 @@ class _Pcg64:
         while m & ((1 << bits) - 1) < (1 << bits) % n:
             m = draw() * n
         return m >> bits
+
+    def next_double(self):
+        """numpy's next_double for PCG64: a word's top 53 bits over 2**53."""
+        return (self.next_uint64() >> 11) * (1.0 / 9007199254740992.0)
+
+    def standard_normal(self):
+        """Generator.standard_normal() to 1e-13 relative, in the same words."""
+        ki, wi, fi = _ziggurat()
+        while True:
+            r = self.next_uint64()
+            idx, sign, rabs = r & 0xFF, r >> 8 & 1, r >> 9 & (2**52 - 1)
+            x = -(rabs * wi[idx]) if sign else rabs * wi[idx]
+            if rabs < ki[idx]:
+                return x
+            if idx == 0:   # the tail beyond R, by Marsaglia's exponential pairs
+                while True:
+                    xx = -_ZIG_INV_R * math.log1p(-self.next_double())
+                    yy = -math.log1p(-self.next_double())
+                    if yy + yy > xx * xx:
+                        return -(_ZIG_R + xx) if rabs >> 8 & 1 else _ZIG_R + xx
+            elif (fi[idx - 1] - fi[idx]) * self.next_double() + fi[idx] < math.exp(-0.5 * x * x):
+                return x
+
+
+@lru_cache(maxsize=None)
+def _ziggurat():
+    """(ki, wi, fi) of numpy's normal ziggurat, within 4e-14 relative of its tables.
+
+    Marsaglia & Tsang's zigset in double precision, from x_255 = R down: layer
+    i >= 1 spans [0, x_i] x [f(x_i), f(x_{i-1})], f = exp(-x^2/2), x_0 = 0, with
+    the area v of the base (under f(R) and the tail), a rectangle of width w0 = v / f(R).
+    wi = x_i / 2**52 (w0 for the base); ki = 2**52 x_{i-1} / x_i (R / w0), rounded.
+    """
+    f_r = math.exp(-0.5 * _ZIG_R * _ZIG_R)
+    v = _ZIG_R * f_r + math.sqrt(0.5 * math.pi) * math.erfc(_ZIG_R / math.sqrt(2.0))
+    x = [0.0] * 255 + [_ZIG_R]
+    for i in range(254, 0, -1):
+        x[i] = math.sqrt(-2.0 * math.log(v / x[i + 1] + math.exp(-0.5 * x[i + 1] * x[i + 1])))
+    wi = [w * 2.0**-52 for w in [v / f_r] + x[1:]]
+    ki = [round(a / w) for a, w in zip([_ZIG_R] + x[:255], wi)]
+    return ki, wi, [math.exp(-0.5 * xi * xi) for xi in x]
 
 
 def _valid_draw(params, target, x):

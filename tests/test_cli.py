@@ -859,12 +859,14 @@ def test_gate_runs_import_no_scipy_and_match_in_process(tmp_path):
              "output": {"path": "crosstalk.csv"}}),
     ("run", dict(_robustness_config(samples=50),
                  sweep=[{"name": "fwhm", "start": 0.0, "stop": 0.0, "points": 2}])),
+    ("run", dict(_robustness_config(samples=50),
+                 sweep=[{"name": "fwhm", "start": 0.1, "stop": 0.3, "points": 3}])),
 ], ids=["tm_spectrum_run", "protocol_eval_validate", "wvm_crosstalk_run",
-        "robustness_zero_fwhm_run"])
+        "robustness_zero_fwhm_run", "robustness_run"])
 def test_commands_without_random_draws_load_no_unneeded_module(command, raw, tmp_path):
-    """A one-worker run or a validate of an experiment that draws no numbers
-    from numpy.random loads none of these (peak RSS each adds, measured after
-    numpy):
+    """A one-worker run or a validate of any experiment, including those
+    that draw random numbers, loads none of these (peak RSS each adds,
+    measured after numpy):
 
     - _hashlib maps OpenSSL's libcrypto, 3.4-3.6 MB; hashlib imports it, so
       the config hash uses the interpreter's builtin SHA-256;
@@ -874,8 +876,8 @@ def test_commands_without_random_draws_load_no_unneeded_module(command, raw, tmp
     - concurrent.futures and multiprocessing, 0.2 and 0.4 MB; only a run
       with more than one worker needs a pool;
     - numpy.random, 5.2 MB with the libcrypto its import of secrets -> hmac
-      maps; only robustness draws from it, and only at fwhm > 0.
-      wvm_crosstalk draws default_rng's integers from gate._Pcg64.
+      maps; robustness (at fwhm > 0) and wvm_crosstalk draw default_rng's
+      normals and integers from gate._Pcg64 instead.
     """
     cfg = _write(tmp_path, "config.json", raw)
     extra = ["--workers", "1", "--out", str(tmp_path)] if command == "run" else []

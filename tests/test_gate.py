@@ -247,7 +247,8 @@ def test_stream_states_equal_default_rng_streams(seed):
     states = gate._stream_states(seed, 2000)
     assert len(states) == 2000
     for i, state in enumerate(states):
-        assert state == np.random.default_rng([seed, i]).bit_generator.state
+        expected = np.random.default_rng([seed, i]).bit_generator.state["state"]
+        assert state == (expected["state"], expected["inc"])
 
 
 # both sides of the 32-bit path's edge, 64-bit bounds up to int64's, and bounds
@@ -283,6 +284,71 @@ def test_pcg64_integers_of_one_draw_no_word():
         assert stream.integers(1) == rng.integers(1) == 0
         # the next draw is the one a stream that skipped integers(1) makes
         assert stream.integers(2**32) == skipped.integers(2**32) == rng.integers(2**32)
+
+
+class _CountingPcg64(gate._Pcg64):
+    """A _Pcg64 that counts the 64-bit words it draws."""
+
+    words = 0
+
+    def next_uint64(self):
+        self.words += 1
+        return super().next_uint64()
+
+
+# the computed ziggurat tables sit within 4e-14 relative of numpy's compiled
+# ones, so every draw agrees with numpy's to this bound, not bitwise
+_NORMAL_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**63 + 5])
+def test_standard_normal_equals_default_rng(seed):
+    # 1,400 streams of 24 draws per seed: 100,800 draws over the three seeds
+    paths = {"fast": 0, "wedge": 0, "tail": 0}
+    for i, state in enumerate(gate._stream_states(seed, 1400)):
+        stream, rng = _CountingPcg64(state), np.random.default_rng([seed, i])
+        for _ in range(24):
+            before = stream.words
+            z, expected = stream.standard_normal(), rng.standard_normal()
+            assert abs(z - expected) <= _NORMAL_RTOL * abs(expected)
+            # the same words were consumed, so no accept/reject branch flipped
+            assert stream.state == rng.bit_generator.state["state"]["state"]
+            # only the tail (idx 0, past its rectangle) returns |z| >= R, and
+            # every other draw of more than one word ran a wedge test
+            path = ("tail" if abs(z) >= gate._ZIG_R
+                    else "fast" if stream.words - before == 1 else "wedge")
+            paths[path] += 1
+    assert paths["wedge"] > 0 and paths["tail"] > 0
+
+
+def test_ziggurat_tables_are_equal_area_layers():
+    """numpy-free oracle: the tables describe 256 layers of one area v.
+
+    x_i = wi[i] 2**52 for i >= 1 with x_0 = 0 and x_255 = R; layer i spans
+    heights f(x_i)..f(x_{i-1}) over [0, x_i], f(x) = exp(-x^2/2).  v is the
+    base layer's area, the rectangle under f(R) plus the tail integral, here
+    by quadrature.  The recurrence closes at the top (layer 1, x_0 = 0) to
+    1.4e-13 relative; the bound is 5e-13.
+    """
+    integrate = pytest.importorskip("scipy.integrate")
+    ki, wi, fi = gate._ziggurat()
+    assert len(ki) == len(wi) == len(fi) == 256
+    r = gate._ZIG_R
+    x = [0.0] + [w * 2.0**52 for w in wi[1:]]
+    assert x[255] == r and all(a < b for a, b in zip(x, x[1:]))
+    tail, _ = integrate.quad(lambda t: math.exp(-0.5 * t * t), r, math.inf,
+                             epsabs=0.0, epsrel=1e-13)
+    v = r * math.exp(-0.5 * r * r) + tail
+    for i in range(256):
+        assert fi[i] == pytest.approx(math.exp(-0.5 * x[i] * x[i]), rel=1e-15, abs=0.0)
+    # the base layer is read as a rectangle of width wi[0] 2**52 at height f(R)
+    assert wi[0] * 2.0**52 * fi[255] == pytest.approx(v, rel=5e-13, abs=0.0)
+    for i in range(1, 256):
+        assert x[i] * (fi[i - 1] - fi[i]) == pytest.approx(v, rel=5e-13, abs=0.0)
+    # ki: the 52-bit fraction of a layer's width under the layer above it
+    # (R's share of the base rectangle), rounded to nearest as numpy's are
+    widths = [r] + x[:255]
+    assert ki == [round(w / wi[i]) for i, w in enumerate(widths)]
 
 
 def test_mc_deterministic_for_fixed_seed():
@@ -341,10 +407,11 @@ def _reference_robustness(base, spec):
     sigma = spec.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     records = np.empty((spec.samples, 4))
     n_resampled = 0
+    states = gate._stream_states(spec.seed, spec.samples)
     for i in range(spec.samples):
-        rng = np.random.default_rng([spec.seed, i])
+        rng = gate._Pcg64(states[i])
         for _ in range(11):
-            x = rng.normal(0.0, sigma) if spec.fwhm > 0.0 else 0.0
+            x = sigma * rng.standard_normal() if spec.fwhm > 0.0 else 0.0
             try:
                 out = _reference_outcome(base, spec.target, x)
             except DomainError:
@@ -390,8 +457,8 @@ def test_lowest_failing_sample_raises(monkeypatch):
     monkeypatch.setattr(gate, "_RESAMPLE_CAP", 0)
     spec = FluctuationSpec("coupling_g", 1e3, samples=8, seed=1)
     sigma = spec.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    invalid = [i for i in range(spec.samples)
-               if np.random.default_rng([spec.seed, i]).normal(0.0, sigma) <= -1.0]
+    invalid = [i for i, state in enumerate(gate._stream_states(spec.seed, spec.samples))
+               if sigma * gate._Pcg64(state).standard_normal() <= -1.0]
     assert len(invalid) >= 2 and invalid[0] > 0
     with pytest.raises(DomainError, match=f"sample {invalid[0]}: no valid draw"):
         robustness_mc(_scenario(), spec)
