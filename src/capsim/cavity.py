@@ -154,11 +154,15 @@ def pulse_delays(params):
     DomainError.
     """
     kex, kin, g, gamma = params.kappa_ex, params.kappa_in, params.g, params.gamma
-    dk2 = kex**2 - kin**2
     if abs(kex - kin) <= 1e-12 * (kex + kin):
         raise DomainError("group delay singular at kappa_ex == kappa_in (r_0(0) = 0)")
+    try:
+        dk2 = kex**2 - kin**2
+        den_1 = g**4 + 2.0 * g**2 * gamma * kin - gamma**2 * dk2
+    except OverflowError:
+        raise DomainError(f"group delay overflows for cavity rates g = {g:.3g}, kappa_in = "
+                          f"{kin:.3g}, kappa_ex = {kex:.3g}, gamma = {gamma:.3g}") from None
     tau_0 = 2.0 * kex / dk2
-    den_1 = g**4 + 2.0 * g**2 * gamma * kin - gamma**2 * dk2
     if den_1 == 0.0:
         raise DomainError("group delay singular: r_1(0) = 0 for these rates")
     tau_1 = 2.0 * kex * (g**2 - gamma**2) / den_1

@@ -341,6 +341,16 @@ def test_numeric_failures_recorded_as_rows(tmp_path):
     assert "DomainError" in lines[1]
 
 
+def test_group_delay_overflow_becomes_domain_error_row(tmp_path):
+    # g**4 of the delay-matched rates at C_in = 1e160 overflows a Python float
+    cfg = {"experiment": "longpulse_metrics",
+           "parameters": dict(GAMMA_KEY, c_in=1e160),
+           "output": {"path": str(tmp_path / "delays.csv")}}
+    assert main(["run", _write(tmp_path, "delays.json", cfg)]) == 3
+    row = next(csv.DictReader(open(tmp_path / "delays.csv")))
+    assert row["error"].startswith("DomainError: group delay overflows for cavity rates g = ")
+
+
 def test_non_finite_output_becomes_error_row(tmp_path):
     # numpy overflows inside reflection_r1; outside the suite's warning filter
     # the point used to write nan into every r1 cell with an empty error cell

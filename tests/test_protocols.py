@@ -383,6 +383,44 @@ def test_components_from_kernel_memory_is_bounded(kernel_1990ns):
     assert peak < 16e6
 
 
+def _node_1990ns():
+    return matched_node(100, 2 * math.pi * 0.24e6)
+
+
+def _kernel_fidelities(node, kernel):
+    return [memory_load(node, kernel).fidelity, type2(node, node, kernel).fidelity,
+            type3(kernel, node).fidelity]
+
+
+def test_blocked_gram_matches_one_block(kernel_1990ns, monkeypatch):
+    # splitting the grid sum reorders it, so agreement is to rounding only
+    node = _node_1990ns()
+    paths = node.responses + node.responses
+    blocked = protocols._gram(kernel_1990ns, paths)
+    fidelities = _kernel_fidelities(node, kernel_1990ns)
+    monkeypatch.setattr(protocols, "_GRAM_POINTS",
+                        components_from_kernel(kernel_1990ns).grid.size)
+    whole = protocols._gram(kernel_1990ns, paths)
+    assert np.max(np.abs(blocked - whole)) <= 1e-13 * np.max(np.abs(whole))
+    assert _kernel_fidelities(node, kernel_1990ns) == pytest.approx(fidelities, abs=1e-14)
+
+
+def test_type2_working_memory_is_bounded(kernel_1990ns):
+    # the blocked Gram sum adds under 0.5 MiB to the spectral transform's own
+    # peak; a single block over the 16,385-point grid adds about 2.1 MiB
+    node = _node_1990ns()
+    peaks = []
+    for run in (lambda: components_from_kernel(kernel_1990ns),
+                lambda: type2(node, node, kernel_1990ns)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 0.5 * 2**20
+
+
 def test_components_reject_zero_kernel():
     t = np.linspace(-4.0, 4.0, 101)
     zero = TemporalKernel(times=t, kernel=np.zeros((t.size, t.size)),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,45 @@ def test_max_trace_drift_recorded():
     evo = evolve_master(_spec(p_br=0.5))
     assert evo.max_trace_drift == max(abs(np.trace(r) - 1.0) for r in evo.gauged_rho)
     assert evo.max_trace_drift < _TRACE_TOL
+
+
+_BLOCKED_SOURCES = {"lambda_pure": dict(p_br=0.0), "lambda": dict(p_br=0.5),
+                    "entangler": dict(p_br=0.5, level_scheme=ENTANGLER_4LVL)}
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCKED_SOURCES))
+def test_interval_blocks_do_not_change_the_evolution(case, monkeypatch):
+    # a stacked matmul works slice by slice, so one interval per block and
+    # all intervals in one block give the default's bits
+    spec = _spec(target_sigma_t=1.5, **_BLOCKED_SOURCES[case])
+    runs = [evolve_master(spec)]
+    for size in (1, spec.kernel_points - 1):
+        monkeypatch.setattr(capsim.source, "_BLOCK_INTERVALS", size)
+        runs.append(evolve_master(spec))
+    ref = runs[0]
+    for evo in runs[1:]:
+        for name in ("propagators", "no_jump", "gauged_rho"):
+            assert getattr(evo, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert evo.loss_budget() == ref.loss_budget()
+
+
+# working memory beyond the stored arrays at 801 kernel points; with every
+# interval in one block it is 10.8 MiB (Lambda) and 30.9 MiB (entangler)
+_RK4_EXCESS = {LAMBDA_3LVL: 2 * 2**20, ENTANGLER_4LVL: 4 * 2**20}
+
+
+@pytest.mark.parametrize("scheme", [LAMBDA_3LVL, ENTANGLER_4LVL])
+def test_evolution_working_memory_is_bounded(scheme):
+    spec = _spec(p_br=0.5, target_sigma_t=1.5, level_scheme=scheme, kernel_points=801)
+    tracemalloc.start()
+    try:
+        evo = evolve_master(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_int, n, m = evo.propagators.shape[0], evo.propagators.shape[1], evo.no_jump.shape[1]
+    stored = n_int * (n + m) ** 2 * 8 + evo.gauged_rho.nbytes + evo.rho.nbytes
+    assert peak < stored + _RK4_EXCESS[scheme]
 
 
 def test_complex_drive_rejected():
