@@ -33,7 +33,7 @@ from .rates import (MuxScenario, dark_count_error, rate_time_mux,
                     rate_wavelength_mux, remainder_atoms)
 from .source import (ENTANGLER_4LVL, LAMBDA_3LVL, DriveProfile, MasterEvolution,
                      ModeDecomposition, SourceSpec, TemporalKernel,
-                     autocorrelation, decompose, drive_profile, evolve_master,
+                     autocorrelation, decompose, evolve_master,
                      gaussian_target, mode_overlap, source_kernel)
 from .transfer_matrix import (TmCavity, WvmSystem, calibrated_coupler,
                               central_antinode, channel_chain, channel_offsets,

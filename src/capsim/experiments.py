@@ -40,34 +40,23 @@ class ExperimentDef:
 
 def _cavity_from(p):
     """Build CavityParams from either explicit rates or (c_in, gamma)."""
-    gamma = p["gamma"]
-    delta_a = p.get("delta_a", 0.0)
+    gamma, delta_a = p["gamma"], p.get("delta_a", 0.0)
     if "g" in p:
-        kappa_ex = p.get("kappa_ex", "matched")
-        params = cav.CavityParams(g=p["g"], kappa_in=p["kappa_in"], gamma=gamma,
-                                  delta_a=delta_a,
-                                  kappa_ex=p["kappa_in"] if kappa_ex == "matched"
-                                  else kappa_ex)
-        if kappa_ex == "matched":
-            params = params.with_(kappa_ex=cav.kappa_ex_opt(p["kappa_in"], params.c_in))
-        return params
-    c_in = p["c_in"]
-    if "kappa_in" in p:
-        kappa_in = p["kappa_in"]
-        g = math.sqrt(2.0 * c_in * kappa_in * gamma)
-        return cav.CavityParams(g=g, kappa_in=kappa_in,
-                                kappa_ex=cav.kappa_ex_opt(kappa_in, c_in),
-                                gamma=gamma, delta_a=delta_a)
-    return cav.delay_matched_params(c_in, gamma, delta_a=delta_a)
+        g, kappa_in, kappa_ex = p["g"], p["kappa_in"], p.get("kappa_ex", "matched")
+        if kappa_ex == "matched":  # kappa_ex_opt at c_in = CavityParams.c_in
+            kappa_ex = cav.kappa_ex_opt(kappa_in, g**2 / (2.0 * kappa_in * gamma))
+    elif "kappa_in" in p:
+        c_in, kappa_in = p["c_in"], p["kappa_in"]
+        g, kappa_ex = math.sqrt(2.0 * c_in * kappa_in * gamma), cav.kappa_ex_opt(kappa_in, c_in)
+    else:
+        return cav.delay_matched_params(p["c_in"], gamma, delta_a=delta_a)
+    return cav.CavityParams(g=g, kappa_in=kappa_in, kappa_ex=kappa_ex, gamma=gamma,
+                            delta_a=delta_a)
 
 
 def _optics_from(p, params):
-    r_m = p.get("r_m", "matched")
-    if r_m == "matched":
-        return cav.matched_optics(params)
-    if r_m == "unity":
-        return cav.matched_optics(params, r_m=1.0)
-    return cav.matched_optics(params, r_m=float(r_m))
+    r_m, named = p.get("r_m", "matched"), {"matched": None, "unity": 1.0}
+    return cav.matched_optics(params, r_m=named[r_m] if r_m in named else float(r_m))
 
 
 # --------------------------------------------------------------------------
@@ -296,6 +285,8 @@ _CAVITY = {"c_in": "positive", "g": "positive", "kappa_in": "positive",
            "kappa_ex": "coupling", "delta_a": "real"}
 _OPTICS = dict(_CAVITY, r_m="mirror")
 _CAVITY_FROM = (("g", "kappa_in"), ("c_in",))  # _cavity_from's two ways to build a cavity
+_WVM = dict.fromkeys(("gamma", "omega_fsr", "omega_a", "sigma0_over_aeff", "c_over_vg",
+                      "f_int"), "positive")  # _wvm_system's rates
 
 EXPERIMENTS = {
     "reflection_scan": ExperimentDef(
@@ -351,18 +342,13 @@ EXPERIMENTS = {
         sanity=_sanity_bandwidth),
     "tm_spectrum": ExperimentDef(
         _tm_spectrum,
-        required={"gamma": "positive", "omega_fsr": "positive",
-                  "omega_a": "positive", "sigma0_over_aeff": "positive",
-                  "c_over_vg": "positive", "f_int": "positive", "delta": "real"},
+        required=dict(_WVM, delta="real"),
         optional={"n_channels": "posint", "atom_state": "bit"},
         columns=("delta_rad_s", "re_r", "im_r", "abs2_r"),
         sanity=_sanity_tm, array_param="delta"),
     "wvm_crosstalk": ExperimentDef(
         _wvm_crosstalk,
-        required={"gamma": "positive", "omega_fsr": "positive",
-                  "omega_a": "positive", "sigma0_over_aeff": "positive",
-                  "c_over_vg": "positive", "f_int": "positive",
-                  "n_channels": "posint"},
+        required=dict(_WVM, n_channels="posint"),
         optional={"trials": "posint", "n_atoms": "posint"},
         columns=("trial", "channel", "infidelity", "mean_infidelity"),
         sanity=_sanity_tm),

@@ -106,7 +106,6 @@ class DriveProfile:
         self._sigma = sigma_t
         if window is None:
             window = (-5.0 * sigma_t, 6.0 * sigma_t)
-        self.window = window
         # amplitude scale from the maximum of the norm-cost function
         t_dense = np.linspace(window[0], window[1], 4001)
         p_max = float(np.max(self._cost(t_dense)))
@@ -119,12 +118,8 @@ class DriveProfile:
                 f"{self.stranded:.2f} of the population in the initial state")
 
     # per-unit-amplitude shapes ------------------------------------------
-    def _v(self, t):
-        s = self._sigma
-        return (math.pi * s**2) ** -0.25 * np.exp(-(t**2) / (2.0 * s**2))
-
     def _psi_c(self, t):
-        return self._v(t) / math.sqrt(2.0 * self._kex)
+        return gaussian_target(self._sigma)(t) / math.sqrt(2.0 * self._kex)
 
     def _e(self, t):
         s = self._sigma
@@ -156,13 +151,6 @@ class DriveProfile:
         psi_u = np.sqrt(np.maximum(1.0 - self.amplitude2 * self._cost(t), 1e-12))
         omega = math.sqrt(self.amplitude2) * (e_dot + self._gamma * e + self._g * psi_c) / psi_u
         return omega if omega.ndim else float(omega)
-
-
-def drive_profile(spec):
-    """Drive samples on the integration grid of the given source spec."""
-    drive = DriveProfile(spec.params, spec.target_sigma_t,
-                         level_scheme=spec.level_scheme, window=spec.time_window)
-    return drive(_fine_grid(spec)[0])
 
 
 # --------------------------------------------------------------------------
@@ -265,14 +253,15 @@ def _fine_grid(spec):
     return np.linspace(t_i, t_f, n_fine), decim
 
 
-def _interval_propagators(l_c, l_d, flux_ops, drive, times_fine, decim):
+def _interval_propagators(l_c, l_d, flux_ops, n, drive, times_fine, decim):
     """RK4 propagators and channel-flux functionals of the subgrid intervals.
 
     l_c, l_d and flux_ops are the generator and the flux functionals on
-    the invariant vec indices, gauged real.  Interval k covers fine steps
-    k*decim ... (k+1)*decim - 1.  Its propagator is the product of their
-    RK4 step maps; its flux functional maps the state at the interval start
-    to the fine-grid trapezoid integral of Tr[L^dag L rho] for every jump
+    the invariant vec indices, gauged real; the first n of those indices
+    are the rho block.  Interval k covers fine steps k*decim ...
+    (k+1)*decim - 1.  Its propagator is the product of their RK4 step maps;
+    its flux functional maps the rho block at the interval start to the
+    fine-grid trapezoid integral of Tr[L^dag L rho] for every jump
     channel.  Blocks of _BLOCK_INTERVALS intervals (the result does not
     depend on the size) advance together, one fine step at a time, with the
     drive sampled once on the fine nodes and midpoints.  A step's
@@ -282,11 +271,11 @@ def _interval_propagators(l_c, l_d, flux_ops, drive, times_fine, decim):
     n_int = (times_fine.size - 1) // decim
     on_nodes, mids = (_real(drive(t), "drive") for t in (times_fine, times_fine[:-1] + 0.5 * h))
     drives = [w.reshape(n_int, decim, 1, 1) for w in (mids, on_nodes[1:])]
-    phi, flux = np.empty((n_int,) + l_c.shape), np.empty((n_int, len(flux_ops), len(l_c)))
+    phi, flux = np.empty((n_int,) + l_c.shape), np.empty((n_int, len(flux_ops), n))
     for lo in range(0, n_int, _BLOCK_INTERVALS):
         block = slice(lo, lo + _BLOCK_INTERVALS)
         p = np.tile(np.eye(len(l_c)), (phi[block].shape[0], 1, 1))
-        f = 0.5 * (flux_ops @ p)
+        f = 0.5 * (flux_ops @ p[..., :n])
         g4 = l_c + on_nodes[:-1:decim][block, None, None] * l_d
         for j in range(decim):
             g1 = g4
@@ -296,7 +285,7 @@ def _interval_propagators(l_c, l_d, flux_ops, drive, times_fine, decim):
             k3 = g2 @ (p + 0.5 * h * k2)
             k4 = g4 @ (p + h * k3)
             p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            f += (0.5 if j == decim - 1 else 1.0) * (flux_ops @ p)
+            f += (0.5 if j == decim - 1 else 1.0) * (flux_ops @ p[..., :n])
         phi[block], flux[block] = p, h * f
     return phi, flux
 
@@ -306,12 +295,11 @@ class MasterEvolution:
     between consecutive subgrid nodes.
 
     propagators step the rho block and no_jump the jump-dressed rows, both
-    gauged real; gauged_rho is the real D rho D^dag, rho the complex state,
-    and max_trace_drift the largest |Tr rho - 1| on the subgrid.
+    gauged real; gauged_rho is the real D rho D^dag on the subgrid, and
+    max_trace_drift the largest |Tr rho - 1| there.
     """
 
     def __init__(self, spec, drive=None):
-        self.spec = spec
         model = self.model = build_model(spec)
         if drive is None:
             drive = DriveProfile(spec.params, spec.target_sigma_t,
@@ -333,15 +321,15 @@ class MasterEvolution:
                     for m in _liouvillian(model))
         # Tr[K rho] = vec_r(K^T) . vec_r(rho)
         flux_ops = np.array([(lop.conj().T @ lop).T.reshape(-1) for lop in model.lindblads])
-        phi, flux = _interval_propagators(l_c, l_d, _real(flux_ops[:, idx] * g.conj()),
-                                          drive, times_fine, decim)
         n = block.size
+        phi, flux = _interval_propagators(l_c, l_d, _real(flux_ops[:, idx] * g.conj()), n,
+                                          drive, times_fine, decim)
         self.propagators, self.no_jump = phi[:, :n, :n], phi[:, n:, n:]
         keep = np.zeros((self.times.size, d * d))
         keep[0, block] = x = model.rho0.reshape(-1)[block]
         budget = np.zeros(len(model.lindblads))
         self.max_trace_drift = 0.0
-        for k, (phi_k, flux_k) in enumerate(zip(self.propagators, flux[:, :, :n])):
+        for k, (phi_k, flux_k) in enumerate(zip(self.propagators, flux)):
             budget += flux_k @ x
             x = phi_k @ x
             keep[k + 1, block] = x
@@ -351,7 +339,6 @@ class MasterEvolution:
                 raise ConvergenceError(
                     f"trace drift {tr:.2e} at t = {self.times[k + 1]:.3e}; reduce dt")
         self.gauged_rho = keep.reshape(self.times.size, d, d)
-        self.rho = self.gauged_rho * self.gauge.conj()
         self._channel_budget = budget
 
     def loss_budget(self):
@@ -367,8 +354,11 @@ class MasterEvolution:
         return channels
 
     def populations(self, index):
-        """Atomic-level populations (diagonal summed by label) at a subgrid node."""
-        diag = np.real(np.diag(self.rho[index]))
+        """Atomic-level populations (diagonal summed by label) at a subgrid node.
+
+        The gauge phases have modulus 1, so gauged_rho has rho's diagonal.
+        """
+        diag = np.diag(self.gauged_rho[index])
         labels = np.array(self.model.labels)
         return {name: float(np.sum(diag[labels == name]))
                 for name in dict.fromkeys(self.model.labels)}
@@ -428,13 +418,10 @@ class TemporalKernel:
         return self.overlap(self) / (p * p)
 
     def save(self, path):
-        """Portable text export: JSON header line, then 're,im' rows (im is 0)."""
-        with open(path, "w") as fh:
-            header = {"times": self.times.tolist(), "weights": self.weights.tolist(),
-                      "p_gen": self.p_gen}
-            fh.write("# " + json.dumps(header) + "\n")
-            for row in self.kernel:
-                fh.write(" ".join(f"{x:.17g},0" for x in row) + "\n")
+        """Portable text export: JSON header line, then the kernel's rows."""
+        header = {"times": self.times.tolist(), "weights": self.weights.tolist(),
+                  "p_gen": self.p_gen}
+        np.savetxt(path, self.kernel, fmt="%.17g", header=json.dumps(header), comments="# ")
 
     @classmethod
     def load(cls, path):
@@ -443,15 +430,8 @@ class TemporalKernel:
             if not first.startswith("# "):
                 raise DomainError("missing kernel header line")
             header = json.loads(first[2:])
-            rows = []
-            for line in fh:
-                if not line.strip():
-                    continue
-                row = [complex(float(a), float(b))
-                       for a, b in (pair.split(",") for pair in line.split())]
-                rows.append(row)
-        return cls(times=np.array(header["times"]),
-                   kernel=np.array(rows, dtype=complex),
+            kernel = np.loadtxt(fh, ndmin=2)
+        return cls(times=np.array(header["times"]), kernel=kernel,
                    weights=np.array(header["weights"]))
 
 

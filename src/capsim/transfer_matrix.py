@@ -311,7 +311,6 @@ def channel_chain(system, n_channels):
 @dataclass(frozen=True)
 class WvmResult:
     mean_infidelity: float
-    per_channel: dict          # offset -> mean infidelity over trials
     rows: list                 # (trial, channel offset, infidelity)
     n_resampled_trials: int    # always 0: whether a trial fits is decided before any draw
 
@@ -405,8 +404,6 @@ def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None):
         infidelity[block] = _heralded(r_m, np.sum(np.abs(refl) ** 2, axis=-1) / scale,
                                       np.sum(signed * refl, axis=-1) / scale, n_atoms)[0]
     infidelity = _snap_unit(infidelity, "infidelity")
-    per_channel = {off: float(np.mean(infidelity[row_channel == off]))
-                   for off in channel_offsets(n_channels)}
     rows = list(zip(row_trial.tolist(), row_channel.tolist(), infidelity.tolist()))
-    return WvmResult(mean_infidelity=float(np.mean(infidelity)), per_channel=per_channel,
-                     rows=rows, n_resampled_trials=0)
+    return WvmResult(mean_infidelity=float(np.mean(infidelity)), rows=rows,
+                     n_resampled_trials=0)

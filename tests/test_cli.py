@@ -494,6 +494,28 @@ def test_side_files_follow_the_output_directory(tmp_path, monkeypatch):
     assert list(cwd.iterdir()) == []
 
 
+def test_protocol_on_an_exported_kernel_matches_the_source_built_in_place(tmp_path):
+    # fig5b exports the Lambda source that type2 builds itself at these parameters,
+    # and the kernel file round-trips bitwise; a missing file shows the file is read
+    assert main(["run", "fig5b", "--out", str(tmp_path)]) == 0
+    params = dict(GAMMA_KEY, c_in=10, p_br=0.5, sigma_t_ns=663.15, protocol="type2")
+    runs = {}
+    for name, kernel in (("loaded", {"kernel_in": str(tmp_path / "fig5b_kernel.txt")}),
+                         ("built", {}), ("missing", {"kernel_in": str(tmp_path / "none.txt")})):
+        cfg = _write(tmp_path, f"{name}.json", {
+            "experiment": "protocol_eval", "seed": 1, "parameters": dict(params, **kernel),
+            "output": {"path": f"{name}.csv"}})
+        code = main(["run", cfg, "--out", str(tmp_path)])
+        with open(tmp_path / f"{name}.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        runs[name] = code, row.pop("error"), row
+    code, error, row = runs["loaded"]
+    assert (code, error) == (0, "") and tuple(row) == EXPERIMENTS["protocol_eval"].columns
+    assert runs["built"] == runs["loaded"]  # all five cells equal as strings
+    code, error, _ = runs["missing"]
+    assert code == 3 and error.startswith("FileNotFoundError")
+
+
 @pytest.mark.parametrize("target", ["coupling_g", "cavity_freq", "length"])
 def test_static_length_deviation_applies_to_every_target(target):
     p = normalize(dict(GAMMA_KEY, c_in=100, sigma_t_ns=217.58, length_dev=0.2))

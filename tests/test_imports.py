@@ -1,5 +1,6 @@
-"""Every name a capsim module imports is used in that module, and every
-top-level function or class is referenced somewhere in the package.
+"""Every name a capsim module imports is used in that module, every
+top-level function or class is referenced somewhere in the package, and
+every stored attribute is read somewhere.
 
 No linter ships with the test dependencies, so these are AST scans.
 __init__.py only re-exports and is skipped by the import scan.  A name
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "capsim"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "capsim"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -76,3 +78,54 @@ def test_scan_flags_an_unreferenced_definition():
 def test_every_definition_is_referenced():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert _unreferenced_definitions(sources) == []
+
+
+def _is_dataclass(cls):
+    for deco in cls.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _unread_attributes(sources, readers):
+    """module:Class.name of each dataclass field or self.name assignment whose
+    name no reader text reads as an attribute.
+
+    sources maps module file names to their text; readers are the texts
+    scanned for reads.  Names are matched across classes, so a read of
+    x.name counts for every class that stores name.
+    """
+    read = {node.attr for text in readers for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    stored = set()
+    for module, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if _is_dataclass(cls):
+                stored |= {(module, cls.name, stmt.target.id) for stmt in cls.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+            stored |= {(module, cls.name, node.attr) for node in ast.walk(cls)
+                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                       and getattr(node.value, "id", None) == "self"}
+    return sorted(f"{module}:{cls}.{name}" for module, cls, name in stored if name not in read)
+
+
+def test_scan_flags_an_unread_attribute():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass Result:\n    kept: float\n    dropped: dict\n"
+              "class Handle:\n    LIMIT: int = 3\n    def __init__(self):\n"
+              "        self.used, self.spare = 1, 2\n        self.cached = self.used\n"
+              "def read(r):\n    return r.kept\n")
+    readers = [source, "print(handle.cached)\n"]
+    assert _unread_attributes({"a.py": source}, readers) == ["a.py:Handle.spare",
+                                                              "a.py:Result.dropped"]
+
+
+def test_every_stored_attribute_is_read():
+    # perfbench/ and the demos read the package too; the tests do not count
+    readers = [p.read_text() for d in (SRC, ROOT / "demos", ROOT / "perfbench")
+               for p in sorted(d.rglob("*.py"))]
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert _unread_attributes(sources, readers) == []
