@@ -23,9 +23,8 @@ from .crosstalk import (MultiAtomScenario, crosstalk_fidelity_approx,
                         crosstalk_fidelity_exact, matched_scenario,
                         per_atom_infidelity, reflection_multi, required_detuning)
 from .errors import CapsError, ConfigError, ConvergenceError, DomainError
-from .gate import (FluctuationSpec, GateOutcome, GateScenario, GaussianPhoton,
-                   RobustnessSummary, caps_finite_bandwidth, caps_longpulse,
-                   min_sigma_t, robustness_mc)
+from .gate import (FluctuationSpec, GateOutcome, GaussianPhoton, RobustnessSummary,
+                   caps_finite_bandwidth, caps_longpulse, min_sigma_t, robustness_mc)
 from .protocols import (NodeConfig, ProtocolResult, components_from_kernel,
                         matched_node, memory_load, type1, type2,
                         type2_mismatched, type2_pair, type3)

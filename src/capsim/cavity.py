@@ -59,9 +59,6 @@ class CavityParams:
         """Internal cooperativity g^2 / (2 kappa_in gamma)."""
         return self.g**2 / (2.0 * self.kappa_in * self.gamma)
 
-    def with_(self, **kwargs):
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class InterfaceOptics:
@@ -226,6 +223,6 @@ def scaled_by_length_deviation(params, dev_frac):
     if dev_frac <= -1.0:
         raise DomainError("length deviation must keep L positive")
     s = 1.0 + dev_frac
-    return params.with_(g=params.g / math.sqrt(s),
-                        kappa_in=params.kappa_in / s,
-                        kappa_ex=params.kappa_ex / s)
+    return replace(params, g=params.g / math.sqrt(s),
+                   kappa_in=params.kappa_in / s,
+                   kappa_ex=params.kappa_ex / s)

@@ -19,8 +19,8 @@ from . import rates as rt
 from . import source as src
 from . import transfer_matrix as tm
 from .errors import ConfigError
-from .gate import (FluctuationSpec, GateScenario, GaussianPhoton, caps_finite_bandwidth,
-                   caps_longpulse, min_sigma_t, robustness_mc)
+from .gate import (FluctuationSpec, GaussianPhoton, caps_finite_bandwidth, caps_longpulse,
+                   min_sigma_t, robustness_mc)
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,14 @@ class ExperimentDef:
     alternatives: tuple = ()
 
 
+def _given(p, **casts):
+    """The optional parameters p sets, each cast; the callee's defaults fill the rest."""
+    return {name: cast(p[name]) for name, cast in casts.items() if name in p}
+
+
 def _cavity_from(p):
     """Build CavityParams from either explicit rates or (c_in, gamma)."""
-    gamma, delta_a = p["gamma"], p.get("delta_a", 0.0)
+    gamma, detuning = p["gamma"], _given(p, delta_a=float)
     if "g" in p:
         g, kappa_in, kappa_ex = p["g"], p["kappa_in"], p.get("kappa_ex", "matched")
         if kappa_ex == "matched":  # kappa_ex_opt at c_in = CavityParams.c_in
@@ -49,14 +54,14 @@ def _cavity_from(p):
         c_in, kappa_in = p["c_in"], p["kappa_in"]
         g, kappa_ex = math.sqrt(2.0 * c_in * kappa_in * gamma), cav.kappa_ex_opt(kappa_in, c_in)
     else:
-        return cav.delay_matched_params(p["c_in"], gamma, delta_a=delta_a)
-    return cav.CavityParams(g=g, kappa_in=kappa_in, kappa_ex=kappa_ex, gamma=gamma,
-                            delta_a=delta_a)
+        return cav.delay_matched_params(p["c_in"], gamma, **detuning)
+    return cav.CavityParams(g=g, kappa_in=kappa_in, kappa_ex=kappa_ex, gamma=gamma, **detuning)
 
 
-def _optics_from(p, params):
-    r_m, named = p.get("r_m", "matched"), {"matched": None, "unity": 1.0}
-    return cav.matched_optics(params, r_m=named[r_m] if r_m in named else float(r_m))
+def _mirror(p, params):
+    """Mirror reflectivity r_m: 'matched' (the default) is r_opt, 'unity' is 1."""
+    r_m, named = p.get("r_m", "matched"), {"matched": cav.r_opt(params.c_in), "unity": 1.0}
+    return named[r_m] if r_m in named else float(r_m)
 
 
 # --------------------------------------------------------------------------
@@ -75,10 +80,11 @@ def _reflection_scan(p):
 
 
 def _longpulse_metrics(p):
+    # caps_longpulse reads only r_m: no mirror delay, so no pulse_delays (and its pole)
     params = _cavity_from(p)
-    conventional = caps_longpulse(params, cav.matched_optics(params, r_m=1.0))
-    matched = caps_longpulse(params, cav.matched_optics(params))
-    chosen = caps_longpulse(params, _optics_from(p, params))
+    conventional = caps_longpulse(params, cav.InterfaceOptics(r_m=1.0))
+    matched = caps_longpulse(params, cav.InterfaceOptics(r_m=cav.r_opt(params.c_in)))
+    chosen = caps_longpulse(params, cav.InterfaceOptics(r_m=_mirror(p, params)))
     return [{
         "f_c": chosen.f_c, "infidelity": chosen.infidelity,
         "p_success": chosen.p_success, "leakage": chosen.leakage,
@@ -92,11 +98,10 @@ def _installed(p):
     Optics stay calibrated at the nominal point; a static length_dev only
     rescales the installed cavity rates.
     """
-    nominal = _cavity_from(p)
-    optics = _optics_from(p, nominal)
-    params = nominal
+    params = _cavity_from(p)
+    optics = cav.matched_optics(params, r_m=_mirror(p, params))
     if p.get("length_dev", 0.0):
-        params = cav.scaled_by_length_deviation(nominal, p["length_dev"])
+        params = cav.scaled_by_length_deviation(params, p["length_dev"])
     return params, optics
 
 
@@ -109,11 +114,11 @@ def _bandwidth_scan(p):
 
 def _robustness(p):
     params, optics = _installed(p)
-    spec = FluctuationSpec(target=p.get("target", "coupling_g"),
+    spec = FluctuationSpec(target=p["target"],
                            fwhm=p.get("fwhm", 0.0),
-                           samples=int(p.get("samples", 10_000)),
-                           seed=int(p["seed"]))
-    summary = robustness_mc(GateScenario(params=params, optics=optics, sigma_t=p["sigma_t"]), spec)
+                           seed=int(p["seed"]),
+                           **_given(p, samples=int))
+    summary = robustness_mc(params, optics, p["sigma_t"], spec)
     if p.get("samples_out"):
         _write_samples(p["samples_out"], summary.samples)
     return [{"mean_infidelity": summary.mean_infidelity,
@@ -144,11 +149,9 @@ def _crosstalk_scan(p):
 
 
 def _source_characterize(p):
-    params = _cavity_from(p)
-    spec = src.SourceSpec(params=params, p_br=p.get("p_br", 0.0),
+    spec = src.SourceSpec(params=_cavity_from(p), p_br=p.get("p_br", 0.0),
                           target_sigma_t=p["sigma_t"],
-                          level_scheme=p.get("level_scheme", src.LAMBDA_3LVL),
-                          kernel_points=int(p.get("kernel_points", 201)))
+                          **_given(p, level_scheme=str, kernel_points=int))
     kernel = src.source_kernel(spec)
     decomp = src.decompose(kernel)
     overlap = src.mode_overlap(decomp, src.gaussian_target(p["sigma_t"]))
@@ -181,11 +184,10 @@ def _protocol_eval(p):
         if p.get("kernel_in"):  # a kernel exported by the source model
             photon = src.TemporalKernel.load(p["kernel_in"])
         else:
-            params = cav.delay_matched_params(p.get("source_c_in", c_in), gamma)
             scheme = (src.ENTANGLER_4LVL if protocol in ("type3", "type1")
                       else src.LAMBDA_3LVL)
             photon = src.source_kernel(src.SourceSpec(
-                params=params, p_br=p.get("p_br", 0.5), target_sigma_t=sigma_t,
+                params=node.params, p_br=p.get("p_br", 0.5), target_sigma_t=sigma_t,
                 level_scheme=scheme))
         p_gen = photon.p_gen
     else:
@@ -229,7 +231,7 @@ def _wvm_crosstalk(p):
     res = tm.wvm_crosstalk(system, n_channels=int(p["n_channels"]),
                            trials=int(p.get("trials", 50)),
                            seed=int(p["seed"]),
-                           n_atoms=int(p["n_atoms"]) if "n_atoms" in p else None)
+                           **_given(p, n_atoms=int))
     rows = [{"trial": t, "channel": off, "infidelity": infid}
             for t, off, infid in res.rows]
     for row in rows:
@@ -240,9 +242,7 @@ def _wvm_crosstalk(p):
 def _rate_tables(p):
     s = rt.MuxScenario(n_atoms=int(p["n_atoms"]), tau_s=p["tau_shuttle"],
                        sigma_t=p["sigma_t"], p_success=p["p_success"],
-                       pulse_spacing_factor=p.get("pulse_spacing_factor", 5.0),
-                       n_channels=int(p.get("n_channels", 1)),
-                       r_dark=p.get("r_dark", 0.0))
+                       **_given(p, pulse_spacing_factor=float, n_channels=int, r_dark=float))
     return [{"rate_time_mux": rt.rate_time_mux(s),
              "rate_wavelength_mux": rt.rate_wavelength_mux(s),
              "remainder_atoms": rt.remainder_atoms(s),
@@ -335,8 +335,7 @@ EXPERIMENTS = {
         _protocol_eval,
         required={"gamma": "positive", "sigma_t": "positive",
                   "c_in": "positive", "protocol": _PROTOCOLS},
-        optional={"p_br": "prob", "source": _SOURCES, "source_c_in": "positive",
-                  "kernel_in": "str"},
+        optional={"p_br": "prob", "source": _SOURCES, "kernel_in": "str"},
         columns=("fidelity", "infidelity", "p_success", "p_gen",
                  "p_gen_times_p_opt"),
         sanity=_sanity_bandwidth),

@@ -15,8 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import (CavityParams, InterfaceOptics, delay_matched_params, matched_optics,
-                     reflection_r0, reflection_r1)
+from .cavity import delay_matched_params, matched_optics, reflection_r0, reflection_r1
 from .errors import DomainError
 
 _BOUND_SNAP = 1e-12  # values this close to the [0, 1] edges are snapped
@@ -135,22 +134,6 @@ class FluctuationSpec:
             raise DomainError("fwhm must be non-negative")
         if self.samples < 1:
             raise DomainError("samples must be at least 1")
-
-
-@dataclass(frozen=True)
-class GateScenario:
-    """Nominal operating point for robustness studies.
-
-    The photon is a Gaussian of temporal width sigma_t.
-    """
-
-    params: CavityParams
-    optics: InterfaceOptics
-    sigma_t: float
-
-    def __post_init__(self):
-        if not self.sigma_t > 0.0:
-            raise DomainError("sigma_t must be positive")
 
 
 @dataclass(frozen=True)
@@ -322,11 +305,11 @@ def _pole_form(g, kappa_in, kappa_ex, gamma, delta_a, cavity_shift, tau):
     return Response(1.0, tau, c, p0), Response(1.0, tau, c, m, a, h)
 
 
-def _gate_metrics(optics, sigma_t, g, kappa_in, kappa_ex, gamma, delta_a, cavity_shift):
+def _gate_metrics(tau_m, sigma_t, g, kappa_in, kappa_ex, gamma, delta_a, cavity_shift):
     """Photon averages (norms, overlap), one value per row, for a Gaussian photon.
 
-    norms = <|r0|^2 + |r1|^2> and overlap = <r1 - r0> of the delayed
-    responses over the incident photon, as _heralded reads them.  Every
+    norms = <|r0|^2 + |r1|^2> and overlap = <r1 - r0> of the responses,
+    delayed by tau_m, over the incident photon, as _heralded reads them.  Every
     rate broadcasts as one value per row; cavity_shift moves the cavity
     resonance relative to the photon carrier.
     """
@@ -335,7 +318,7 @@ def _gate_metrics(optics, sigma_t, g, kappa_in, kappa_ex, gamma, delta_a, cavity
     rates = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float))
           for v in (g, kappa_in, kappa_ex, gamma, delta_a, cavity_shift)))
-    r0, r1 = _pole_form(*rates, optics.tau_m)
+    r0, r1 = _pole_form(*rates, tau_m)
     incident = Response(1.0)
     overlap = (gaussian_average(r1, incident, sigma_t)
                - gaussian_average(r0, incident, sigma_t))
@@ -352,7 +335,7 @@ def caps_finite_bandwidth(params, optics, sigma_t):
     through the Faddeeva function; nothing is sampled on a grid.
     """
     infidelity, p = _heralded(optics.r_m, *_gate_metrics(
-        optics, sigma_t, params.g, params.kappa_in, params.kappa_ex, params.gamma,
+        optics.tau_m, sigma_t, params.g, params.kappa_in, params.kappa_ex, params.gamma,
         params.delta_a, 0.0))
     return GateOutcome(f_c=1.0 - infidelity[0], p_success=p[0])
 
@@ -395,11 +378,11 @@ _RESAMPLE_CAP = 10
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
-def robustness_mc(base, spec):
-    """Monte-Carlo average of the gate metrics under one fluctuating knob.
+def robustness_mc(params, optics, sigma_t, spec):
+    """Monte-Carlo average of caps_finite_bandwidth's metrics under one fluctuating knob.
 
-    Optics stay at their nominal calibration while the chosen parameter is
-    redrawn per sample from a Gaussian of the given FWHM.  Draws that
+    Optics stay at their nominal calibration while the chosen parameter of
+    params is redrawn per sample from a Gaussian of the given FWHM.  Draws that
     produce an invalid system (non-positive coupling or cavity length) are
     redrawn up to ten times each; the resample count is reported, and the
     lowest sample left without a valid draw raises.  Deterministic for a
@@ -408,6 +391,8 @@ def robustness_mc(base, spec):
     in one batch (_stream_states) only when fwhm > 0.  All samples are
     then evaluated in one exact kernel call.
     """
+    if not sigma_t > 0.0:
+        raise DomainError("sigma_t must be positive")
     sigma = spec.fwhm * _FWHM_TO_SIGMA
     x = np.zeros(spec.samples)
     n_resampled = 0
@@ -417,14 +402,13 @@ def robustness_mc(base, spec):
         for _ in range(_RESAMPLE_CAP + 1):
             if rng is not None:
                 x[i] = sigma * rng.standard_normal()
-            if _valid_draw(base.params, spec.target, x[i]):
+            if _valid_draw(params, spec.target, x[i]):
                 break
             n_resampled += 1
         else:
             raise DomainError(f"sample {i}: no valid draw within {_RESAMPLE_CAP} retries")
-    infidelity, p = _heralded(base.optics.r_m, *_gate_metrics(
-        base.optics, base.sigma_t, *_perturbed_rates(base.params, spec.target, x,
-                                                     1.0 / base.sigma_t)))
+    infidelity, p = _heralded(optics.r_m, *_gate_metrics(
+        optics.tau_m, sigma_t, *_perturbed_rates(params, spec.target, x, 1.0 / sigma_t)))
     f = _snap_unit(1.0 - infidelity, "f_c")
     p = _snap_unit(p, "p_success")
     records = np.column_stack((np.arange(spec.samples), x, f, p))

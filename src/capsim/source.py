@@ -32,6 +32,7 @@ ENTANGLER_4LVL = "entangler_4lvl"
 
 _TRACE_TOL = 1e-6
 _DRIVE_MARGIN = 1e-6
+_WINDOW = (-5.0, 6.0)  # default time window around the pulse center, in units of sigma_t
 _STRANDED_LIMIT = 0.5
 # Intervals per RK4 block (_interval_propagators): Lambda at 201 points ran 13.0 ms at 64,
 # 13.4 unblocked, 13.8 at 32 (medians, 2-core x86_64); entangler at 801: 6.7 MiB, not 34.5.
@@ -66,7 +67,7 @@ class SourceSpec:
             raise DomainError(f"unknown level scheme {self.level_scheme!r}")
         if self.time_window is None:
             object.__setattr__(self, "time_window",
-                               (-5.0 * self.target_sigma_t, 6.0 * self.target_sigma_t))
+                               tuple(w * self.target_sigma_t for w in _WINDOW))
         if self.time_window[1] <= self.time_window[0]:
             raise DomainError("time window must have positive extent")
         if self.dt is None:
@@ -86,8 +87,8 @@ class DriveProfile:
     excited-state amplitude by the cavity equation, and the drive by the
     remaining amplitude equation, with the initial-state amplitude
     obtained from probability bookkeeping.  The overall amplitude is the
-    largest leaving the initial-state population non-negative for all
-    times (up to a small margin), which reproduces the maximum-probability
+    largest leaving the initial-state population non-negative over the
+    window (up to _DRIVE_MARGIN), which reproduces the maximum-probability
     pulse in the adiabatic regime.
     """
 
@@ -105,13 +106,15 @@ class DriveProfile:
         self._gamma = params.gamma
         self._sigma = sigma_t
         if window is None:
-            window = (-5.0 * sigma_t, 6.0 * sigma_t)
-        # amplitude scale from the maximum of the norm-cost function
-        t_dense = np.linspace(window[0], window[1], 4001)
-        p_max = float(np.max(self._cost(t_dense)))
-        p_end = float(self._cost(np.array([window[1]]))[0])
-        self.amplitude2 = (1.0 - _DRIVE_MARGIN) / p_max
-        self.stranded = 1.0 - self.amplitude2 * p_end
+            window = tuple(w * sigma_t for w in _WINDOW)
+        # amplitude scale from the exact maximum of the norm cost: at a window end or
+        # where its slope (2 psi_c^2/g^2) B(t) vanishes, sigma_t^3 B a cubic in t/sigma_t
+        k, gam, g_s = self._kappa * sigma_t, self._gamma * sigma_t, g * sigma_t
+        tau = np.roots([-1.0, gam + 2.0 * k, 1.0 - k * k - 2.0 * gam * k - g_s * g_s,
+                        k * (g_s * g_s + gam * k - 1.0)])
+        cost = self._cost(np.append(window, np.clip(tau.real * sigma_t, *window)))
+        self.amplitude2 = (1.0 - _DRIVE_MARGIN) / float(np.max(cost))
+        self.stranded = 1.0 - self.amplitude2 * float(cost[1])
         if self.stranded > _STRANDED_LIMIT:
             raise DomainError(
                 "photon too fast for source: drive inversion strands "
@@ -148,7 +151,7 @@ class DriveProfile:
         psi_c = self._psi_c(t)
         e = self._e(t)
         e_dot = psi_c * (-(t / s**2) * (self._kappa - t / s**2) - 1.0 / s**2) / self._g
-        psi_u = np.sqrt(np.maximum(1.0 - self.amplitude2 * self._cost(t), 1e-12))
+        psi_u = np.sqrt(1.0 - self.amplitude2 * self._cost(t))
         omega = math.sqrt(self.amplitude2) * (e_dot + self._gamma * e + self._g * psi_c) / psi_u
         return omega if omega.ndim else float(omega)
 

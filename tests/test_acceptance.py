@@ -6,9 +6,9 @@ per criterion.  Tolerances are fixed here, not tuned at runtime.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from capsim.cavity import (CavityParams, InterfaceOptics, LengthModel,
                            delay_matched_params, kappa_ex_opt, l_cav_opt,
@@ -16,8 +16,7 @@ from capsim.cavity import (CavityParams, InterfaceOptics, LengthModel,
 from capsim.config import parse_config
 from capsim.crosstalk import (crosstalk_fidelity_approx, crosstalk_fidelity_exact,
                               matched_scenario)
-from capsim.gate import (FluctuationSpec, GateScenario, caps_finite_bandwidth,
-                         caps_longpulse, robustness_mc)
+from capsim.gate import FluctuationSpec, caps_finite_bandwidth, caps_longpulse, robustness_mc
 from capsim.protocols import matched_node, type1, type2, type3
 from capsim.rates import MuxScenario, rate_time_mux, rate_wavelength_mux
 from capsim.runner import run_sweep
@@ -171,7 +170,7 @@ def test_criterion_09_transfer_matrix_oracle():
     worst, slowest = 0.0, 0.0
     base = delay_matched_params(10, 1.0)
     for scale in (0.8, 1.0, 1.2):
-        p = base.with_(kappa_ex=base.kappa_ex * scale)
+        p = replace(base, kappa_ex=base.kappa_ex * scale)
         t_ex = 0.001
         omega_fsr = 4 * math.pi * p.kappa_ex / t_ex
         n0 = 1001
@@ -226,12 +225,11 @@ def test_criterion_12_robustness_thresholds():
     p = delay_matched_params(100, GAMMA_YB)
     optics = matched_optics(p)
     sigma_t = 5.2 * 100**-0.60 / GAMMA_YB
-    base = GateScenario(params=p, optics=optics, sigma_t=sigma_t)
     nominal = caps_finite_bandwidth(p, optics, sigma_t).infidelity
-    g_fluct = robustness_mc(base, FluctuationSpec("coupling_g", 0.20,
-                                                  samples=10_000, seed=12))
-    jitter = robustness_mc(base, FluctuationSpec("cavity_freq", 0.10,
-                                                 samples=10_000, seed=12))
+    g_fluct = robustness_mc(p, optics, sigma_t, FluctuationSpec("coupling_g", 0.20,
+                                                                samples=10_000, seed=12))
+    jitter = robustness_mc(p, optics, sigma_t, FluctuationSpec("cavity_freq", 0.10,
+                                                               samples=10_000, seed=12))
     elapsed = time.perf_counter() - t0
     added = jitter.mean_infidelity - nominal
     ok = (g_fluct.mean_infidelity <= 1e-3 and added <= 2e-4

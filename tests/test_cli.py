@@ -343,12 +343,27 @@ def test_numeric_failures_recorded_as_rows(tmp_path):
 
 def test_group_delay_overflow_becomes_domain_error_row(tmp_path):
     # g**4 of the delay-matched rates at C_in = 1e160 overflows a Python float
-    cfg = {"experiment": "longpulse_metrics",
-           "parameters": dict(GAMMA_KEY, c_in=1e160),
+    cfg = {"experiment": "bandwidth_scan",
+           "parameters": dict(GAMMA_KEY, c_in=1e160, sigma_t_ns=500.0),
            "output": {"path": str(tmp_path / "delays.csv")}}
     assert main(["run", _write(tmp_path, "delays.json", cfg)]) == 3
     row = next(csv.DictReader(open(tmp_path / "delays.csv")))
     assert row["error"].startswith("DomainError: group delay overflows for cavity rates g = ")
+
+
+def test_longpulse_metrics_needs_no_group_delay(tmp_path):
+    # at kappa_ex == kappa_in the uncoupled group delay has a pole; the long-pulse
+    # metrics read only the mirror reflectivity, so the point is no error row
+    cfg = {"experiment": "longpulse_metrics",
+           "parameters": dict(GAMMA_KEY, g_2pi_MHz=10.0, kappa_in_2pi_MHz=5.0,
+                              kappa_ex_2pi_MHz=5.0, r_m="unity"),
+           "output": {"path": str(tmp_path / "lp.csv")}}
+    assert main(["run", _write(tmp_path, "lp.json", cfg)]) == 0
+    row = next(csv.DictReader(open(tmp_path / "lp.csv")))
+    assert row["error"] == ""
+    assert float(row["f_c"]) == pytest.approx(0.7999256090756928, rel=1e-12)
+    assert float(row["p_success"]) == pytest.approx(0.7384185791015625, rel=1e-12)
+    assert float(row["p_conventional"]) == float(row["p_success"])
 
 
 def test_non_finite_output_becomes_error_row(tmp_path):
@@ -463,6 +478,36 @@ def test_config_hash_is_sha256_of_the_canonical_config(tmp_path):
     assert main(["run", cfg, "--seed", "9", "--out", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / "spectrum.csv.meta.json").read_text())
     assert meta["config_hash"] == _sha256_16(dict(raw, seed=9)) != _sha256_16(raw)
+
+
+# config.py's SHA-256 source in a fresh interpreter, the sources before it blocked;
+# a builtin module this interpreter lacks is stood in for by a wrapper of its own
+_SHA256_SOURCE = """
+import importlib, importlib.util, json, sys, types
+source, order = sys.argv[1], ["_sha2", "_sha256", "hashlib"]
+builtin = next(importlib.import_module(n).sha256 for n in order[:2] if importlib.util.find_spec(n))
+for name in order[:order.index(source)]:
+    sys.modules[name] = None
+if source != "hashlib" and importlib.util.find_spec(source) is None:
+    sys.modules[source] = types.ModuleType(source)
+    sys.modules[source].sha256 = lambda data=b"": builtin(data)
+from capsim import config
+from capsim.cli import _recipe_names, _resolve_config
+hashes = {n: config.parse_config(_resolve_config(n)).config_hash() for n in _recipe_names()}
+loaded = "_hashlib" in sys.modules
+print(json.dumps([config.sha256 is importlib.import_module(source).sha256, loaded, hashes]))
+"""
+
+
+@pytest.mark.parametrize("source", ["_sha2", "_sha256", "hashlib"])
+def test_config_hash_is_the_same_from_every_sha256_source(source):
+    out = subprocess.run([sys.executable, "-c", _SHA256_SOURCE, source],
+                         capture_output=True, text=True, env=_child_env())
+    assert out.returncode == 0, out.stderr
+    used, loaded_hashlib, hashes = json.loads(out.stdout)
+    assert used
+    assert source == "hashlib" or not loaded_hashlib
+    assert hashes == {n: _sha256_16(_resolve_config(n)) for n in _recipe_names()}
 
 
 def test_per_sample_records_export(tmp_path):

@@ -71,7 +71,7 @@ def test_single_atom_channel_equals_longpulse_gate():
     # the target keeps its own detuning delta_a
     base = matched_scenario(100, GAMMA, 1, GAMMA)
     for delta_a in (0.0, 0.3 * GAMMA, -2.0 * GAMMA):
-        sc = replace(base, params=base.params.with_(delta_a=delta_a))
+        sc = replace(base, params=replace(base.params, delta_a=delta_a))
         gate = caps_longpulse(sc.params, InterfaceOptics(r_m=sc.r_m))
         for out in (crosstalk_fidelity_exact(sc), crosstalk_fidelity_enumerated(sc)):
             assert out.f_c == pytest.approx(gate.f_c, abs=1e-15)

@@ -12,9 +12,9 @@ from capsim.cavity import (CavityParams, InterfaceOptics, delay_matched_params,
                            reflection_r0, reflection_r1,
                            scaled_by_length_deviation)
 from capsim.errors import DomainError
-from capsim.gate import (FluctuationSpec, GateOutcome, GateScenario,
-                         GaussianPhoton, caps_finite_bandwidth, caps_longpulse,
-                         min_sigma_t, robustness_mc)
+from capsim.gate import (FluctuationSpec, GateOutcome, GaussianPhoton,
+                         caps_finite_bandwidth, caps_longpulse, min_sigma_t,
+                         robustness_mc)
 
 GAMMA = 1.0
 
@@ -104,7 +104,7 @@ def test_infidelity_monotone_in_pulse_width():
 def _shifted_outcome(params, optics, sigma_t, cavity_shift):
     """caps_finite_bandwidth with the cavity resonance moved by cavity_shift."""
     infidelity, p = gate._heralded(optics.r_m, *gate._gate_metrics(
-        optics, sigma_t, params.g, params.kappa_in, params.kappa_ex, params.gamma,
+        optics.tau_m, sigma_t, params.g, params.kappa_in, params.kappa_ex, params.gamma,
         params.delta_a, cavity_shift))
     return GateOutcome(f_c=1.0 - infidelity[0], p_success=p[0])
 
@@ -114,8 +114,8 @@ def test_grid_reflection_symmetry():
     # (delta_a, shift) and (-delta_a, -shift) give the same metrics
     p, optics = _matched(20)
     for delta_a, shift in ((0.7, 0.3), (-2.0, 1.1), (0.0, 0.5)):
-        a = _shifted_outcome(p.with_(delta_a=delta_a), optics, 0.8, shift)
-        b = _shifted_outcome(p.with_(delta_a=-delta_a), optics, 0.8, -shift)
+        a = _shifted_outcome(replace(p, delta_a=delta_a), optics, 0.8, shift)
+        b = _shifted_outcome(replace(p, delta_a=-delta_a), optics, 0.8, -shift)
         assert a.f_c == pytest.approx(b.f_c, abs=1e-14)
         assert a.p_success == pytest.approx(b.p_success, abs=1e-14)
 
@@ -141,7 +141,7 @@ def _oracle_cases():
         c_in = 10 ** rng.uniform(0, math.log10(400))
         sigma_t = 10 ** rng.uniform(math.log10(0.05), math.log10(5))
         p = delay_matched_params(c_in, GAMMA)
-        p = p.with_(g=p.g * rng.uniform(0.7, 1.3), delta_a=rng.normal(0, 2))
+        p = replace(p, g=p.g * rng.uniform(0.7, 1.3), delta_a=rng.normal(0, 2))
         yield p, matched_optics(p), sigma_t, rng.normal(0, 0.5) / sigma_t
     p, optics = _matched(10)
     for tau_sigma_w in (4.0, 8.0):  # a long mirror delay against the bandwidth
@@ -159,7 +159,7 @@ def _oracle_cases():
 def test_closed_form_matches_quadrature_oracle():
     for params, optics, sigma_t, shift in _oracle_cases():
         norms, overlap = gate._gate_metrics(
-            optics, sigma_t, params.g, params.kappa_in, params.kappa_ex,
+            optics.tau_m, sigma_t, params.g, params.kappa_in, params.kappa_ex,
             params.gamma, params.delta_a, shift)
         f_pro = abs(2.0 * optics.r_m + overlap[0]) ** 2 / 16.0
         one_minus_l = (2.0 * optics.r_m**2 + norms[0]) / 4.0
@@ -192,7 +192,7 @@ def test_nonpositive_pulse_width_rejected(sigma_t):
     with pytest.raises(DomainError):
         caps_finite_bandwidth(p, optics, sigma_t)
     with pytest.raises(DomainError):
-        GateScenario(params=p, optics=optics, sigma_t=sigma_t)
+        robustness_mc(p, optics, sigma_t, FluctuationSpec("coupling_g", 0.1, samples=3))
     with pytest.raises(DomainError):
         GaussianPhoton(sigma_t)
 
@@ -211,17 +211,18 @@ def test_min_sigma_t_inverts_the_infidelity_curve():
 # --------------------------------------------------------------------------
 
 def _scenario(c_in=100, sigma_t=None):
+    """(params, optics, sigma_t), robustness_mc's nominal system."""
     p, optics = _matched(c_in)
     if sigma_t is None:
         sigma_t = 5.2 * c_in**-0.60 / GAMMA
-    return GateScenario(params=p, optics=optics, sigma_t=sigma_t)
+    return p, optics, sigma_t
 
 
 def test_zero_fwhm_reproduces_nominal():
     base = _scenario()
-    summary = robustness_mc(base, FluctuationSpec(target="coupling_g", fwhm=0.0,
-                                                  samples=3, seed=1))
-    nominal = caps_finite_bandwidth(base.params, base.optics, base.sigma_t)
+    summary = robustness_mc(*base, FluctuationSpec(target="coupling_g", fwhm=0.0,
+                                                   samples=3, seed=1))
+    nominal = caps_finite_bandwidth(*base)
     assert summary.mean_fidelity == pytest.approx(nominal.f_c, abs=1e-15)
     assert summary.mean_success == pytest.approx(nominal.p_success, abs=1e-15)
 
@@ -236,9 +237,9 @@ def test_zero_fwhm_builds_no_random_streams(monkeypatch):
         return states
 
     monkeypatch.setattr(gate, "_stream_states", counting_states)
-    robustness_mc(_scenario(), FluctuationSpec("coupling_g", 0.0, samples=50, seed=1))
+    robustness_mc(*_scenario(), FluctuationSpec("coupling_g", 0.0, samples=50, seed=1))
     assert derived == []
-    robustness_mc(_scenario(), FluctuationSpec("coupling_g", 0.1, samples=5, seed=1))
+    robustness_mc(*_scenario(), FluctuationSpec("coupling_g", 0.1, samples=5, seed=1))
     assert len(derived) == 5
 
 
@@ -354,16 +355,16 @@ def test_ziggurat_tables_are_equal_area_layers():
 def test_mc_deterministic_for_fixed_seed():
     base = _scenario()
     spec = FluctuationSpec(target="coupling_g", fwhm=0.2, samples=64, seed=42)
-    a = robustness_mc(base, spec)
-    b = robustness_mc(base, spec)
+    a = robustness_mc(*base, spec)
+    b = robustness_mc(*base, spec)
     assert a.mean_fidelity == b.mean_fidelity
     assert np.array_equal(a.samples, b.samples)
 
 
 def test_mc_seed_changes_draws():
     base = _scenario()
-    a = robustness_mc(base, FluctuationSpec("coupling_g", 0.2, samples=32, seed=1))
-    b = robustness_mc(base, FluctuationSpec("coupling_g", 0.2, samples=32, seed=2))
+    a = robustness_mc(*base, FluctuationSpec("coupling_g", 0.2, samples=32, seed=1))
+    b = robustness_mc(*base, FluctuationSpec("coupling_g", 0.2, samples=32, seed=2))
     assert not np.array_equal(a.samples[:, 1], b.samples[:, 1])
 
 
@@ -371,7 +372,7 @@ def test_mc_resamples_invalid_draws():
     base = _scenario()
     # FWHM so large that some draws push g negative and must be redrawn
     spec = FluctuationSpec(target="coupling_g", fwhm=2.5, samples=256, seed=3)
-    summary = robustness_mc(base, spec)
+    summary = robustness_mc(*base, spec)
     assert summary.n_resampled > 0
     assert summary.n_samples == 256
 
@@ -389,17 +390,17 @@ def test_gate_outcome_validation():
 # --------------------------------------------------------------------------
 
 def _reference_outcome(base, target, x):
-    params, shift = base.params, 0.0
+    (params, optics, sigma_t), shift = base, 0.0
     if target == "coupling_g":
         if params.g * (1.0 + x) <= 0.0:
             raise DomainError("non-positive coupling draw")
-        params = params.with_(g=params.g * (1.0 + x))
+        params = replace(params, g=params.g * (1.0 + x))
     elif target == "length":
         params = scaled_by_length_deviation(params, x)
     else:
-        shift = x / base.sigma_t
-        params = params.with_(delta_a=params.delta_a - shift)
-    return _shifted_outcome(params, base.optics, base.sigma_t, shift)
+        shift = x / sigma_t
+        params = replace(params, delta_a=params.delta_a - shift)
+    return _shifted_outcome(params, optics, sigma_t, shift)
 
 
 def _reference_robustness(base, spec):
@@ -434,7 +435,7 @@ def _reference_robustness(base, spec):
 def test_blocked_kernel_matches_per_sample_loop(target, fwhm, seed):
     base = _scenario()
     spec = FluctuationSpec(target=target, fwhm=fwhm, samples=61, seed=seed)
-    summary = robustness_mc(base, spec)
+    summary = robustness_mc(*base, spec)
     records, n_resampled = _reference_robustness(base, spec)
     assert np.array_equal(summary.samples[:, :2], records[:, :2])
     assert summary.n_resampled == n_resampled
@@ -446,8 +447,8 @@ def test_blocked_kernel_matches_per_sample_loop(target, fwhm, seed):
 @pytest.mark.parametrize("target, fwhm", [("coupling_g", 2.5), ("cavity_freq", 0.5)])
 def test_records_independent_of_sample_count(target, fwhm):
     base = _scenario()
-    short = robustness_mc(base, FluctuationSpec(target, fwhm, samples=7, seed=9))
-    long = robustness_mc(base, FluctuationSpec(target, fwhm, samples=64, seed=9))
+    short = robustness_mc(*base, FluctuationSpec(target, fwhm, samples=7, seed=9))
+    long = robustness_mc(*base, FluctuationSpec(target, fwhm, samples=64, seed=9))
     assert np.array_equal(short.samples, long.samples[:7])
 
 
@@ -461,7 +462,7 @@ def test_lowest_failing_sample_raises(monkeypatch):
                if sigma * gate._Pcg64(state).standard_normal() <= -1.0]
     assert len(invalid) >= 2 and invalid[0] > 0
     with pytest.raises(DomainError, match=f"sample {invalid[0]}: no valid draw"):
-        robustness_mc(_scenario(), spec)
+        robustness_mc(*_scenario(), spec)
 
 
 def _stub_metrics(monkeypatch, bad_row):
@@ -470,13 +471,14 @@ def _stub_metrics(monkeypatch, bad_row):
     Rows are photon averages (norms, overlap); at r_m = 1 they give
     P = (2 + norms)/4 and F_pro = |2 + overlap|^2/16.
     """
-    def metrics(optics, sigma_t, g, *rates):
+    def metrics(tau_m, sigma_t, g, *rates):
         norms, overlap = np.full(g.shape, 1.8), np.full(g.shape, 1.6 + 0j)
         norms[2], overlap[2] = bad_row
         return norms, overlap
 
     monkeypatch.setattr(gate, "_gate_metrics", metrics)
-    return replace(_scenario(), optics=InterfaceOptics(r_m=1.0))
+    params, _, sigma_t = _scenario()
+    return params, InterfaceOptics(r_m=1.0), sigma_t
 
 
 def _scalar_outcome(bad_row):
@@ -493,7 +495,7 @@ def test_rows_outside_unit_interval_raise_as_one_outcome(monkeypatch, bad_row):
         _scalar_outcome(bad_row)
     base = _stub_metrics(monkeypatch, bad_row)
     with pytest.raises(DomainError) as rows:
-        robustness_mc(base, FluctuationSpec("coupling_g", 0.2, samples=5, seed=1))
+        robustness_mc(*base, FluctuationSpec("coupling_g", 0.2, samples=5, seed=1))
     assert str(rows.value) == str(scalar.value)
 
 
@@ -503,7 +505,7 @@ def test_rows_outside_unit_interval_raise_as_one_outcome(monkeypatch, bad_row):
 def test_rows_near_the_edges_snap_as_one_outcome(monkeypatch, bad_row):
     scalar = _scalar_outcome(bad_row)
     base = _stub_metrics(monkeypatch, bad_row)
-    summary = robustness_mc(base, FluctuationSpec("coupling_g", 0.2, samples=5, seed=1))
+    summary = robustness_mc(*base, FluctuationSpec("coupling_g", 0.2, samples=5, seed=1))
     assert summary.samples[2, 2:].tolist() == [scalar.f_c, scalar.p_success]
     assert scalar.f_c in (0.0, 1.0) or scalar.p_success in (0.0, 1.0)
 

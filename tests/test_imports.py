@@ -2,8 +2,9 @@
 top-level function or class is referenced somewhere in the package, and
 every stored attribute is read somewhere.
 
-No linter ships with the test dependencies, so these are AST scans.
-__init__.py only re-exports and is skipped by the import scan.  A name
+No linter ships with the test dependencies, so these are AST scans.  The
+import scan also covers the demos, the tests and the benchmark scripts;
+__init__.py only re-exports and is skipped by it.  A name
 bound by several imports (config.py's sha256 fallbacks) counts as used when
 any use reads it.  A re-export from __init__.py counts as a reference.
 """
@@ -16,6 +17,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "capsim"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the package's modules by file name, then every other script by its path from ROOT
+SCRIPTS = MODULES + [str(p.relative_to(ROOT)) for d in ("demos", "tests", "perfbench")
+                     for p in sorted((ROOT / d).glob("*.py"))]
 
 
 def _unused_imports(source):
@@ -61,9 +65,10 @@ def test_modules_found():
     assert {"experiments.py", "runner.py", "transfer_matrix.py"} <= set(MODULES)
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", SCRIPTS)
 def test_every_import_is_used(module):
-    assert _unused_imports((SRC / module).read_text()) == []
+    path = SRC / module if module in MODULES else ROOT / module
+    assert _unused_imports(path.read_text()) == []
 
 
 def test_scan_flags_an_unreferenced_definition():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ def test_node_responses_match_cavity_formulas():
     d = np.linspace(-40.0, 40.0, 2001)
     detuned = matched_node(100, GAMMA)
     nodes = [matched_node(100, GAMMA), matched_node(25, GAMMA),
-             NodeConfig(detuned.params.with_(delta_a=0.6), detuned.optics)] + _EP_NODES
+             NodeConfig(replace(detuned.params, delta_a=0.6), detuned.optics)] + _EP_NODES
     shift, tau = 0.37, 0.9
     for node in nodes:
         p = node.params

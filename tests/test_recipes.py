@@ -62,8 +62,8 @@ def test_recipe_runs_clean(name, run_recipe):
 
 
 _PURITY_EXCESS = pytest.mark.xfail(strict=True, reason=(
-    "the p_br = 0 kernel reads purity 1 + 6.0e-10: the fine RK4 step's error leaves "
-    "negative kernel eigenvalues that the weighted purity keeps (ROADMAP open item 6)"))
+    "the p_br = 0 kernel reads purity 1 + 6.0e-10: the fine RK4 step is not a positive "
+    "map, so its error leaves negative kernel eigenvalues that the weighted purity keeps"))
 
 
 @pytest.mark.parametrize("name", ["fig5b", "fig5c", pytest.param("fig5d", marks=_PURITY_EXCESS)])

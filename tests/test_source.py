@@ -57,12 +57,37 @@ def test_drive_rejects_unreachable_pulse_widths():
 def test_entangler_drive_uses_doubled_rates():
     d3 = DriveProfile(PARAMS10, 1.0)
     d4 = DriveProfile(PARAMS10, 1.0, level_scheme=ENTANGLER_4LVL)
-    ref = DriveProfile(PARAMS10.with_(g=2 * PARAMS10.g,
-                                      kappa_ex=2 * PARAMS10.kappa_ex,
-                                      kappa_in=2 * PARAMS10.kappa_in), 1.0)
+    ref = DriveProfile(dataclasses.replace(PARAMS10, g=2 * PARAMS10.g,
+                                           kappa_ex=2 * PARAMS10.kappa_ex,
+                                           kappa_in=2 * PARAMS10.kappa_in), 1.0)
     t = np.linspace(-2.0, 2.0, 7)
     assert np.allclose(d4(t), ref(t))
     assert not np.allclose(d4(t), d3(t))
+
+
+# an entangler source whose norm cost peaks inside the window (c_in 1, sigma_t
+# 100 ns): a 4,001-point scan missed that peak by 1.1e-6 relative, more than
+# _DRIVE_MARGIN, and left 1 - amplitude2 cost negative between its samples
+_INTERIOR_PEAK = dict(params=delay_matched_params(1, 2 * math.pi * 0.24e6), p_br=0.0,
+                      target_sigma_t=100e-9, level_scheme=ENTANGLER_4LVL)
+
+
+def test_drive_scale_is_the_exact_cost_maximum():
+    spec = SourceSpec(**_INTERIOR_PEAK)
+    drive = DriveProfile(spec.params, spec.target_sigma_t, level_scheme=spec.level_scheme)
+    dense = np.max(drive._cost(np.linspace(*spec.time_window, 2_000_001)))
+    assert drive.amplitude2 * dense == pytest.approx(1.0 - capsim.source._DRIVE_MARGIN,
+                                                     rel=1e-11)
+
+
+def test_drive_with_an_interior_cost_peak_converges_under_refinement():
+    # measured: purity - 1 = 4.3e-9 at sigma_t/800, and p_gen moves by 1.5e-6
+    # relative from sigma_t/800 to sigma_t/3200
+    sigma_t = _INTERIOR_PEAK["target_sigma_t"]
+    fine, finer = (source_kernel(SourceSpec(**_INTERIOR_PEAK, dt=sigma_t / n))
+                   for n in (800, 3200))
+    assert fine.purity - 1.0 <= 1e-8
+    assert fine.p_gen == pytest.approx(finer.p_gen, rel=1e-5)
 
 
 def test_emitted_mode_matches_target(kernel_c10_pure):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -125,14 +126,14 @@ def test_one_dip_per_longitudinal_mode():
 @given(scale=st.floats(0.8, 1.2), d=st.floats(-30.0, 30.0))
 def test_energy_bound_on_scans(scale, d):
     params = delay_matched_params(10, 1.0)
-    cav = _single_atom_cavity(params.with_(kappa_ex=params.kappa_ex * scale))
+    cav = _single_atom_cavity(replace(params, kappa_ex=params.kappa_ex * scale))
     assert abs(tm_reflectance(cav, d * 1.0, [1])) <= 1.0 + 1e-9
 
 
 @pytest.mark.parametrize("kex_scale", [0.8, 1.0, 1.2])
 def test_single_mode_oracle(kex_scale):
-    params = delay_matched_params(10, 1.0).with_()
-    params = params.with_(kappa_ex=params.kappa_ex * kex_scale)
+    params = delay_matched_params(10, 1.0)
+    params = replace(params, kappa_ex=params.kappa_ex * kex_scale)
     cav = _single_atom_cavity(params)
     deltas = np.linspace(-5 * params.kappa, 5 * params.kappa, 301)
     for states, reference in (([1], reflection_r1), ([0], reflection_r0)):
