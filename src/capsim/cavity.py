@@ -10,16 +10,22 @@ Conventions: all rates are angular (rad/s) and are field-amplitude decay
 rates, i.e. the cavity energy decays at 2*kappa and the atomic excited
 state at 2*gamma.  Detunings are angular frequencies relative to the
 cavity resonance.
+
+The module also holds the records and names the experiment registry reads
+when it checks a config (the wavelength-multiplexed system, the
+fluctuation spec and the source level schemes).  It imports numpy only
+inside the reflection responses, so the command layer loads without numpy.
 """
 
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import DomainError
 
 _C_LIGHT = 299792458.0
+
+LAMBDA_3LVL = "lambda_3lvl"
+ENTANGLER_4LVL = "entangler_4lvl"
 
 
 @dataclass(frozen=True)
@@ -104,11 +110,37 @@ class LengthModel:
             raise DomainError("velocities must be positive")
 
 
+@dataclass(frozen=True)
+class FluctuationSpec:
+    """Gaussian fluctuation of one parameter, given by its FWHM.
+
+    target 'coupling_g' and 'length' use fractional FWHM; 'cavity_freq'
+    uses FWHM in units of the photon bandwidth 1/sigma_t.
+    """
+
+    target: str
+    fwhm: float
+    samples: int = 10_000
+    seed: int = 0
+
+    _TARGETS = ("coupling_g", "cavity_freq", "length")
+
+    def __post_init__(self):
+        if self.target not in self._TARGETS:
+            raise DomainError(f"unknown fluctuation target {self.target!r}")
+        if self.fwhm < 0.0:
+            raise DomainError("fwhm must be non-negative")
+        if self.samples < 1:
+            raise DomainError("samples must be at least 1")
+
+
 def reflection_r0(params, delta):
     """Cavity reflection amplitude with the atom decoupled (qubit state 0).
 
     Accepts scalar or array detunings; |r0| <= 1 for all real detunings.
     """
+    import numpy as np
+
     delta = np.asarray(delta, dtype=float)
     num = -params.kappa_ex + params.kappa_in - 1j * delta
     den = params.kappa_ex + params.kappa_in - 1j * delta
@@ -118,6 +150,8 @@ def reflection_r0(params, delta):
 
 def reflection_r1(params, delta):
     """Reflection amplitude with the atom coupled (qubit state 1)."""
+    import numpy as np
+
     delta = np.asarray(delta, dtype=float)
     atom = params.gamma + 1j * params.delta_a - 1j * delta
     num = (-params.kappa_ex + params.kappa_in - 1j * delta) * atom + params.g**2
@@ -226,3 +260,60 @@ def scaled_by_length_deviation(params, dev_frac):
     return replace(params, g=params.g / math.sqrt(s),
                    kappa_in=params.kappa_in / s,
                    kappa_ex=params.kappa_ex / s)
+
+
+@dataclass(frozen=True)
+class WvmSystem:
+    """Physical inputs for wavelength-multiplexed crosstalk studies.
+
+    alpha_loss defaults to 2 pi / intrinsic finesse.  kappa_ex (and hence
+    the input-coupler transmittance) is optimized for the unshifted target
+    atom.  Only length ratios enter the transfer matrices, so no absolute
+    cavity length is needed.  omega_a / omega_fsr must round to a finite
+    mode number n0 >= 1, else DomainError.  transfer_matrix.wvm_chain
+    builds the system's transfer chain.
+    """
+
+    gamma: float
+    omega_fsr: float
+    omega_a: float
+    sigma0_over_aeff: float
+    c_over_vg: float
+    f_int: float
+
+    def __post_init__(self):
+        ratio = self.omega_a / self.omega_fsr
+        if not (math.isfinite(ratio) and round(ratio) >= 1):
+            raise DomainError(f"omega_a / omega_fsr = {ratio!r} is no mode number >= 1")
+
+    @property
+    def alpha_loss(self):
+        return 2.0 * math.pi / self.f_int
+
+    @property
+    def c_in(self):
+        return self.c_over_vg * self.sigma0_over_aeff * 2.0 / self.alpha_loss
+
+    @property
+    def gamma_1d(self):
+        return self.c_over_vg * self.sigma0_over_aeff * self.gamma
+
+    @property
+    def kappa_in(self):
+        return self.alpha_loss * self.omega_fsr / (4.0 * math.pi)
+
+    @property
+    def kappa_ex(self):
+        return kappa_ex_opt(self.kappa_in, self.c_in)
+
+    @property
+    def t_ex(self):
+        return 4.0 * math.pi * self.kappa_ex / self.omega_fsr
+
+    @property
+    def t_in(self):
+        return self.alpha_loss
+
+    @property
+    def n0(self):
+        return int(round(self.omega_a / self.omega_fsr))

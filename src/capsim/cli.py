@@ -16,7 +16,6 @@ from importlib import resources
 
 from .config import parse_config, sanity_warnings, validate_raw
 from .experiments import EXPERIMENTS
-from .runner import run_sweep, write_outputs
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -43,6 +42,8 @@ def _resolve_config(name_or_path):
 
 
 def cmd_run(args):
+    from .runner import run_sweep, write_outputs  # numpy: only a run pays for it
+
     try:
         raw = _resolve_config(args.config)
     except OSError as exc:

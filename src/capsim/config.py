@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 try:  # the interpreter's own SHA-256: hashlib would map OpenSSL's libcrypto (3.6 MB)
     from _sha2 import sha256  # Python 3.12+
 except ImportError:
@@ -71,6 +69,8 @@ class SweepAxis:
     @cached_property
     def values(self):
         """The axis grid, built once per axis and read-only, within its endpoints."""
+        import numpy as np  # only a run builds a grid; validation stays numpy-free
+
         if self.scale == "log":  # geomspace's 10**log10(x) can round past the float maximum
             with np.errstate(over="ignore"):
                 grid = np.clip(np.geomspace(self.start, self.stop, self.points),

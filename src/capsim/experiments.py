@@ -4,23 +4,16 @@ Each experiment is a pure function of its (unit-normalized) parameter map;
 it returns a list of output rows.  The Monte-Carlo experiments draw from
 the config seed.  Each schema maps a parameter name to its kind (see
 config.KINDS; a tuple is an enum of its strings); the schemas drive config
-validation and the CLI's physical-sanity report.
+validation and the CLI's physical-sanity report.  The registry itself reads
+only the numpy-free cavity module: each experiment and sanity check imports
+the layer it calls, so validating a config loads only what its check runs.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import cavity as cav
-from . import crosstalk as ct
-from . import protocols as proto
-from . import rates as rt
-from . import source as src
-from . import transfer_matrix as tm
 from .errors import ConfigError
-from .gate import (FluctuationSpec, GaussianPhoton, caps_finite_bandwidth, caps_longpulse,
-                   min_sigma_t, robustness_mc)
 
 
 @dataclass(frozen=True)
@@ -80,6 +73,8 @@ def _reflection_scan(p):
 
 
 def _longpulse_metrics(p):
+    from .gate import caps_longpulse
+
     # caps_longpulse reads only r_m: no mirror delay, so no pulse_delays (and its pole)
     params = _cavity_from(p)
     conventional = caps_longpulse(params, cav.InterfaceOptics(r_m=1.0))
@@ -106,6 +101,8 @@ def _installed(p):
 
 
 def _bandwidth_scan(p):
+    from .gate import caps_finite_bandwidth
+
     params, optics = _installed(p)
     out = caps_finite_bandwidth(params, optics, p["sigma_t"])
     return [{"f_c": out.f_c, "infidelity": out.infidelity,
@@ -113,11 +110,13 @@ def _bandwidth_scan(p):
 
 
 def _robustness(p):
+    from .gate import robustness_mc
+
     params, optics = _installed(p)
-    spec = FluctuationSpec(target=p["target"],
-                           fwhm=p.get("fwhm", 0.0),
-                           seed=int(p["seed"]),
-                           **_given(p, samples=int))
+    spec = cav.FluctuationSpec(target=p["target"],
+                               fwhm=p.get("fwhm", 0.0),
+                               seed=int(p["seed"]),
+                               **_given(p, samples=int))
     summary = robustness_mc(params, optics, p["sigma_t"], spec)
     if p.get("samples_out"):
         _write_samples(p["samples_out"], summary.samples)
@@ -137,6 +136,8 @@ def _write_samples(path, samples):
 
 
 def _crosstalk_scan(p):
+    from . import crosstalk as ct
+
     gamma = p["gamma"]
     n_atoms = int(p["n_atoms"])
     delta_a = p["delta_ratio"] * n_atoms * gamma if "delta_ratio" in p else p["delta_a"]
@@ -149,6 +150,8 @@ def _crosstalk_scan(p):
 
 
 def _source_characterize(p):
+    from . import source as src
+
     spec = src.SourceSpec(params=_cavity_from(p), p_br=p.get("p_br", 0.0),
                           target_sigma_t=p["sigma_t"],
                           **_given(p, level_scheme=str, kernel_points=int))
@@ -169,6 +172,10 @@ _SOURCES = ("cavity", "gaussian")
 
 
 def _protocol_eval(p):
+    from . import protocols as proto
+    from . import source as src
+    from .gate import GaussianPhoton
+
     gamma = p["gamma"]
     protocol = p["protocol"]
     sigma_t = p["sigma_t"]
@@ -184,8 +191,8 @@ def _protocol_eval(p):
         if p.get("kernel_in"):  # a kernel exported by the source model
             photon = src.TemporalKernel.load(p["kernel_in"])
         else:
-            scheme = (src.ENTANGLER_4LVL if protocol in ("type3", "type1")
-                      else src.LAMBDA_3LVL)
+            scheme = (cav.ENTANGLER_4LVL if protocol in ("type3", "type1")
+                      else cav.LAMBDA_3LVL)
             photon = src.source_kernel(src.SourceSpec(
                 params=node.params, p_br=p.get("p_br", 0.5), target_sigma_t=sigma_t,
                 level_scheme=scheme))
@@ -210,13 +217,17 @@ def _protocol_eval(p):
 
 
 def _wvm_system(p):
-    return tm.WvmSystem(gamma=p["gamma"], omega_fsr=p["omega_fsr"],
-                        omega_a=p["omega_a"],
-                        sigma0_over_aeff=p["sigma0_over_aeff"],
-                        c_over_vg=p["c_over_vg"], f_int=p["f_int"])
+    return cav.WvmSystem(gamma=p["gamma"], omega_fsr=p["omega_fsr"],
+                         omega_a=p["omega_a"],
+                         sigma0_over_aeff=p["sigma0_over_aeff"],
+                         c_over_vg=p["c_over_vg"], f_int=p["f_int"])
 
 
 def _tm_spectrum(p):
+    import numpy as np
+
+    from . import transfer_matrix as tm
+
     n_ch = int(p.get("n_channels", 0))
     state = int(p.get("atom_state", 1))
     cavity = tm.channel_chain(_wvm_system(p), n_ch)
@@ -227,6 +238,8 @@ def _tm_spectrum(p):
 
 
 def _wvm_crosstalk(p):
+    from . import transfer_matrix as tm
+
     system = _wvm_system(p)
     res = tm.wvm_crosstalk(system, n_channels=int(p["n_channels"]),
                            trials=int(p.get("trials", 50)),
@@ -240,6 +253,8 @@ def _wvm_crosstalk(p):
 
 
 def _rate_tables(p):
+    from . import rates as rt
+
     s = rt.MuxScenario(n_atoms=int(p["n_atoms"]), tau_s=p["tau_shuttle"],
                        sigma_t=p["sigma_t"], p_success=p["p_success"],
                        **_given(p, pulse_spacing_factor=float, n_channels=int, r_dark=float))
@@ -254,6 +269,8 @@ def _rate_tables(p):
 # --------------------------------------------------------------------------
 
 def _sanity_bandwidth(p):
+    from .gate import min_sigma_t
+
     warnings = []
     if "sigma_t" in p and "c_in" in p:
         try:
@@ -310,7 +327,7 @@ EXPERIMENTS = {
     "robustness": ExperimentDef(
         _robustness,
         required={"gamma": "positive", "sigma_t": "positive",
-                  "target": FluctuationSpec._TARGETS},
+                  "target": cav.FluctuationSpec._TARGETS},
         optional=dict(_OPTICS, fwhm="nonneg", samples="posint",
                       length_dev="real", samples_out="outfile"),
         alternatives=_CAVITY_FROM,
@@ -327,7 +344,7 @@ EXPERIMENTS = {
         _source_characterize,
         required={"gamma": "positive", "sigma_t": "positive"},
         optional=dict(_CAVITY, p_br="prob",
-                      level_scheme=(src.LAMBDA_3LVL, src.ENTANGLER_4LVL),
+                      level_scheme=(cav.LAMBDA_3LVL, cav.ENTANGLER_4LVL),
                       kernel_points="posint", kernel_out="outfile"),
         alternatives=_CAVITY_FROM,
         columns=("p_gen", "purity", "lambda_1", "lambda_2", "overlap_target")),

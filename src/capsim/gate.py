@@ -113,30 +113,6 @@ class Response(NamedTuple):
 
 
 @dataclass(frozen=True)
-class FluctuationSpec:
-    """Gaussian fluctuation of one parameter, given by its FWHM.
-
-    target 'coupling_g' and 'length' use fractional FWHM; 'cavity_freq'
-    uses FWHM in units of the photon bandwidth 1/sigma_t.
-    """
-
-    target: str
-    fwhm: float
-    samples: int = 10_000
-    seed: int = 0
-
-    _TARGETS = ("coupling_g", "cavity_freq", "length")
-
-    def __post_init__(self):
-        if self.target not in self._TARGETS:
-            raise DomainError(f"unknown fluctuation target {self.target!r}")
-        if self.fwhm < 0.0:
-            raise DomainError("fwhm must be non-negative")
-        if self.samples < 1:
-            raise DomainError("samples must be at least 1")
-
-
-@dataclass(frozen=True)
 class RobustnessSummary:
     """Success-weighted fluctuation average of the heralded gate metrics.
 

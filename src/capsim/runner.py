@@ -10,9 +10,10 @@ in one call.  A point that raises, or returns a NaN or infinite output,
 becomes an error row; a line that fails is evaluated again point by point,
 so each failing point keeps its own row.  Relative "outfile" parameters
 are placed in the CSV's directory.  Each point's rows become CSV lines
-(shortest-roundtrip floats) as its task returns, and the lines are streamed
-to the file; run metadata and health (timings, peak RSS) go to a JSON
-sidecar so the CSV body stays reproducible.
+(shortest-roundtrip floats) as its task returns; run_sweep holds every line
+in memory until the sweep ends, and write_outputs then writes them to the
+file.  Run metadata and health (timings, peak RSS) go to a JSON sidecar so
+the CSV body stays reproducible.
 """
 
 import collections

@@ -24,11 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityParams
+from .cavity import ENTANGLER_4LVL, LAMBDA_3LVL, CavityParams
 from .errors import ConvergenceError, DomainError
-
-LAMBDA_3LVL = "lambda_3lvl"
-ENTANGLER_4LVL = "entangler_4lvl"
 
 _TRACE_TOL = 1e-6
 _DRIVE_MARGIN = 1e-6
@@ -337,8 +334,8 @@ class MasterEvolution:
             x = phi_k @ x
             keep[k + 1, block] = x
             tr = abs(np.trace(keep[k + 1].reshape(d, d)) - 1.0)
-            self.max_trace_drift = max(self.max_trace_drift, tr)
-            if tr > _TRACE_TOL:
+            self.max_trace_drift = max(tr, self.max_trace_drift)  # tr first: max keeps a NaN
+            if not tr <= _TRACE_TOL:  # a NaN state fails too
                 raise ConvergenceError(
                     f"trace drift {tr:.2e} at t = {self.times[k + 1]:.3e}; reduce dt")
         self.gauged_rho = keep.reshape(self.times.size, d, d)

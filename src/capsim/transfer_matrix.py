@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cavity import kappa_ex_opt
 from .errors import DomainError
 from .gate import _heralded, _Pcg64, _snap_unit, _stream_states
 
@@ -165,66 +164,11 @@ def tm_reflectance(cavity, delta, atom_states=None):
     return r if np.ndim(delta) else complex(r[0])
 
 
-@dataclass(frozen=True)
-class WvmSystem:
-    """Physical inputs for wavelength-multiplexed crosstalk studies.
-
-    alpha_loss defaults to 2 pi / intrinsic finesse.  kappa_ex (and hence
-    the input-coupler transmittance) is optimized for the unshifted target
-    atom.  Only length ratios enter the transfer matrices, so no absolute
-    cavity length is needed.  omega_a / omega_fsr must round to a finite
-    mode number n0 >= 1, else DomainError.
-    """
-
-    gamma: float
-    omega_fsr: float
-    omega_a: float
-    sigma0_over_aeff: float
-    c_over_vg: float
-    f_int: float
-
-    def __post_init__(self):
-        ratio = self.omega_a / self.omega_fsr
-        if not (math.isfinite(ratio) and round(ratio) >= 1):
-            raise DomainError(f"omega_a / omega_fsr = {ratio!r} is no mode number >= 1")
-
-    @property
-    def alpha_loss(self):
-        return 2.0 * math.pi / self.f_int
-
-    @property
-    def c_in(self):
-        return self.c_over_vg * self.sigma0_over_aeff * 2.0 / self.alpha_loss
-
-    @property
-    def gamma_1d(self):
-        return self.c_over_vg * self.sigma0_over_aeff * self.gamma
-
-    @property
-    def kappa_in(self):
-        return self.alpha_loss * self.omega_fsr / (4.0 * math.pi)
-
-    @property
-    def kappa_ex(self):
-        return kappa_ex_opt(self.kappa_in, self.c_in)
-
-    @property
-    def t_ex(self):
-        return 4.0 * math.pi * self.kappa_ex / self.omega_fsr
-
-    @property
-    def t_in(self):
-        return self.alpha_loss
-
-    @property
-    def n0(self):
-        return int(round(self.omega_a / self.omega_fsr))
-
-    def chain(self, t_ex, positions, delta_a):
-        """The system's TmCavity: coupler t_ex, identical atoms (gamma_total = 2 gamma)."""
-        return TmCavity(omega_fsr=self.omega_fsr, n0=self.n0, t_ex=t_ex, t_in=self.t_in,
-                        atom_positions=positions, gamma_1d=self.gamma_1d,
-                        gamma_total=2.0 * self.gamma, atom_delta_a=delta_a)
+def wvm_chain(system, t_ex, positions, delta_a):
+    """A WvmSystem's TmCavity: coupler t_ex, identical atoms (gamma_total = 2 gamma)."""
+    return TmCavity(omega_fsr=system.omega_fsr, n0=system.n0, t_ex=t_ex, t_in=system.t_in,
+                    atom_positions=positions, gamma_1d=system.gamma_1d,
+                    gamma_total=2.0 * system.gamma, atom_delta_a=delta_a)
 
 
 def channel_offsets(n_channels):
@@ -283,7 +227,7 @@ def calibrated_coupler(system):
     x = central_antinode(system.n0)
 
     def magnitudes(t_ex):  # (|r0|, |r1|) at the bare mode center
-        return np.abs(_chain_reflectance(system.chain(t_ex, [x], [0.0]), 0.0)[0])
+        return np.abs(_chain_reflectance(wvm_chain(system, t_ex, [x], [0.0]), 0.0)[0])
 
     def imbalance(t_ex):
         r0, r1 = magnitudes(t_ex)
@@ -304,8 +248,8 @@ def channel_chain(system, n_channels):
     offsets = channel_offsets(n_channels)
     positions = [central_antinode(system.n0 + off) for off in offsets]
     order = np.argsort(positions)
-    return system.chain(t_ex, np.array(positions)[order],
-                        np.array(offsets, dtype=float)[order] * system.omega_fsr)
+    return wvm_chain(system, t_ex, np.array(positions)[order],
+                     np.array(offsets, dtype=float)[order] * system.omega_fsr)
 
 
 @dataclass(frozen=True)
@@ -398,7 +342,7 @@ def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None):
     for start in range(0, row_trial.size, per_block):
         block = slice(start, start + per_block)
         trial = row_trial[block]
-        refl = _chain_reflectance(system.chain(t_ex, positions[trial], delta_a[trial]),
+        refl = _chain_reflectance(wvm_chain(system, t_ex, positions[trial], delta_a[trial]),
                                   row_probe[block])
         signed = np.where(cases >> row_shift[block, None] & 1, 1.0, -1.0)
         infidelity[block] = _heralded(r_m, np.sum(np.abs(refl) ** 2, axis=-1) / scale,

@@ -10,19 +10,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from capsim.cavity import (CavityParams, InterfaceOptics, LengthModel,
-                           delay_matched_params, kappa_ex_opt, l_cav_opt,
+from capsim.cavity import (CavityParams, FluctuationSpec, InterfaceOptics, LengthModel,
+                           WvmSystem, delay_matched_params, kappa_ex_opt, l_cav_opt,
                            matched_optics, pulse_delays, r_opt)
 from capsim.config import parse_config
 from capsim.crosstalk import (crosstalk_fidelity_approx, crosstalk_fidelity_exact,
                               matched_scenario)
-from capsim.gate import FluctuationSpec, caps_finite_bandwidth, caps_longpulse, robustness_mc
+from capsim.gate import caps_finite_bandwidth, caps_longpulse, robustness_mc
 from capsim.protocols import matched_node, type1, type2, type3
 from capsim.rates import MuxScenario, rate_time_mux, rate_wavelength_mux
 from capsim.runner import run_sweep
 from capsim.source import (ENTANGLER_4LVL, SourceSpec, decompose,
                            gaussian_target, mode_overlap, source_kernel)
-from capsim.transfer_matrix import TmCavity, WvmSystem, tm_reflectance, wvm_crosstalk
+from capsim.transfer_matrix import TmCavity, tm_reflectance, wvm_crosstalk
 from helpers import table_bytes
 
 GAMMA_YB = 2 * math.pi * 0.24e6

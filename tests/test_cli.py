@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsim
-from capsim import experiments, runner
+from capsim import gate, runner
 from capsim.cli import _recipe_names, _resolve_config, main
 from capsim.config import parse_config, sanity_warnings, validate_raw
 from capsim.errors import ConvergenceError
@@ -282,7 +283,7 @@ def test_failing_pulse_width_check_becomes_warning(monkeypatch):
     def no_floor(*args, **kwargs):
         raise ConvergenceError("no pulse width")
 
-    monkeypatch.setattr(experiments, "min_sigma_t", no_floor)
+    monkeypatch.setattr(gate, "min_sigma_t", no_floor)  # the sanity check reads it at call time
     cfg = {"experiment": "bandwidth_scan", "seed": 1,
            "parameters": dict(GAMMA_KEY, c_in=100, sigma_t_ns=500.0)}
     warnings = sanity_warnings(parse_config(cfg))
@@ -871,7 +872,6 @@ import json, sys
 from capsim.cli import main
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-print(json.dumps(sorted(sys.modules)))
 """
 
 
@@ -883,13 +883,79 @@ def _child_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def _cold_start_modules(argvs, packages=("scipy",)):
-    """The modules of `packages`, or within them, that main() on each argv loads."""
-    out = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(argvs)],
+def _child_modules(code, packages, *args):
+    """The modules of `packages`, or within them, that a fresh interpreter running code loads."""
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    out = subprocess.run([sys.executable, "-c", code, *args],
                          capture_output=True, text=True, env=_child_env())
     assert out.returncode == 0, out.stderr
     return [m for m in json.loads(out.stdout.splitlines()[-1])
             if any(m == p or m.startswith(p + ".") for p in packages)]
+
+
+def _cold_start_modules(argvs, packages=("scipy",)):
+    """The modules of `packages`, or within them, that main() on each argv loads."""
+    return _child_modules(_COLD_START, packages, json.dumps(argvs))
+
+
+# the numerical layers; the command layer (cli, config, experiments, cavity, ...) loads none
+_LAYERS = tuple(f"capsim.{m}" for m in ("crosstalk", "gate", "protocols", "rates", "runner",
+                                        "source", "transfer_matrix"))
+
+
+@pytest.mark.parametrize("statement", ["import capsim", "import capsim.cli"])
+def test_import_loads_no_numpy_and_no_numerical_layer(statement):
+    assert _child_modules(statement, ("numpy", *_LAYERS)) == []
+
+
+def test_validate_of_a_transfer_matrix_config_and_the_lists_load_no_numpy():
+    # fig7b is a tm_spectrum recipe, fig7c a wvm_crosstalk one
+    argvs = [["validate", "fig7b"], ["validate", "fig7c"], ["list-experiments"],
+             ["list-recipes"]]
+    assert _cold_start_modules(argvs, ("numpy", *_LAYERS)) == []
+
+
+def test_validate_loads_only_the_layer_its_sanity_check_runs():
+    # fig3b is a bandwidth_scan recipe: its pulse-width check runs gate.min_sigma_t
+    assert _cold_start_modules([["validate", "fig3b"]], _LAYERS) == ["capsim.gate"]
+
+
+_RUN_LAYERS = {  # a one-point config of each experiment, and the layers besides runner it runs
+    "reflection_scan": (dict(GAMMA_KEY, c_in=100, delta=0.0), ()),
+    "longpulse_metrics": (dict(GAMMA_KEY, c_in=100), ("gate",)),
+    "bandwidth_scan": (dict(GAMMA_KEY, c_in=100, sigma_t_ns=217.6), ("gate",)),
+    "robustness": (dict(GAMMA_KEY, c_in=100, sigma_t_ns=217.6, target="coupling_g",
+                        fwhm=0.1, samples=4), ("gate",)),
+    "crosstalk_scan": (dict(GAMMA_KEY, c_in=100, n_atoms=3, delta_ratio=10),
+                       ("crosstalk", "gate")),
+    "source_characterize": (dict(GAMMA_KEY, c_in=10, sigma_t_ns=663.15, kernel_points=41),
+                            ("source",)),
+    "protocol_eval": (dict(_PROTOCOL_PARAMS, source="gaussian"),
+                      ("gate", "protocols", "source")),
+    "tm_spectrum": (dict(_WVM_PARAMETERS, n_channels=2, delta=0.0), ("gate", "transfer_matrix")),
+    "wvm_crosstalk": (dict(_WVM_PARAMETERS, n_channels=2, trials=1),
+                      ("gate", "transfer_matrix")),
+    "rate_tables": (_RATES_CONFIG["parameters"], ("rates",)),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_run_loads_only_its_own_layers(experiment, tmp_path):
+    parameters, layers = _RUN_LAYERS[experiment]
+    cfg = _write(tmp_path, "config.json", {"experiment": experiment, "seed": 1,
+                                           "parameters": parameters,
+                                           "output": {"path": "out.csv"}})
+    loaded = _cold_start_modules([["run", cfg, "--out", str(tmp_path)]], _LAYERS)
+    assert loaded == sorted(f"capsim.{m}" for m in (*layers, "runner"))
+
+
+def test_every_lazy_export_resolves_to_its_module_attribute():
+    for module, names in capsim._EXPORTS.items():
+        home = importlib.import_module(f"capsim.{module}")
+        for name in names:
+            assert getattr(capsim, name) is getattr(home, name), name
+    assert capsim.runner is importlib.import_module("capsim.runner")
+    assert not hasattr(capsim, "no_such_module") and not hasattr(capsim, "__main__")
 
 
 def test_transfer_matrix_runs_import_no_scipy(tmp_path):

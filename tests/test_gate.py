@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capsim import gate
-from capsim.cavity import (CavityParams, InterfaceOptics, delay_matched_params,
-                           kappa_ex_opt, matched_optics, pulse_delays, r_opt,
-                           reflection_r0, reflection_r1,
+from capsim.cavity import (CavityParams, FluctuationSpec, InterfaceOptics,
+                           delay_matched_params, kappa_ex_opt, matched_optics,
+                           pulse_delays, r_opt, reflection_r0, reflection_r1,
                            scaled_by_length_deviation)
 from capsim.errors import DomainError
-from capsim.gate import (FluctuationSpec, GateOutcome, GaussianPhoton,
-                         caps_finite_bandwidth, caps_longpulse, min_sigma_t,
-                         robustness_mc)
+from capsim.gate import (GateOutcome, GaussianPhoton, caps_finite_bandwidth,
+                         caps_longpulse, min_sigma_t, robustness_mc)
 
 GAMMA = 1.0
 

@@ -1,12 +1,13 @@
 """Every name a capsim module imports is used in that module, every
-top-level function or class is referenced somewhere in the package, and
-every stored attribute is read somewhere.
+top-level function or class is referenced somewhere in the package, every
+stored attribute is read somewhere, and the command layer imports no
+numerical code when it loads.
 
 No linter ships with the test dependencies, so these are AST scans.  The
-import scan also covers the demos, the tests and the benchmark scripts;
-__init__.py only re-exports and is skipped by it.  A name
-bound by several imports (config.py's sha256 fallbacks) counts as used when
-any use reads it.  A re-export from __init__.py counts as a reference.
+import scan also covers the demos, the tests and the benchmark scripts.  A
+name bound by several imports (config.py's sha256 fallbacks) counts as used
+when any use reads it.  A name in __init__.py's lazy export table counts as
+a reference, and a table entry its module does not define is reported.
 """
 
 import ast
@@ -16,7 +17,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "capsim"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p.name for p in SRC.glob("*.py"))
+# what `import capsim.cli` and `caps-sim validate` load; every other module is numerical
+COMMAND_LAYER = ("__init__.py", "__main__.py", "cavity.py", "cli.py", "config.py",
+                 "errors.py", "experiments.py", "units.py")
 # the package's modules by file name, then every other script by its path from ROOT
 SCRIPTS = MODULES + [str(p.relative_to(ROOT)) for d in ("demos", "tests", "perfbench")
                      for p in sorted((ROOT / d).glob("*.py"))]
@@ -34,15 +38,28 @@ def _unused_imports(source):
     return sorted(imported - used)
 
 
+def _lazy_exports(source):
+    """{module file: names} of the _EXPORTS table an __init__.py source assigns."""
+    for stmt in ast.parse(source).body:
+        if [getattr(t, "id", None) for t in getattr(stmt, "targets", ())] == ["_EXPORTS"]:
+            return {f"{module}.py": names for module, names in ast.literal_eval(stmt.value).items()}
+    return {}
+
+
 def _unreferenced_definitions(sources):
-    """module:name of each top-level def or class no statement reads but its own.
+    """module:name of each top-level def or class no statement reads but its own,
+    and __init__.py:module.name of each lazy export its module does not define.
 
     sources maps module file names to their text.  Names are matched across
     modules, so a definition counts as referenced when any module reads its
-    name, as a bare name, an attribute or a from-import.
+    name, as a bare name, an attribute or a from-import, or __init__.py's
+    _EXPORTS table lists it.  A module-level dunder (PEP 562's __getattr__)
+    is called by the interpreter.  An export is defined by a def, a class or
+    an assignment in its module, never by an import of it.
     """
-    defined, referenced = [], set()
+    defined, referenced, homes = [], set(), {}
     for module, source in sources.items():
+        homes[module] = set()
         for stmt in ast.parse(source).body:
             nodes = list(ast.walk(stmt))
             names = ({n.id for n in nodes if isinstance(n, ast.Name)}
@@ -50,9 +67,37 @@ def _unreferenced_definitions(sources):
                      | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names})
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((module, stmt.name))
+                homes[module].add(stmt.name)
                 names.discard(stmt.name)
+            elif isinstance(stmt, ast.Assign):
+                homes[module] |= {t.id for t in stmt.targets if isinstance(t, ast.Name)}
             referenced |= names
-    return sorted(f"{module}:{name}" for module, name in defined if name not in referenced)
+    exports = _lazy_exports(sources.get("__init__.py", ""))
+    referenced |= {name for names in exports.values() for name in names}
+    stale = [f"__init__.py:{module[:-3]}.{name}" for module, names in exports.items()
+             for name in names if name not in homes.get(module, ())]
+    return sorted(stale + [f"{module}:{name}" for module, name in defined
+                           if name not in referenced and not name.startswith("__")])
+
+
+def _load_time_imports(source):
+    """The modules a source imports when it loads, a relative one as '.name'.
+
+    A function body runs only when called, so the scan does not enter it;
+    class bodies and top-level try or if blocks run at load and are scanned.
+    """
+    found, todo = set(), list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(["." * node.level + node.module.split(".")[0]] if node.module
+                         else ["." * node.level + a.name for a in node.names])
+        todo.extend(ast.iter_child_nodes(node))
+    return found
 
 
 def test_scan_flags_an_unused_import():
@@ -62,7 +107,7 @@ def test_scan_flags_an_unused_import():
 
 
 def test_modules_found():
-    assert {"experiments.py", "runner.py", "transfer_matrix.py"} <= set(MODULES)
+    assert {"experiments.py", "runner.py", "transfer_matrix.py", *COMMAND_LAYER} <= set(MODULES)
 
 
 @pytest.mark.parametrize("module", SCRIPTS)
@@ -76,13 +121,30 @@ def test_scan_flags_an_unreferenced_definition():
                         "def helper():\n    return Used\ndef exported():\n    pass\n"
                         "x = b.reached()\n"),
                "b.py": "from .a import helper\ndef reached():\n    return helper()\n",
-               "__init__.py": "from .a import exported\n"}
-    assert _unreferenced_definitions(sources) == ["a.py:loop"]
+               "__init__.py": ("_EXPORTS = {'a': ('exported', 'x', 'gone'), 'b': ('helper',)}\n"
+                               "def __getattr__(name):\n    return name\n")}
+    # b only imports helper, so the table's b.helper is stale like a.gone
+    assert _unreferenced_definitions(sources) == ["__init__.py:a.gone", "__init__.py:b.helper",
+                                                  "a.py:loop"]
 
 
 def test_every_definition_is_referenced():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert _unreferenced_definitions(sources) == []
+
+
+def test_scan_finds_only_the_imports_run_at_load():
+    source = ("import numpy.linalg as la\nfrom . import cavity as cav\ntry:\n"
+              "    from .gate import x\nexcept ImportError:\n    x = None\n"
+              "class A:\n    from ..pkg.source import y\n"
+              "def f():\n    from . import rates\n    import scipy\n")
+    assert _load_time_imports(source) == {"numpy", ".cavity", ".gate", "..pkg"}
+
+
+@pytest.mark.parametrize("module", COMMAND_LAYER)
+def test_command_layer_loads_no_numerical_module(module):
+    numerical = {"numpy"} | {"." + m[:-3] for m in MODULES if m not in COMMAND_LAYER}
+    assert sorted(_load_time_imports((SRC / module).read_text()) & numerical) == []
 
 
 def _is_dataclass(cls):

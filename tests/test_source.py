@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 import capsim.source
 from capsim.cavity import delay_matched_params
-from capsim.errors import DomainError
+from capsim.errors import ConvergenceError, DomainError
 from capsim.source import (_TRACE_TOL, ENTANGLER_4LVL, LAMBDA_3LVL, DriveProfile,
                            SourceSpec, TemporalKernel, _fine_grid, autocorrelation,
                            build_model, decompose, evolve_master, gaussian_target,
@@ -139,6 +139,15 @@ def test_max_trace_drift_recorded():
     evo = evolve_master(_spec(p_br=0.5))
     assert evo.max_trace_drift == max(abs(np.trace(r) - 1.0) for r in evo.gauged_rho)
     assert evo.max_trace_drift < _TRACE_TOL
+
+
+def test_nan_state_fails_the_trace_drift_check():
+    # NaN compares False both ways, so a `drift > tol` test would pass it
+    def nan_drive(t):
+        return np.where(t > 0, np.nan, 0.0)
+
+    with pytest.raises(ConvergenceError, match="trace drift nan"):
+        evolve_master(_spec(kernel_points=41), drive=nan_drive)
 
 
 _BLOCKED_SOURCES = {"lambda_pure": dict(p_br=0.0), "lambda": dict(p_br=0.5),

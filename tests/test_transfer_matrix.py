@@ -9,17 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsim.transfer_matrix as tmod
-from capsim.cavity import CavityParams, delay_matched_params, reflection_r0, reflection_r1
+from capsim.cavity import (CavityParams, WvmSystem, delay_matched_params, reflection_r0,
+                           reflection_r1)
 from capsim.config import parse_config
 from capsim.errors import DomainError
 from capsim.experiments import _wvm_system
 from capsim.gate import _heralded, _snap_unit
 from capsim.runner import run_sweep
-from capsim.transfer_matrix import (TmCavity, WvmSystem, calibrated_coupler,
+from capsim.transfer_matrix import (TmCavity, calibrated_coupler,
                                     central_antinode, channel_chain,
                                     channel_offsets, tm_atom, tm_mirror_in,
                                     tm_mirror_out, tm_propagation,
-                                    tm_reflectance, wvm_crosstalk)
+                                    tm_reflectance, wvm_chain, wvm_crosstalk)
 
 GAMMA = 2 * math.pi * 0.24e6
 
@@ -352,7 +353,7 @@ def test_central_antinode_is_the_antinode_nearest_the_center(n):
 def test_system_chain_carries_the_shared_atomic_rates(n0):
     system = _system_at_mode(n0)
     positions = np.sort(np.random.default_rng(n0).uniform(0.0, 1.0, (3, 4)), axis=-1)
-    cavity = system.chain(0.01, positions, np.zeros((3, 4)))
+    cavity = wvm_chain(system, 0.01, positions, np.zeros((3, 4)))
     assert (cavity.omega_fsr, cavity.n0, cavity.t_ex, cavity.t_in) == (
         system.omega_fsr, n0, 0.01, system.t_in)
     assert cavity.gamma_1d == system.gamma_1d and cavity.gamma_total == 2 * GAMMA
@@ -505,7 +506,7 @@ def _scalar_rows(system, n_channels, n_atoms, trials, seed):
     scale = 2.0 ** (n_atoms - 1)
     rows = []
     for trial in range(trials):
-        cavity = system.chain(t_ex, positions[trial], delta_a[trial])
+        cavity = wvm_chain(system, t_ex, positions[trial], delta_a[trial])
         for i in range(n_atoms):
             off = offsets[i % n_channels]
             refl = tmod._chain_reflectance(cavity, off * system.omega_fsr, cases)
