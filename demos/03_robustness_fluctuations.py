@@ -7,8 +7,8 @@ fluctuations, and cavity-resonance jitter.
 
 import math
 
-from capsim import (FluctuationSpec, caps_finite_bandwidth, delay_matched_params,
-                    matched_optics, robustness_mc, scaled_by_length_deviation)
+from capsim import (caps_finite_bandwidth, delay_matched_params, matched_optics,
+                    robustness_mc, scaled_by_length_deviation)
 
 GAMMA = 2 * math.pi * 0.24e6
 C_IN = 100
@@ -27,16 +27,14 @@ for dev in (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.5):
 print("\nCoupling-strength fluctuations (Gaussian, fractional FWHM):")
 print(f"{'FWHM':>8} {'mean infidelity':>16} {'mean success':>14}")
 for fwhm in (0.0, 0.1, 0.2, 0.3):
-    summary = robustness_mc(params, optics, SIGMA_T,
-                            FluctuationSpec("coupling_g", fwhm, samples=2000, seed=7))
+    summary = robustness_mc(params, optics, SIGMA_T, "coupling_g", fwhm, samples=2000, seed=7)
     print(f"{fwhm:8.2f} {summary.mean_infidelity:16.2e} "
           f"{summary.mean_success:14.4f}")
 
 print("\nCavity-resonance jitter (FWHM in units of the photon bandwidth):")
 print(f"{'FWHM':>8} {'mean infidelity':>16}")
 for fwhm in (0.0, 0.1, 0.2, 0.4):
-    summary = robustness_mc(params, optics, SIGMA_T,
-                            FluctuationSpec("cavity_freq", fwhm, samples=2000, seed=7))
+    summary = robustness_mc(params, optics, SIGMA_T, "cavity_freq", fwhm, samples=2000, seed=7)
     print(f"{fwhm:8.2f} {summary.mean_infidelity:16.2e}")
 
 print("\nA fifth of fractional coupling noise, or a tenth of the photon")

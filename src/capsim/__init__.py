@@ -22,11 +22,10 @@ __version__ = "0.1.0"
 
 # each module's exported names
 _EXPORTS = {
-    "cavity": ("ENTANGLER_4LVL", "LAMBDA_3LVL", "CavityParams", "FluctuationSpec",
-               "InterfaceOptics", "LengthModel", "WvmSystem", "delay_matched_params",
-               "kappa_ex_opt", "l_cav_opt", "matched_optics", "params_from_length",
-               "pulse_delays", "r_opt", "reflection_r0", "reflection_r1",
-               "scaled_by_length_deviation"),
+    "cavity": ("ENTANGLER_4LVL", "LAMBDA_3LVL", "CavityParams", "InterfaceOptics",
+               "LengthModel", "WvmSystem", "delay_matched_params", "kappa_ex_opt",
+               "l_cav_opt", "matched_optics", "params_from_length", "pulse_delays",
+               "r_opt", "reflection_r0", "reflection_r1", "scaled_by_length_deviation"),
     "crosstalk": ("MultiAtomScenario", "crosstalk_fidelity_approx", "crosstalk_fidelity_exact",
                   "matched_scenario", "per_atom_infidelity", "reflection_multi",
                   "required_detuning"),

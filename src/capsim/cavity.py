@@ -13,7 +13,7 @@ cavity resonance.
 
 The module also holds the records and names the experiment registry reads
 when it checks a config (the wavelength-multiplexed system, the
-fluctuation spec and the source level schemes).  It imports numpy only
+fluctuation targets and the source level schemes).  It imports numpy only
 inside the reflection responses, so the command layer loads without numpy.
 """
 
@@ -26,6 +26,9 @@ _C_LIGHT = 299792458.0
 
 LAMBDA_3LVL = "lambda_3lvl"
 ENTANGLER_4LVL = "entangler_4lvl"
+# the knobs gate.robustness_mc fluctuates: coupling_g and length by a fractional
+# FWHM, cavity_freq by a FWHM in units of the photon bandwidth 1/sigma_t
+FLUCTUATION_TARGETS = ("coupling_g", "cavity_freq", "length")
 
 
 @dataclass(frozen=True)
@@ -108,30 +111,6 @@ class LengthModel:
             raise DomainError("alpha_loss must lie in [0, 1)")
         if self.v_g <= 0.0 or self.c <= 0.0:
             raise DomainError("velocities must be positive")
-
-
-@dataclass(frozen=True)
-class FluctuationSpec:
-    """Gaussian fluctuation of one parameter, given by its FWHM.
-
-    target 'coupling_g' and 'length' use fractional FWHM; 'cavity_freq'
-    uses FWHM in units of the photon bandwidth 1/sigma_t.
-    """
-
-    target: str
-    fwhm: float
-    samples: int = 10_000
-    seed: int = 0
-
-    _TARGETS = ("coupling_g", "cavity_freq", "length")
-
-    def __post_init__(self):
-        if self.target not in self._TARGETS:
-            raise DomainError(f"unknown fluctuation target {self.target!r}")
-        if self.fwhm < 0.0:
-            raise DomainError("fwhm must be non-negative")
-        if self.samples < 1:
-            raise DomainError("samples must be at least 1")
 
 
 def reflection_r0(params, delta):

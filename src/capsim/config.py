@@ -21,7 +21,7 @@ except ImportError:
 
 from .errors import ConfigError
 from .experiments import EXPERIMENTS
-from .units import is_number, normalize, strip_suffix
+from .units import DIMENSIONS, is_number, normalize, strip_suffix
 
 MAX_AXES = 3
 
@@ -44,7 +44,10 @@ KINDS = {
     "outfile": ("a file name, relative to the CSV's directory", lambda v: type(v) is str),
 }
 INTEGER_KINDS = ("posint", "count", "bit")
-_UNIT_KINDS = ("real", "positive", "nonneg", "coupling")  # the kinds a unit suffix may scale
+# the dimension of each parameter that takes a unit suffix (units.DIMENSIONS names a suffix's)
+_DIMENSIONS = {**dict.fromkeys(("gamma", "g", "kappa_in", "kappa_ex", "delta", "delta_a",
+                                "omega_fsr", "omega_a", "r_dark"), "a rate"),
+               **dict.fromkeys(("sigma_t", "tau_shuttle"), "a time")}
 _AXIS_KINDS = {"name": "str", "start": "real", "stop": "real", "points": "posint",
                "scale": ("lin", "log")}
 
@@ -139,10 +142,11 @@ def parse_config(raw):
 
 
 def _suffix_errors(where, key, kinds):
-    """The schema error of a unit suffix stripped from key onto a dimensionless name."""
+    """The schema error of a unit suffix on key whose dimension is not its parameter's."""
     name = strip_suffix(key, kinds)[0]
-    if name != key and name in kinds and kinds[name] not in _UNIT_KINDS:
-        return [f"{where}: {name} is dimensionless and takes no unit suffix"]
+    unit, dimension = key[len(name):], _DIMENSIONS.get(name, "dimensionless")
+    if name != key and name in kinds and DIMENSIONS[unit] != dimension:
+        return [f"{where}: {unit} is {DIMENSIONS[unit]} suffix, but {name} is {dimension}"]
     return []
 
 

@@ -97,11 +97,15 @@ def crosstalk_fidelity_approx(c_in, n_atoms, delta_a, gamma):
 
 
 def per_atom_infidelity(collective_infidelity, n_atoms):
-    """Approximate single-gate infidelity implied by a collective figure."""
+    """Approximate single-gate infidelity implied by a collective figure.
+
+    1 - (1 - x)^(1/n) is formed as -expm1(log1p(-x) / n): the power next to 1
+    would cancel about 7 digits away at x ~ 1e-6.
+    """
     f = 1.0 - collective_infidelity
     if f <= 0.0:
         raise DomainError("collective fidelity must be positive")
-    return 1.0 - f ** (1.0 / n_atoms)
+    return -math.expm1(math.log1p(-collective_infidelity) / n_atoms)
 
 
 def required_detuning(c_in, n_atoms, gamma, target_infidelity, accounting="collective"):

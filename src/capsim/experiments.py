@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from . import cavity as cav
-from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -113,11 +112,8 @@ def _robustness(p):
     from .gate import robustness_mc
 
     params, optics = _installed(p)
-    spec = cav.FluctuationSpec(target=p["target"],
-                               fwhm=p.get("fwhm", 0.0),
-                               seed=int(p["seed"]),
-                               **_given(p, samples=int))
-    summary = robustness_mc(params, optics, p["sigma_t"], spec)
+    summary = robustness_mc(params, optics, p["sigma_t"], p["target"], p.get("fwhm", 0.0),
+                            seed=int(p["seed"]), **_given(p, samples=int))
     if p.get("samples_out"):
         _write_samples(p["samples_out"], summary.samples)
     return [{"mean_infidelity": summary.mean_infidelity,
@@ -173,21 +169,20 @@ _SOURCES = ("cavity", "gaussian")
 
 def _protocol_eval(p):
     from . import protocols as proto
-    from . import source as src
     from .gate import GaussianPhoton
 
     gamma = p["gamma"]
     protocol = p["protocol"]
     sigma_t = p["sigma_t"]
     c_in = p["c_in"]
-    if protocol not in _PROTOCOLS:
-        raise ConfigError(f"unknown protocol {protocol!r}")
     node = proto.matched_node(c_in, gamma)
     p_opt = cav.r_opt(c_in) ** 2
 
     # type1 interferes two emitted photons; type2_pair loads a Gaussian pair
     if protocol == "type1" or (protocol != "type2_pair"
                                and p.get("source", "cavity") == "cavity"):
+        from . import source as src
+
         if p.get("kernel_in"):  # a kernel exported by the source model
             photon = src.TemporalKernel.load(p["kernel_in"])
         else:
@@ -327,7 +322,7 @@ EXPERIMENTS = {
     "robustness": ExperimentDef(
         _robustness,
         required={"gamma": "positive", "sigma_t": "positive",
-                  "target": cav.FluctuationSpec._TARGETS},
+                  "target": cav.FLUCTUATION_TARGETS},
         optional=dict(_OPTICS, fwhm="nonneg", samples="posint",
                       length_dev="real", samples_out="outfile"),
         alternatives=_CAVITY_FROM,

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import delay_matched_params, matched_optics, reflection_r0, reflection_r1
+from .cavity import (FLUCTUATION_TARGETS, delay_matched_params, matched_optics,
+                     reflection_r0, reflection_r1)
 from .errors import DomainError
 
 _BOUND_SNAP = 1e-12  # values this close to the [0, 1] edges are snapped
@@ -354,47 +355,53 @@ _RESAMPLE_CAP = 10
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
-def robustness_mc(params, optics, sigma_t, spec):
+def robustness_mc(params, optics, sigma_t, target, fwhm, samples=10_000, seed=0):
     """Monte-Carlo average of caps_finite_bandwidth's metrics under one fluctuating knob.
 
-    Optics stay at their nominal calibration while the chosen parameter of
-    params is redrawn per sample from a Gaussian of the given FWHM.  Draws that
-    produce an invalid system (non-positive coupling or cavity length) are
-    redrawn up to ten times each; the resample count is reported, and the
-    lowest sample left without a valid draw raises.  Deterministic for a
-    fixed seed, independent of any execution partitioning: sample i draws
-    from default_rng([seed, i])'s stream (_Pcg64), whose states are derived
-    in one batch (_stream_states) only when fwhm > 0.  All samples are
-    then evaluated in one exact kernel call.
+    Optics stay at their nominal calibration while the target knob of params
+    (one of FLUCTUATION_TARGETS) is redrawn per sample from a Gaussian of the
+    given FWHM.  Draws that produce an invalid system (non-positive coupling
+    or cavity length) are redrawn up to ten times each; the resample count is
+    reported, and the lowest sample left without a valid draw raises.
+    Deterministic for a fixed seed, independent of any execution
+    partitioning: sample i draws from default_rng([seed, i])'s stream
+    (_Pcg64), whose states are derived in one batch (_stream_states) only
+    when fwhm > 0.  All samples are then evaluated in one exact kernel call.
     """
     if not sigma_t > 0.0:
         raise DomainError("sigma_t must be positive")
-    sigma = spec.fwhm * _FWHM_TO_SIGMA
-    x = np.zeros(spec.samples)
+    if target not in FLUCTUATION_TARGETS:
+        raise DomainError(f"unknown fluctuation target {target!r}")
+    if not fwhm >= 0.0:
+        raise DomainError(f"fwhm must be non-negative, got {fwhm!r}")
+    if samples < 1:
+        raise DomainError("samples must be at least 1")
+    sigma = fwhm * _FWHM_TO_SIGMA
+    x = np.zeros(samples)
     n_resampled = 0
-    states = _stream_states(spec.seed, spec.samples) if spec.fwhm > 0.0 else None
-    for i in range(spec.samples):
+    states = _stream_states(seed, samples) if fwhm > 0.0 else None
+    for i in range(samples):
         rng = _Pcg64(states[i]) if states is not None else None
         for _ in range(_RESAMPLE_CAP + 1):
             if rng is not None:
                 x[i] = sigma * rng.standard_normal()
-            if _valid_draw(params, spec.target, x[i]):
+            if _valid_draw(params, target, x[i]):
                 break
             n_resampled += 1
         else:
             raise DomainError(f"sample {i}: no valid draw within {_RESAMPLE_CAP} retries")
     infidelity, p = _heralded(optics.r_m, *_gate_metrics(
-        optics.tau_m, sigma_t, *_perturbed_rates(params, spec.target, x, 1.0 / sigma_t)))
+        optics.tau_m, sigma_t, *_perturbed_rates(params, target, x, 1.0 / sigma_t)))
     f = _snap_unit(1.0 - infidelity, "f_c")
     p = _snap_unit(p, "p_success")
-    records = np.column_stack((np.arange(spec.samples), x, f, p))
+    records = np.column_stack((np.arange(samples), x, f, p))
     total_p = float(np.sum(p))
     if total_p <= 0.0:
         raise DomainError("all samples failed to herald")
     return RobustnessSummary(
         mean_fidelity=float(np.sum(p * f) / total_p),
         mean_success=float(np.mean(p)),
-        n_samples=spec.samples,
+        n_samples=samples,
         n_resampled=n_resampled,
         samples=records,
     )

@@ -20,7 +20,6 @@ import numpy as np
 from .cavity import CavityParams, InterfaceOptics, delay_matched_params, matched_optics, r_opt
 from .errors import ConvergenceError, DomainError
 from .gate import GaussianPhoton, Response, _pole_form, _snap_unit, gaussian_average
-from .source import TemporalKernel, decompose
 
 # components_from_kernel: grid points before any widening, the kept
 # eigenmodes' least population relative to p_gen, the population fraction
@@ -73,7 +72,15 @@ class ProtocolResult:
             raise DomainError("outcome probabilities do not sum to the success probability")
 
 
-def _aggregate(outcomes):
+def _readout(heralds):
+    """ProtocolResult of {outcome: (probability, fidelity numerator)}.
+
+    An outcome's fidelity is its numerator over its probability, snapped,
+    and 0 for an outcome that never fires; the protocol's fidelity is their
+    probability-weighted mean.
+    """
+    outcomes = {k: (p, _snap_unit(num / p, "fidelity") if p > 0 else 0.0)
+                for k, (p, num) in heralds.items()}
     total = sum(p for p, _ in outcomes.values())
     if total <= 0.0:
         raise DomainError("protocol never heralds")
@@ -117,6 +124,8 @@ def components_from_kernel(kernel):
     clipped; a widening evaluates only the new outer points.  A time grid
     that is not uniform raises DomainError.
     """
+    from .source import decompose
+
     t = kernel.times
     dt = (t[-1] - t[0]) / (t.size - 1)
     if np.max(np.abs(t - np.linspace(t[0], t[-1], t.size))) > 1e-9 * dt:
@@ -175,6 +184,8 @@ def _gram(photon, paths):
     if isinstance(photon, GaussianPhoton):
         return np.array([[gaussian_average(x, y, photon.sigma_t) for y in paths]
                          for x in paths])
+    from .source import TemporalKernel  # a GaussianPhoton never loads the source layer
+
     if isinstance(photon, TemporalKernel):
         comps = components_from_kernel(photon)
         wd = comps.weights * comps.density
@@ -224,10 +235,9 @@ def memory_load(node, photon):
         # amplitude vector E |phi>
         c0 = _E00 * a + _E01 * b
         c1 = _E11 * b
-        prob = _form(gram, c0) + _form(gram, c1)
-        fid_num = _form(gram, np.conj(a) * c0 + np.conj(b) * c1)
-        outcomes[j] = (prob, _snap_unit(fid_num / prob, "fidelity") if prob > 0 else 0.0)
-    return _aggregate(outcomes)
+        outcomes[j] = (_form(gram, c0) + _form(gram, c1),
+                       _form(gram, np.conj(a) * c0 + np.conj(b) * c1))
+    return _readout(outcomes)
 
 
 # --------------------------------------------------------------------------
@@ -249,11 +259,9 @@ def type2(node_a, node_b, photon):
         # state y with A's mirror
         c = {(x, y): (rmb * paths[x] + s * rma * paths[2 + y]) / 4.0
              for x in (0, 1) for y in (0, 1)}
-        prob = sum(_form(gram, v) for v in c.values())
         amp = c[0, 0] - c[1, 1] if j == 0 else c[0, 1] - c[1, 0]
-        fid_num = _form(gram, amp / math.sqrt(2.0))
-        outcomes[j] = (prob, _snap_unit(fid_num / prob, "fidelity") if prob > 0 else 0.0)
-    return _aggregate(outcomes)
+        outcomes[j] = (sum(_form(gram, v) for v in c.values()), _form(gram, amp / math.sqrt(2.0)))
+    return _readout(outcomes)
 
 
 def type2_mismatched(node_a, node_b):
@@ -293,11 +301,9 @@ def type2_pair(node_a, node_b, photons):
     for ja in (0, 1):
         for jb in (0, 1):
             s = 1.0 if (ja - jb) % 2 == 0 else -1.0
-            prob = (_form(gram, mirror_minus) + _form(gram, minus_mirror)
-                    + _form(gram, mirror_plus + s * plus_mirror)) / 8.0
-            fid = _snap_unit(num / prob, "fidelity") if prob > 0 else 0.0
-            outcomes[(ja, jb)] = (prob, fid)
-    return _aggregate(outcomes)
+            outcomes[(ja, jb)] = ((_form(gram, mirror_minus) + _form(gram, minus_mirror)
+                                   + _form(gram, mirror_plus + s * plus_mirror)) / 8.0, num)
+    return _readout(outcomes)
 
 
 # --------------------------------------------------------------------------
@@ -313,12 +319,8 @@ def type3(source, node_b):
     """
     gram = _gram(source, _node_paths(node_b))
     # Bell-diagonal elements: <Phi_id| (1 x E) |Phi_id> = (e00 + e11)/2 for both
-    per_outcome_prob = 0.5 * (_form(gram, _E00) + _form(gram, _E01) + _form(gram, _E11))
-    per_outcome_fid_num = _form(gram, 0.5 * (_E00 + _E11))
-    fid = (_snap_unit(per_outcome_fid_num / per_outcome_prob, "fidelity")
-           if per_outcome_prob > 0 else 0.0)
-    outcomes = {j: (per_outcome_prob, fid) for j in (0, 1)}
-    return _aggregate(outcomes)
+    prob = 0.5 * (_form(gram, _E00) + _form(gram, _E01) + _form(gram, _E11))
+    return _readout(dict.fromkeys((0, 1), (prob, _form(gram, 0.5 * (_E00 + _E11)))))
 
 
 def type1(kernel_a, kernel_b):
@@ -329,14 +331,11 @@ def type1(kernel_a, kernel_b):
     detection patterns are reported with the same fidelity (documented
     symmetry assumption of this detection model).
     """
-    num = kernel_a.overlap(kernel_b)
-    pa = kernel_a.p_gen
-    pb = kernel_b.p_gen
+    overlap = kernel_a.overlap(kernel_b)
+    pa, pb = kernel_a.p_gen, kernel_b.p_gen
     if pa <= 0.0 or pb <= 0.0:
         raise DomainError("type-I needs emission from both sources")
-    m_ab = num / (pa * pb)
-    fid = _snap_unit(0.5 * (1.0 + m_ab), "fidelity")
+    # each pattern fires with probability pa pb / 8 at fidelity (1 + M) / 2
     p_pattern = pa * pb / 8.0
-    outcomes = {pattern: (p_pattern, fid)
-                for pattern in ((0, 0), (0, 1), (1, 0), (1, 1))}
-    return _aggregate(outcomes)
+    pattern = (p_pattern, p_pattern * 0.5 * (1.0 + overlap / (pa * pb)))
+    return _readout(dict.fromkeys(((0, 0), (0, 1), (1, 0), (1, 1)), pattern))

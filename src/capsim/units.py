@@ -10,23 +10,16 @@ assumed to already be in base units.
 import math
 import sys
 
-# Suffix -> multiplicative factor to base units.  Longest match wins.
-_SUFFIXES = {
-    "_2pi_THz": 2 * math.pi * 1e12,
-    "_2pi_GHz": 2 * math.pi * 1e9,
-    "_2pi_MHz": 2 * math.pi * 1e6,
-    "_2pi_kHz": 2 * math.pi * 1e3,
-    "_2pi_Hz": 2 * math.pi,
-    "_rad_s": 1.0,
-    "_per_s": 1.0,
-    "_ns": 1e-9,
-    "_us": 1e-6,
-    "_ms": 1e-3,
-    "_s": 1.0,
-    "_cm": 1e-2,
-    "_mm": 1e-3,
-    "_m": 1.0,
+# Dimension -> suffix -> multiplicative factor to base units.  Longest match wins.
+_UNITS = {
+    "a rate": {"_2pi_THz": 2 * math.pi * 1e12, "_2pi_GHz": 2 * math.pi * 1e9,
+               "_2pi_MHz": 2 * math.pi * 1e6, "_2pi_kHz": 2 * math.pi * 1e3,
+               "_2pi_Hz": 2 * math.pi, "_rad_s": 1.0, "_per_s": 1.0},
+    "a time": {"_ns": 1e-9, "_us": 1e-6, "_ms": 1e-3, "_s": 1.0},
+    "a length": {"_cm": 1e-2, "_mm": 1e-3, "_m": 1.0},
 }
+_SUFFIXES = {suffix: factor for table in _UNITS.values() for suffix, factor in table.items()}
+DIMENSIONS = {suffix: dimension for dimension, table in _UNITS.items() for suffix in table}
 
 _ORDERED = sorted(_SUFFIXES, key=len, reverse=True)
 

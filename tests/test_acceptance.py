@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from capsim.cavity import (CavityParams, FluctuationSpec, InterfaceOptics, LengthModel,
+from capsim.cavity import (CavityParams, InterfaceOptics, LengthModel,
                            WvmSystem, delay_matched_params, kappa_ex_opt, l_cav_opt,
                            matched_optics, pulse_delays, r_opt)
 from capsim.config import parse_config
@@ -226,10 +226,8 @@ def test_criterion_12_robustness_thresholds():
     optics = matched_optics(p)
     sigma_t = 5.2 * 100**-0.60 / GAMMA_YB
     nominal = caps_finite_bandwidth(p, optics, sigma_t).infidelity
-    g_fluct = robustness_mc(p, optics, sigma_t, FluctuationSpec("coupling_g", 0.20,
-                                                                samples=10_000, seed=12))
-    jitter = robustness_mc(p, optics, sigma_t, FluctuationSpec("cavity_freq", 0.10,
-                                                               samples=10_000, seed=12))
+    g_fluct = robustness_mc(p, optics, sigma_t, "coupling_g", 0.20, samples=10_000, seed=12)
+    jitter = robustness_mc(p, optics, sigma_t, "cavity_freq", 0.10, samples=10_000, seed=12)
     elapsed = time.perf_counter() - t0
     added = jitter.mean_infidelity - nominal
     ok = (g_fluct.mean_infidelity <= 1e-3 and added <= 2e-4

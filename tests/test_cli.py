@@ -930,8 +930,7 @@ _RUN_LAYERS = {  # a one-point config of each experiment, and the layers besides
                        ("crosstalk", "gate")),
     "source_characterize": (dict(GAMMA_KEY, c_in=10, sigma_t_ns=663.15, kernel_points=41),
                             ("source",)),
-    "protocol_eval": (dict(_PROTOCOL_PARAMS, source="gaussian"),
-                      ("gate", "protocols", "source")),
+    "protocol_eval": (dict(_PROTOCOL_PARAMS, source="gaussian"), ("gate", "protocols")),
     "tm_spectrum": (dict(_WVM_PARAMETERS, n_channels=2, delta=0.0), ("gate", "transfer_matrix")),
     "wvm_crosstalk": (dict(_WVM_PARAMETERS, n_channels=2, trials=1),
                       ("gate", "transfer_matrix")),
@@ -947,6 +946,14 @@ def test_run_loads_only_its_own_layers(experiment, tmp_path):
                                            "output": {"path": "out.csv"}})
     loaded = _cold_start_modules([["run", cfg, "--out", str(tmp_path)]], _LAYERS)
     assert loaded == sorted(f"capsim.{m}" for m in (*layers, "runner"))
+
+
+def test_a_kernel_photon_run_loads_the_source_layer(tmp_path):
+    cfg = _write(tmp_path, "config.json", {"experiment": "protocol_eval", "seed": 1,
+                                           "parameters": dict(_PROTOCOL_PARAMS, source="cavity"),
+                                           "output": {"path": "out.csv"}})
+    loaded = _cold_start_modules([["run", cfg, "--out", str(tmp_path)]], _LAYERS)
+    assert loaded == sorted(f"capsim.{m}" for m in ("gate", "protocols", "runner", "source"))
 
 
 def test_every_lazy_export_resolves_to_its_module_attribute():

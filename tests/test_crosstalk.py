@@ -1,3 +1,4 @@
+import decimal
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -150,6 +151,17 @@ def test_per_atom_composition_round_trip():
     collective = crosstalk_fidelity_exact(sc).f_c
     per_atom = 1.0 - per_atom_infidelity(1.0 - collective, 200)
     assert per_atom**200 == pytest.approx(collective, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_atoms", [2, 200, 10_000])
+def test_per_atom_infidelity_matches_a_decimal_oracle(n_atoms):
+    # 1 - (1 - x)^(1/n) in 50 digits; the float power next to 1 missed by up to 5e-7
+    worst = 0.0
+    for x in np.geomspace(1e-15, 0.5, 61).tolist():
+        with decimal.localcontext(decimal.Context(prec=50)):
+            exact = 1 - (1 - decimal.Decimal(x)) ** (decimal.Decimal(1) / n_atoms)
+        worst = max(worst, abs(per_atom_infidelity(x, n_atoms) / float(exact) - 1.0))
+    assert worst <= 1e-14
 
 
 def test_required_detuning_reports_both_accountings():

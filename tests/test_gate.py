@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capsim import gate
-from capsim.cavity import (CavityParams, FluctuationSpec, InterfaceOptics,
-                           delay_matched_params, kappa_ex_opt, matched_optics,
-                           pulse_delays, r_opt, reflection_r0, reflection_r1,
-                           scaled_by_length_deviation)
+from capsim.cavity import (CavityParams, InterfaceOptics, delay_matched_params,
+                           kappa_ex_opt, matched_optics, pulse_delays, r_opt,
+                           reflection_r0, reflection_r1, scaled_by_length_deviation)
 from capsim.errors import DomainError
 from capsim.gate import (GateOutcome, GaussianPhoton, caps_finite_bandwidth,
                          caps_longpulse, min_sigma_t, robustness_mc)
@@ -191,7 +190,7 @@ def test_nonpositive_pulse_width_rejected(sigma_t):
     with pytest.raises(DomainError):
         caps_finite_bandwidth(p, optics, sigma_t)
     with pytest.raises(DomainError):
-        robustness_mc(p, optics, sigma_t, FluctuationSpec("coupling_g", 0.1, samples=3))
+        robustness_mc(p, optics, sigma_t, "coupling_g", 0.1, samples=3)
     with pytest.raises(DomainError):
         GaussianPhoton(sigma_t)
 
@@ -219,8 +218,7 @@ def _scenario(c_in=100, sigma_t=None):
 
 def test_zero_fwhm_reproduces_nominal():
     base = _scenario()
-    summary = robustness_mc(*base, FluctuationSpec(target="coupling_g", fwhm=0.0,
-                                                   samples=3, seed=1))
+    summary = robustness_mc(*base, "coupling_g", 0.0, samples=3, seed=1)
     nominal = caps_finite_bandwidth(*base)
     assert summary.mean_fidelity == pytest.approx(nominal.f_c, abs=1e-15)
     assert summary.mean_success == pytest.approx(nominal.p_success, abs=1e-15)
@@ -236,10 +234,25 @@ def test_zero_fwhm_builds_no_random_streams(monkeypatch):
         return states
 
     monkeypatch.setattr(gate, "_stream_states", counting_states)
-    robustness_mc(*_scenario(), FluctuationSpec("coupling_g", 0.0, samples=50, seed=1))
+    robustness_mc(*_scenario(), "coupling_g", 0.0, samples=50, seed=1)
     assert derived == []
-    robustness_mc(*_scenario(), FluctuationSpec("coupling_g", 0.1, samples=5, seed=1))
+    robustness_mc(*_scenario(), "coupling_g", 0.1, samples=5, seed=1)
     assert len(derived) == 5
+
+
+@pytest.mark.parametrize("target, fwhm, samples", [
+    pytest.param("coupling", 0.1, 5, id="unknown-target"),
+    pytest.param("coupling_g", -0.1, 5, id="negative-fwhm"),
+    # NaN passed a `fwhm < 0` check, drew nothing and returned the nominal gate
+    pytest.param("cavity_freq", float("nan"), 5, id="nan-fwhm"),
+    pytest.param("coupling_g", 0.1, 0, id="zero-samples")])
+def test_a_bad_knob_raises_before_any_draw(monkeypatch, target, fwhm, samples):
+    def no_streams(seed, n):
+        raise AssertionError("streams derived before the knob was checked")
+
+    monkeypatch.setattr(gate, "_stream_states", no_streams)
+    with pytest.raises(DomainError):
+        robustness_mc(*_scenario(), target, fwhm, samples=samples, seed=1)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**32 - 1, 2**32, 2**63 + 5])
@@ -353,25 +366,23 @@ def test_ziggurat_tables_are_equal_area_layers():
 
 def test_mc_deterministic_for_fixed_seed():
     base = _scenario()
-    spec = FluctuationSpec(target="coupling_g", fwhm=0.2, samples=64, seed=42)
-    a = robustness_mc(*base, spec)
-    b = robustness_mc(*base, spec)
+    a = robustness_mc(*base, "coupling_g", 0.2, samples=64, seed=42)
+    b = robustness_mc(*base, "coupling_g", 0.2, samples=64, seed=42)
     assert a.mean_fidelity == b.mean_fidelity
     assert np.array_equal(a.samples, b.samples)
 
 
 def test_mc_seed_changes_draws():
     base = _scenario()
-    a = robustness_mc(*base, FluctuationSpec("coupling_g", 0.2, samples=32, seed=1))
-    b = robustness_mc(*base, FluctuationSpec("coupling_g", 0.2, samples=32, seed=2))
+    a = robustness_mc(*base, "coupling_g", 0.2, samples=32, seed=1)
+    b = robustness_mc(*base, "coupling_g", 0.2, samples=32, seed=2)
     assert not np.array_equal(a.samples[:, 1], b.samples[:, 1])
 
 
 def test_mc_resamples_invalid_draws():
     base = _scenario()
     # FWHM so large that some draws push g negative and must be redrawn
-    spec = FluctuationSpec(target="coupling_g", fwhm=2.5, samples=256, seed=3)
-    summary = robustness_mc(*base, spec)
+    summary = robustness_mc(*base, "coupling_g", 2.5, samples=256, seed=3)
     assert summary.n_resampled > 0
     assert summary.n_samples == 256
 
@@ -402,18 +413,18 @@ def _reference_outcome(base, target, x):
     return _shifted_outcome(params, optics, sigma_t, shift)
 
 
-def _reference_robustness(base, spec):
+def _reference_robustness(base, target, fwhm, samples, seed):
     """Records and resample count of a plain one-sample-at-a-time loop."""
-    sigma = spec.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    records = np.empty((spec.samples, 4))
+    sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    records = np.empty((samples, 4))
     n_resampled = 0
-    states = gate._stream_states(spec.seed, spec.samples)
-    for i in range(spec.samples):
+    states = gate._stream_states(seed, samples)
+    for i in range(samples):
         rng = gate._Pcg64(states[i])
         for _ in range(11):
-            x = sigma * rng.standard_normal() if spec.fwhm > 0.0 else 0.0
+            x = sigma * rng.standard_normal() if fwhm > 0.0 else 0.0
             try:
-                out = _reference_outcome(base, spec.target, x)
+                out = _reference_outcome(base, target, x)
             except DomainError:
                 n_resampled += 1
                 continue
@@ -433,9 +444,8 @@ def _reference_robustness(base, spec):
     pytest.param("coupling_g", 2.5, 2**32, id="coupling_g-2.5-seed2**32")])
 def test_blocked_kernel_matches_per_sample_loop(target, fwhm, seed):
     base = _scenario()
-    spec = FluctuationSpec(target=target, fwhm=fwhm, samples=61, seed=seed)
-    summary = robustness_mc(*base, spec)
-    records, n_resampled = _reference_robustness(base, spec)
+    summary = robustness_mc(*base, target, fwhm, samples=61, seed=seed)
+    records, n_resampled = _reference_robustness(base, target, fwhm, 61, seed)
     assert np.array_equal(summary.samples[:, :2], records[:, :2])
     assert summary.n_resampled == n_resampled
     assert np.max(np.abs(summary.samples[:, 2:] - records[:, 2:])) <= 1e-14
@@ -446,8 +456,8 @@ def test_blocked_kernel_matches_per_sample_loop(target, fwhm, seed):
 @pytest.mark.parametrize("target, fwhm", [("coupling_g", 2.5), ("cavity_freq", 0.5)])
 def test_records_independent_of_sample_count(target, fwhm):
     base = _scenario()
-    short = robustness_mc(*base, FluctuationSpec(target, fwhm, samples=7, seed=9))
-    long = robustness_mc(*base, FluctuationSpec(target, fwhm, samples=64, seed=9))
+    short = robustness_mc(*base, target, fwhm, samples=7, seed=9)
+    long = robustness_mc(*base, target, fwhm, samples=64, seed=9)
     assert np.array_equal(short.samples, long.samples[:7])
 
 
@@ -455,13 +465,12 @@ def test_lowest_failing_sample_raises(monkeypatch):
     # one draw per sample, about half of them invalid: the error names the
     # lowest sample left without a valid draw
     monkeypatch.setattr(gate, "_RESAMPLE_CAP", 0)
-    spec = FluctuationSpec("coupling_g", 1e3, samples=8, seed=1)
-    sigma = spec.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    invalid = [i for i, state in enumerate(gate._stream_states(spec.seed, spec.samples))
+    sigma = 1e3 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    invalid = [i for i, state in enumerate(gate._stream_states(1, 8))
                if sigma * gate._Pcg64(state).standard_normal() <= -1.0]
     assert len(invalid) >= 2 and invalid[0] > 0
     with pytest.raises(DomainError, match=f"sample {invalid[0]}: no valid draw"):
-        robustness_mc(*_scenario(), spec)
+        robustness_mc(*_scenario(), "coupling_g", 1e3, samples=8, seed=1)
 
 
 def _stub_metrics(monkeypatch, bad_row):
@@ -494,7 +503,7 @@ def test_rows_outside_unit_interval_raise_as_one_outcome(monkeypatch, bad_row):
         _scalar_outcome(bad_row)
     base = _stub_metrics(monkeypatch, bad_row)
     with pytest.raises(DomainError) as rows:
-        robustness_mc(*base, FluctuationSpec("coupling_g", 0.2, samples=5, seed=1))
+        robustness_mc(*base, "coupling_g", 0.2, samples=5, seed=1)
     assert str(rows.value) == str(scalar.value)
 
 
@@ -504,7 +513,7 @@ def test_rows_outside_unit_interval_raise_as_one_outcome(monkeypatch, bad_row):
 def test_rows_near_the_edges_snap_as_one_outcome(monkeypatch, bad_row):
     scalar = _scalar_outcome(bad_row)
     base = _stub_metrics(monkeypatch, bad_row)
-    summary = robustness_mc(*base, FluctuationSpec("coupling_g", 0.2, samples=5, seed=1))
+    summary = robustness_mc(*base, "coupling_g", 0.2, samples=5, seed=1)
     assert summary.samples[2, 2:].tolist() == [scalar.f_c, scalar.p_success]
     assert scalar.f_c in (0.0, 1.0) or scalar.p_success in (0.0, 1.0)
 

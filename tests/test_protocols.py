@@ -50,11 +50,24 @@ def test_every_protocol_is_perfect_with_ideal_responses():
     assert type3(photon, ideal).fidelity == pytest.approx(1.0, abs=1e-12)
 
 
-def test_memory_load_outcomes_sum_to_success():
+def test_outcomes_add_up_to_each_protocol_result(kernel_c100_source):
+    # p_success is the outcomes' total probability, fidelity their probability-weighted mean
     node = matched_node(25, GAMMA)
-    result = memory_load(node, GaussianPhoton(2.0))
-    total = sum(p for p, _ in result.outcomes.values())
-    assert total == pytest.approx(result.p_success, abs=1e-10)
+    results = [type1(kernel_c100_source, kernel_c100_source)]
+    for photon in (GaussianPhoton(2.0), kernel_c100_source):
+        results += [memory_load(node, photon), type2(node, node, photon),
+                    type2_pair(node, node, (photon, photon)), type3(photon, node)]
+    for result in results:
+        probs = [p for p, _ in result.outcomes.values()]
+        mean = math.fsum(p * f for p, f in result.outcomes.values()) / math.fsum(probs)
+        assert math.fsum(probs) == pytest.approx(result.p_success, rel=1e-14, abs=0.0)
+        assert result.fidelity == pytest.approx(mean, rel=1e-14, abs=0.0)
+
+
+def test_an_outcome_that_never_fires_reads_fidelity_zero():
+    result = protocols._readout({0: (0.0, 0.0), 1: (0.5, 0.25)})
+    assert result.outcomes == {0: (0.0, 0.0), 1: (0.5, 0.5)}
+    assert (result.fidelity, result.p_success) == (0.5, 0.5)
 
 
 def test_memory_load_matched_long_pulse():

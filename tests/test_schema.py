@@ -9,10 +9,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from capsim.cli import main
-from capsim.config import (KINDS, _kinds, kind_errors, parse_config, sanity_warnings,
-                           validate_raw)
+from capsim.config import (_DIMENSIONS, KINDS, _kinds, kind_errors, parse_config,
+                           sanity_warnings, validate_raw)
 from capsim.experiments import EXPERIMENTS
 from capsim.runner import run_sweep
+from capsim.units import strip_suffix
 from helpers import table_bytes
 
 GAMMA = {"gamma_2pi_MHz": 0.24}
@@ -38,6 +39,13 @@ def _axis(name, start, stop, points, scale="lin"):
     return {"name": name, "start": start, "stop": stop, "points": points, "scale": scale}
 
 
+def _suffixed(experiment, key, value):
+    """experiment's base config with the unit-suffixed key in place of its parameter."""
+    name = strip_suffix(key)[0]
+    params = {k: v for k, v in _BASE[experiment].items() if strip_suffix(k)[0] != name}
+    return dict(_config(experiment), parameters=dict(params, **{key: value}))
+
+
 def test_every_kind_in_the_registry_is_known():
     for experiment, exp in EXPERIMENTS.items():
         for name, kind in {**exp.required, **exp.optional}.items():
@@ -45,6 +53,12 @@ def test_every_kind_in_the_registry_is_known():
                 assert kind and all(type(word) is str for word in kind), (experiment, name)
             else:
                 assert kind in KINDS, (experiment, name, kind)
+
+
+def test_every_dimensionful_parameter_is_a_number_of_the_registry():
+    for name in _DIMENSIONS:
+        kinds = [exp_kinds[name] for exp_kinds in map(_kinds, EXPERIMENTS) if name in exp_kinds]
+        assert kinds and set(kinds) <= {"real", "positive", "nonneg", "coupling"}, name
 
 
 def test_unknown_kind_fails_loudly():
@@ -83,6 +97,21 @@ _PINNED = {
     "p_br_ms-axis": (_config("source_characterize", [_axis("p_br_ms", 0, 500, 2)]),
                      "sweep[0].name"),
     "atom_state_ms": (_config("tm_spectrum", atom_state_ms=1000), "parameters.atom_state_ms"),
+    # a unit suffix of another dimension rescaled the value: c_in_2pi_MHz = 1.6e-5 ran as
+    # c_in = 100.53, gamma_ns = 1.5e15 as gamma = 1.5e6 rad/s
+    "c_in_2pi_MHz": (_suffixed("longpulse_metrics", "c_in_2pi_MHz", 1.6e-5),
+                     "parameters.c_in_2pi_MHz"),
+    "sigma_t_2pi_MHz": (_suffixed("robustness", "sigma_t_2pi_MHz", 3.5e-14),
+                        "parameters.sigma_t_2pi_MHz"),
+    "gamma_ns": (_suffixed("longpulse_metrics", "gamma_ns", 1.5e15), "parameters.gamma_ns"),
+    "fwhm_ms": (_suffixed("robustness", "fwhm_ms", 100), "parameters.fwhm_ms"),
+    "length_dev_us": (_suffixed("robustness", "length_dev_us", 1e5), "parameters.length_dev_us"),
+    "tau_shuttle_2pi_kHz": (_suffixed("rate_tables", "tau_shuttle_2pi_kHz", 1),
+                            "parameters.tau_shuttle_2pi_kHz"),
+    "pulse_spacing_factor_ms": (_suffixed("rate_tables", "pulse_spacing_factor_ms", 5000),
+                                "parameters.pulse_spacing_factor_ms"),
+    "c_in_2pi_MHz-axis": (dict(_config("longpulse_metrics", [_axis("c_in_2pi_MHz", 1e-5, 2e-5, 2)]),
+                               parameters=GAMMA), "sweep[0].name"),
     # parameter groups an experiment reads in place of each other (KeyError rows)
     "g-without-kappa_in": (_config("longpulse_metrics", g=1e6), "parameters.kappa_in"),
     "crosstalk-without-detuning": (dict(_config("crosstalk_scan"),
