@@ -3,7 +3,7 @@
 A config names one experiment, its parameters, up to three sweep axes,
 and the output location.  Dimensionful keys carry explicit unit suffixes
 ("gamma_2pi_MHz", "sigma_t_ns") that ingestion strips while rescaling to
-base units (rad/s, s, m); see units.py for the suffix table.
+base units (rad/s, s); see units.py for the suffix table.
 """
 
 import json
@@ -126,11 +126,10 @@ def parse_config(raw):
     errors = validate_raw(raw)
     if errors:
         raise ConfigError("; ".join(errors))
-    kinds = _kinds(raw["experiment"])
-    params = normalize(raw.get("parameters", {}), kinds)
+    params = normalize(raw.get("parameters", {}))
     axes = []
     for ax in raw.get("sweep", []):
-        name, factor = strip_suffix(ax["name"], kinds)
+        name, factor = strip_suffix(ax["name"])
         axes.append(SweepAxis(name=name, start=ax["start"] * factor,
                               stop=ax["stop"] * factor, points=int(ax["points"]),
                               scale=ax.get("scale", "lin")))
@@ -143,7 +142,7 @@ def parse_config(raw):
 
 def _suffix_errors(where, key, kinds):
     """The schema error of a unit suffix on key whose dimension is not its parameter's."""
-    name = strip_suffix(key, kinds)[0]
+    name = strip_suffix(key)[0]
     unit, dimension = key[len(name):], _DIMENSIONS.get(name, "dimensionless")
     if name != key and name in kinds and DIMENSIONS[unit] != dimension:
         return [f"{where}: {unit} is {DIMENSIONS[unit]} suffix, but {name} is {dimension}"]
@@ -190,7 +189,7 @@ def validate_raw(raw):
     if not isinstance(parameters, dict):
         return errors + ["parameters: must be a JSON object"]
     try:
-        params = normalize(parameters, kinds)
+        params = normalize(parameters)
     except ValueError as exc:
         return errors + [f"parameters: {exc}"]
     for i, ax in enumerate(axes):
@@ -204,11 +203,11 @@ def validate_raw(raw):
                          else [f"{where}.{key}: missing"])]
         errors += bad
         if not bad:
-            name, factor = strip_suffix(ax["name"], kinds)
+            name, factor = strip_suffix(ax["name"])
             errors += (_swept_errors(where, name, kinds[name], ax, factor) if name in kinds
                        else [f"sweep axis {name!r}: not recognized by {exp_name}"])
             errors += _suffix_errors(f"{where}.name", ax["name"], kinds)
-    given = set(params) | {strip_suffix(ax["name"], kinds)[0] for ax in axes
+    given = set(params) | {strip_suffix(ax["name"])[0] for ax in axes
                            if isinstance(ax, dict) and type(ax.get("name")) is str}
     alts = exp.alternatives
     chosen = next((alt for alt in alts if alt[0] in given), alts[-1] if alts else ())

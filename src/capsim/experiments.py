@@ -1,7 +1,9 @@
 """Experiment registry: one entry point per scenario type.
 
 Each experiment is a pure function of its (unit-normalized) parameter map;
-it returns a list of output rows.  The Monte-Carlo experiments draw from
+it returns a list of output rows, each a {column: value} dict, except a
+line experiment (one with an array_param), which returns one sequence per
+output column, {column: sequence}.  The Monte-Carlo experiments draw from
 the config seed.  Each schema maps a parameter name to its kind (see
 config.KINDS; a tuple is an enum of its strings); the schemas drive config
 validation and the CLI's physical-sanity report.  The registry itself reads
@@ -22,8 +24,9 @@ class ExperimentDef:
     optional: dict
     columns: tuple
     sanity: callable = None
-    # parameter that fn also accepts as a 1-D array, returning one row per
-    # element in order; the runner then hands it a whole sweep line at once
+    # parameter that fn also accepts as a 1-D array; fn then returns each
+    # column as one sequence, entry k for element k (length 1 for a scalar),
+    # and the runner hands it a whole sweep line at once
     array_param: str = None
     # groups of parameters fn reads in place of one another: the first group
     # whose first name is given, else the last group, must be given in full
@@ -228,8 +231,9 @@ def _tm_spectrum(p):
     cavity = tm.channel_chain(_wvm_system(p), n_ch)
     deltas = np.atleast_1d(np.asarray(p["delta"], dtype=float))
     r = tm.tm_reflectance(cavity, deltas, atom_states=[state] * n_ch)
-    return [{"delta_rad_s": d, "re_r": x.real, "im_r": x.imag, "abs2_r": abs(x) ** 2}
-            for d, x in zip(deltas.tolist(), r.tolist())]
+    # Python's abs(x) ** 2 of each element: np.abs(r) ** 2 rounds some last digits differently
+    return {"delta_rad_s": deltas, "re_r": r.real, "im_r": r.imag,
+            "abs2_r": np.array([abs(x) ** 2 for x in r.tolist()])}
 
 
 def _wvm_crosstalk(p):

@@ -6,14 +6,18 @@ on which other points share its task, so results are byte-identical for
 any worker count.  When an experiment accepts one parameter as an array
 and the sweep has that axis, the points that differ only along it form a
 line, and each line is one task: the experiment evaluates the whole line
-in one call.  A point that raises, or returns a NaN or infinite output,
-becomes an error row; a line that fails is evaluated again point by point,
-so each failing point keeps its own row.  Relative "outfile" parameters
-are placed in the CSV's directory.  Each point's rows become CSV lines
-(shortest-roundtrip floats) as its task returns; run_sweep holds every line
-in memory until the sweep ends, and write_outputs then writes them to the
-file.  Run metadata and health (timings, peak RSS) go to a JSON sidecar so
-the CSV body stays reproducible.
+in one call and returns one sequence per output column.  A point
+experiment's row dicts are transposed to columns, so every task's rows
+take one path: each float64 column is checked for NaN and infinity and
+formatted once, and the rows are joined with ",".  A point that raises,
+or returns a NaN or infinite output, becomes an error row; a line that
+fails, or returns columns of another length, is evaluated again point by
+point, so each failing point keeps its own row.  Relative "outfile"
+parameters are placed in the CSV's directory.  Each task's rows become CSV
+lines (shortest-roundtrip floats) as it returns; run_sweep holds every
+line in memory until the sweep ends, and write_outputs then writes them to
+the file.  Run metadata and health (timings, peak RSS) go to a JSON
+sidecar so the CSV body stays reproducible.
 """
 
 import collections
@@ -41,34 +45,79 @@ _CHUNK_TASKS = 1024
 _CHUNKS_PER_WORKER = 2
 
 
-def _call(fn, params):
-    try:
-        rows = fn(dict(params))
-        for row in rows:  # a NaN or inf output is a failure too, never a cell
-            for name, value in row.items():
+def _columns(out, names):
+    """A line's {column: sequence}, or a point's row dicts transposed, in names order."""
+    if isinstance(out, dict):
+        return [out[name] for name in names]
+    return [[row.get(name, "") for row in out] for name in names]
+
+
+_NUMBERS = (int, float, np.integer, np.floating)  # cells csv.writer never quotes
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))  # the texts of NaN and inf cells
+
+
+def _tails(cols, names):
+    """Each row's CSV text after its axis cells: its outputs and an empty error cell.
+
+    A float64 column is checked by one np.isfinite and formatted in one
+    pass; any other column goes cell by cell through _format_cell.  A NaN
+    or inf output raises DomainError.  Rows are joined with ",", unless a
+    column holds a str or other object cell: then csv.writer writes every
+    row, quoting the cells that need it.
+    """
+    texts, quoted, suspect = [], False, False
+    for col in cols:
+        if type(col) is np.ndarray and col.dtype == np.float64:
+            suspect = suspect or not np.isfinite(col).all()
+            texts.append(map(float.__repr__, col.tolist()))
+        else:
+            cells = list(map(_format_cell, col))
+            suspect = suspect or not _NON_FINITE.isdisjoint(cells)
+            quoted = quoted or not all(isinstance(v, _NUMBERS) for v in col)
+            texts.append(cells)
+    if suspect:  # name the first, row by row; a "nan" text may also be a str output
+        for row in zip(*cols):
+            for name, value in zip(names, row):
                 if isinstance(value, (float, np.floating)) and not math.isfinite(value):
                     raise DomainError(f"non-finite output {name} = {float(value)!r}")
-        return rows, None
+    if quoted:
+        return [_line(row + ("",)) for row in zip(*texts)]
+    return list(map(",".join, zip(*texts, itertools.repeat("\n"))))  # "\n" ends the error cell
+
+
+def _call(fn, params, names, rows=None):
+    """(row tails, 0) of one call (see _tails), or (one error row's tail, 1).
+
+    The call fails when fn raises, or returns columns of unequal length
+    (or, when rows is given, not rows long) or a NaN or inf output.
+    """
+    try:
+        cols = _columns(fn(dict(params)), names)
+        lengths = set(map(len, cols))
+        if len(lengths) > 1 or rows is not None and lengths != {rows}:
+            raise ValueError(f"output columns of lengths {sorted(lengths)}")
+        return _tails(cols, names), 0
     except Exception as exc:  # any failure becomes an error row, never a lost sweep
-        return None, f"{type(exc).__name__}: {exc}"
+        return [_line([""] * len(names) + [f"{type(exc).__name__}: {exc}"])], 1
 
 
 def _eval_task(task):
-    """(flat index, rows, error) for each grid point of one task.
+    """(flat indices, row tails, failures) pieces of one task.
 
     A task is one point (axis None) or one line, whose axis parameter
     holds the line's values as an array and yields one row per value.  A
-    line that fails, or returns another number of rows, is evaluated
-    again point by point.
+    point's piece gives all its rows to its one index; a line's gives row
+    k to its k-th index.  A line that fails, or returns columns of another
+    length, is evaluated again point by point.
     """
     experiment, params, indices, axis = task
-    fn = EXPERIMENTS[experiment].fn
+    exp = EXPERIMENTS[experiment]
     if axis is None:
-        return [(indices[0], *_call(fn, params))]
-    rows, error = _call(fn, params)
-    if error is None and len(rows) == len(indices):
-        return [(i, [row], None) for i, row in zip(indices, rows)]
-    return [(i, *_call(fn, dict(params, **{axis: value})))
+        return [(indices, *_call(exp.fn, params, exp.columns))]
+    tails, failed = _call(exp.fn, params, exp.columns, len(indices))
+    if not failed:
+        return [(indices, tails, 0)]
+    return [((i,), *_call(exp.fn, dict(params, **{axis: value}), exp.columns))
             for i, value in zip(indices, params[axis].tolist())]
 
 
@@ -130,19 +179,25 @@ def run_sweep(config, workers=1):
     at most _CHUNK_TASKS tasks per worker in flight.
     """
     exp = EXPERIMENTS[config.experiment]
-    axis_cells = [[_format_cell(v) for v in axis.values.tolist()] for axis in config.sweep]
+    # each axis value's cell and its delimiter
+    axis_cells = [[_format_cell(v) + "," for v in axis.values.tolist()] for axis in config.sweep]
     shape = config.grid_shape()  # row-major: the last axis varies fastest
     strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
     points = [None] * config.grid_size()  # one tuple of lines per point, by flat index
     n_failures = 0
     results = _results(*_tasks(config, exp), workers)
-    for i, point_rows, error in itertools.chain.from_iterable(results):
-        prefix = [cells[i // stride % len(cells)] for cells, stride in zip(axis_cells, strides)]
-        if error is not None:  # one row of empty outputs holds the message
-            n_failures += 1
-            point_rows = [{}]
-        points[i] = tuple(_line(prefix + [_format_cell(out.get(c, "")) for c in exp.columns]
-                                + [error or ""]) for out in point_rows)
+    for indices, tails, failed in itertools.chain.from_iterable(results):
+        n_failures += failed
+        heads = [cells[indices[0] // stride % len(cells)]
+                 for cells, stride in zip(axis_cells, strides)]
+        if len(indices) > 1:  # a line: row k is at its axis's k-th value
+            line = config.axis_names().index(exp.array_param)
+            before, after = "".join(heads[:line]), "".join(heads[line + 1:])
+            heads = [before + cell + after for cell in axis_cells[line]]
+            points[indices.start:indices.stop:indices.step] = zip(map(str.__add__, heads, tails))
+        else:
+            head = "".join(heads)
+            points[indices[0]] = tuple([head + tail for tail in tails])
     columns = list(config.axis_names()) + list(exp.columns) + ["error"]
     return list(itertools.chain.from_iterable(points)), columns, n_failures
 

@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .gate import _heralded, _Pcg64, _snap_unit, _stream_states
 
 # Atoms in the uncoupled qubit state are pushed this many linewidths away.
 # 1e10 keeps the residual response below the 1e-12 stability bound asserted
@@ -279,6 +278,8 @@ def _antinode_draws(system, n_channels, n_atoms, trials, seed, window):
     i-th drawn atom sits in it.  A channel with fewer antinodes in the
     window than atoms raises DomainError before any draw.
     """
+    from .gate import _Pcg64, _stream_states
+
     offsets = channel_offsets(n_channels)
     atom_channel = [offsets[i % n_channels] for i in range(n_atoms)]
     # antinodes k of mode N sit at x = (k + 1/2) / N; those in the window
@@ -322,6 +323,8 @@ def wvm_crosstalk(system, n_channels, trials, seed, n_atoms=None):
     antinodes in _WINDOW than atoms, DomainError is raised before any
     draw.  Rounding below zero is snapped to 0.
     """
+    from .gate import _heralded, _snap_unit
+
     if n_atoms is None:
         n_atoms = n_channels
     if trials < 1 or not 1 <= n_channels <= n_atoms <= 20:

@@ -1,10 +1,10 @@
 """Unit-suffixed configuration fields.
 
-All internal rates are angular (rad/s), times are seconds, lengths are
-meters.  Config files attach an explicit suffix to every dimensionful key
-("gamma_2pi_MHz", "sigma_t_ns", "l_cav_cm"); ingestion strips the suffix
-and rescales.  Keys without a known suffix pass through unchanged and are
-assumed to already be in base units.
+All internal rates are angular (rad/s) and times are seconds.  Config
+files attach an explicit suffix to every dimensionful key
+("gamma_2pi_MHz", "sigma_t_ns"); ingestion strips the suffix and
+rescales.  Keys without a known suffix pass through unchanged and are
+assumed to already be in base units.  No parameter name ends in a suffix.
 """
 
 import math
@@ -16,7 +16,6 @@ _UNITS = {
                "_2pi_MHz": 2 * math.pi * 1e6, "_2pi_kHz": 2 * math.pi * 1e3,
                "_2pi_Hz": 2 * math.pi, "_rad_s": 1.0, "_per_s": 1.0},
     "a time": {"_ns": 1e-9, "_us": 1e-6, "_ms": 1e-3, "_s": 1.0},
-    "a length": {"_cm": 1e-2, "_mm": 1e-3, "_m": 1.0},
 }
 _SUFFIXES = {suffix: factor for table in _UNITS.values() for suffix, factor in table.items()}
 DIMENSIONS = {suffix: dimension for dimension, table in _UNITS.items() for suffix in table}
@@ -24,14 +23,8 @@ DIMENSIONS = {suffix: dimension for dimension, table in _UNITS.items() for suffi
 _ORDERED = sorted(_SUFFIXES, key=len, reverse=True)
 
 
-def strip_suffix(key, reserved=()):
-    """Return (base_name, factor) for a possibly unit-suffixed key.
-
-    Keys listed in reserved are canonical names (possibly ending in what
-    looks like a suffix, e.g. 'r_m') and pass through unscaled.
-    """
-    if key in reserved:
-        return key, 1.0
+def strip_suffix(key):
+    """Return (base_name, factor) for a possibly unit-suffixed key."""
     for suf in _ORDERED:
         if key.endswith(suf) and len(key) > len(suf):
             return key[: -len(suf)], _SUFFIXES[suf]
@@ -43,7 +36,7 @@ def is_number(value):
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def normalize(mapping, reserved=()):
+def normalize(mapping):
     """Convert a {key: value} mapping to base units, stripping suffixes.
 
     Values other than numbers (see is_number) pass through untouched.
@@ -51,7 +44,7 @@ def normalize(mapping, reserved=()):
     """
     out = {}
     for key, value in mapping.items():
-        base, factor = strip_suffix(key, reserved)
+        base, factor = strip_suffix(key)
         if base in out:
             raise ValueError(f"duplicate parameter after unit conversion: {base!r}")
         out[base] = value * factor if is_number(value) else value

@@ -53,16 +53,17 @@ def _robustness_config(samples=40):
 # --------------------------------------------------------------------------
 
 def test_unit_suffix_conversion():
-    out = normalize({"gamma_2pi_MHz": 0.24, "sigma_t_ns": 210, "l_cav_cm": 9.8,
-                     "plain": 3})
+    out = normalize({"gamma_2pi_MHz": 0.24, "sigma_t_ns": 210, "plain": 3})
     assert out["gamma"] == pytest.approx(2 * math.pi * 0.24e6)
     assert out["sigma_t"] == pytest.approx(210e-9)
-    assert out["l_cav"] == pytest.approx(0.098)
     assert out["plain"] == 3
 
 
-def test_reserved_names_not_stripped():
-    assert strip_suffix("r_m", reserved=("r_m",)) == ("r_m", 1.0)
+def test_no_parameter_name_ends_in_a_unit_suffix():
+    # so every parameter passes through strip_suffix unscaled ("r_m" among them)
+    for exp in EXPERIMENTS.values():
+        for name in ("seed", *exp.required, *exp.optional):
+            assert strip_suffix(name) == (name, 1.0), name
     assert strip_suffix("tau_shuttle_us")[0] == "tau_shuttle"
 
 
@@ -90,14 +91,6 @@ def test_longest_suffix_wins(base, pair, value):
     _, long = pair
     assert normalize({base + long: value}) == {base: value * _SUFFIXES[long]}
     assert normalize({base + "_ms": value}) == {base: value * 1e-3}
-
-
-@settings(max_examples=100, deadline=None)
-@given(base=_BASE, suf=_SUFFIX, value=_NUMBER)
-def test_reserved_keys_pass_through_unscaled(base, suf, value):
-    key = base + suf
-    assert normalize({key: value}, reserved=(key,)) == {key: value}
-    assert normalize({"r_m": value}, reserved=("r_m",)) == {"r_m": value}
 
 
 @settings(max_examples=100, deadline=None)
@@ -605,6 +598,11 @@ def _csv(raw, workers=1):
     return table_bytes(rows, cols)
 
 
+def test_columns_of_unequal_length_are_an_error_row():
+    tails, failed = runner._call(lambda p: {"a": [1.0, 2.0], "b": [3.0]}, {}, ("a", "b"))
+    assert failed == 1 and tails == [',,"ValueError: output columns of lengths [1, 2]"\n']
+
+
 def test_reproducible_across_worker_counts():
     cfg = parse_config(_robustness_config(samples=24))
     rows_1, cols, _ = run_sweep(cfg, workers=1)
@@ -689,11 +687,9 @@ def test_non_finite_detuning_becomes_its_own_error_row(bad, monkeypatch):
     exp = EXPERIMENTS["tm_spectrum"]
 
     def overflowing(p):
-        rows = exp.fn(p)
-        for row in rows:
-            if row["delta_rad_s"] == 0.0:
-                row["abs2_r"] = bad
-        return rows
+        cols = exp.fn(p)
+        cols["abs2_r"] = np.where(cols["delta_rad_s"] == 0.0, bad, cols["abs2_r"])
+        return cols
 
     raw = _spectrum_config([{"name": "delta_2pi_GHz", "start": -4.0, "stop": 4.0,
                              "points": 5}])
@@ -713,8 +709,8 @@ def test_short_line_is_rerun_point_by_point(monkeypatch):
     good = _csv(raw)
 
     def short(p):  # a line that loses a row must not shift the rows after it
-        rows = exp.fn(p)
-        return rows[1:] if np.ndim(p["delta"]) else rows
+        cols = exp.fn(p)
+        return {c: col[1:] for c, col in cols.items()} if np.ndim(p["delta"]) else cols
 
     monkeypatch.setitem(EXPERIMENTS, "tm_spectrum", dataclasses.replace(exp, fn=short))
     assert _csv(raw) == good
@@ -736,8 +732,9 @@ def _reference_body(config):
     """The CSV body built from row dicts, one per row, through csv.writer.
 
     Every point is evaluated on its own, so line tasks, their order and
-    the worker count play no part.  A point that raises, or returns a NaN
-    or infinite float, is one row of empty outputs and the error.
+    the worker count play no part.  A point that returns columns has row
+    k made of each column's k-th entry.  A point that raises, or returns
+    a NaN or infinite float, is one row of empty outputs and the error.
     """
     exp = EXPERIMENTS[config.experiment]
     names = config.axis_names()
@@ -749,6 +746,8 @@ def _reference_body(config):
         axis_values = {name: p[name] for name in names}
         try:
             outs = exp.fn(dict(p))
+            if isinstance(outs, dict):
+                outs = [dict(zip(outs, row)) for row in zip(*outs.values(), strict=True)]
             error = next((f"DomainError: non-finite output {c} = {float(v)!r}"
                           for out in outs for c, v in out.items()
                           if isinstance(v, float) and not math.isfinite(v)), None)
@@ -788,14 +787,45 @@ def _odd_spectrum(p):
     return rows
 
 
+_ODD_FLOATS = [-0.0, 5e-324, 1 / 3, 1e308]
+_ODD_OBJECTS = [None, "x,y", 'say "hi"', "two\nlines", 2.5, "nan"]
+
+
+def _odd_columns(p):
+    """tm_spectrum stand-in returning columns, which n_channels picks for its line.
+
+    1: float64, int64, bool and object columns; 2: the same with one column
+    an entry short on a line; 3: NaN delta_rad_s at detunings 3 and 9 and
+    an infinite abs2_r at 7 and 9, so that 9 holds two.
+    """
+    d = np.atleast_1d(p["delta"]).astype(np.int64)
+    floats = np.array(_ODD_FLOATS)[d % 4]
+    objects = np.array([_ODD_OBJECTS[k % 6] for k in d.tolist()], dtype=object)
+    cols = {"delta_rad_s": floats, "re_r": d * 10**15 - 7, "im_r": d % 3 == 0,
+            "abs2_r": objects}
+    case = int(p["n_channels"])
+    if case == 2 and d.size > 1:
+        cols["re_r"] = cols["re_r"][:-1]
+    if case == 3:
+        floats[(d == 3) | (d == 9)] = np.nan
+        objects[(d == 7) | (d == 9)] = math.inf
+    return cols
+
+
 _ODD_TABLE = {"experiment": "tm_spectrum", "seed": 1, "parameters": dict(_WVM_PARAMETERS),
               "sweep": [{"name": "delta", "start": 0.0, "stop": 11.0, "points": 12},
                         {"name": "atom_state", "start": 0, "stop": 1, "points": 2}],
               "output": {"path": "odd.csv"}}
 
 
+_ODD_COLUMNS_TABLE = dict(_ODD_TABLE, sweep=[
+    {"name": "delta", "start": 0.0, "stop": 11.0, "points": 12},
+    {"name": "n_channels", "start": 1, "stop": 3, "points": 3}])
+
+
 @pytest.mark.parametrize("table, workers", [
-    ("odd_cells", 1), ("wvm_rows", 1), ("wvm_rows", 4), ("delta_outer", 1), ("delta_outer", 4)])
+    ("odd_cells", 1), ("odd_columns", 1), ("wvm_rows", 1), ("wvm_rows", 4), ("delta_outer", 1),
+    ("delta_outer", 4)])
 def test_streamed_body_is_bitwise_the_row_dict_table(table, workers, monkeypatch):
     if table == "odd_cells":
         # a fig7b-shaped sweep, delta outer, so each line task is strided;
@@ -804,6 +834,11 @@ def test_streamed_body_is_bitwise_the_row_dict_table(table, workers, monkeypatch
         monkeypatch.setitem(EXPERIMENTS, "tm_spectrum",
                             dataclasses.replace(exp, fn=_odd_spectrum))
         raw = _ODD_TABLE
+    elif table == "odd_columns":  # the same, with columns of each dtype
+        exp = EXPERIMENTS["tm_spectrum"]
+        monkeypatch.setitem(EXPERIMENTS, "tm_spectrum",
+                            dataclasses.replace(exp, fn=_odd_columns))
+        raw = _ODD_COLUMNS_TABLE
     elif table == "wvm_rows":  # several rows per point
         raw = {"experiment": "wvm_crosstalk", "seed": 3,
                "parameters": dict(_WVM_PARAMETERS, trials=3),
@@ -931,7 +966,7 @@ _RUN_LAYERS = {  # a one-point config of each experiment, and the layers besides
     "source_characterize": (dict(GAMMA_KEY, c_in=10, sigma_t_ns=663.15, kernel_points=41),
                             ("source",)),
     "protocol_eval": (dict(_PROTOCOL_PARAMS, source="gaussian"), ("gate", "protocols")),
-    "tm_spectrum": (dict(_WVM_PARAMETERS, n_channels=2, delta=0.0), ("gate", "transfer_matrix")),
+    "tm_spectrum": (dict(_WVM_PARAMETERS, n_channels=2, delta=0.0), ("transfer_matrix",)),
     "wvm_crosstalk": (dict(_WVM_PARAMETERS, n_channels=2, trials=1),
                       ("gate", "transfer_matrix")),
     "rate_tables": (_RATES_CONFIG["parameters"], ("rates",)),

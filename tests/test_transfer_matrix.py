@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capsim.gate
 import capsim.transfer_matrix as tmod
 from capsim.cavity import (CavityParams, WvmSystem, delay_matched_params, reflection_r0,
                            reflection_r1)
@@ -474,7 +475,7 @@ def test_antinode_capacity_checked_before_any_draw(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("drew antinodes for a trial that cannot fit")
 
-    monkeypatch.setattr(tmod, "_stream_states", no_draws)
+    monkeypatch.setattr(capsim.gate, "_stream_states", no_draws)  # read when drawing
     with pytest.raises(DomainError, match="channel -1 has fewer antinodes"):
         wvm_crosstalk(system, 3, trials=3, seed=1)
 
@@ -487,7 +488,7 @@ def test_wvm_inputs_checked_before_any_draw(monkeypatch, n_channels, trials, n_a
     def no_draws(*args, **kwargs):
         raise AssertionError("drew antinodes for inputs that cannot run")
 
-    monkeypatch.setattr(tmod, "_stream_states", no_draws)
+    monkeypatch.setattr(capsim.gate, "_stream_states", no_draws)  # read when drawing
     with pytest.raises(DomainError):
         wvm_crosstalk(_nanofiber_system(), n_channels, trials, seed=1, n_atoms=n_atoms)
 
