@@ -67,6 +67,12 @@ def test_no_parameter_name_ends_in_a_unit_suffix():
     assert strip_suffix("tau_shuttle_us")[0] == "tau_shuttle"
 
 
+def test_reserved_names_not_stripped():
+    # "r_m" is a mirror reflectivity, not r in metres
+    assert strip_suffix("r_m") == ("r_m", 1.0)
+    assert strip_suffix("tau_shuttle_us")[0] == "tau_shuttle"
+
+
 # bases without "_" cannot end in part of a suffix such as "_rad_s"
 _BASE = st.from_regex(r"[a-z][a-z0-9]{0,11}", fullmatch=True)
 _SUFFIX = st.sampled_from(sorted(_SUFFIXES))
@@ -91,6 +97,17 @@ def test_longest_suffix_wins(base, pair, value):
     _, long = pair
     assert normalize({base + long: value}) == {base: value * _SUFFIXES[long]}
     assert normalize({base + "_ms": value}) == {base: value * 1e-3}
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=_NUMBER)
+def test_reserved_keys_pass_through_unscaled(value):
+    names = {name for exp in EXPERIMENTS.values()
+             for name in (*exp.required, *exp.optional)}
+    assert "r_m" in names
+    assert normalize(dict.fromkeys(names, value)) == dict.fromkeys(names, value)
+    assert normalize({"r_m": value, "tau_shuttle_us": value}) == {
+        "r_m": value, "tau_shuttle": value * 1e-6}
 
 
 @settings(max_examples=100, deadline=None)
