@@ -40,9 +40,8 @@ _EXPORTS = {
                "TemporalKernel", "autocorrelation", "decompose", "evolve_master",
                "gaussian_target", "mode_overlap", "source_kernel"),
     "transfer_matrix": ("TmCavity", "calibrated_coupler", "central_antinode",
-                        "channel_chain", "channel_offsets", "tm_atom", "tm_mirror_in",
-                        "tm_mirror_out", "tm_propagation", "tm_reflectance", "wvm_chain",
-                        "wvm_crosstalk"),
+                        "channel_chain", "channel_offsets", "tm_mirror_in", "tm_mirror_out",
+                        "tm_reflectance", "wvm_chain", "wvm_crosstalk"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

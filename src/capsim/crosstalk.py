@@ -93,7 +93,14 @@ def crosstalk_fidelity_approx(c_in, n_atoms, delta_a, gamma):
         raise DomainError("inputs must be positive")
     if delta_a == 0.0:
         raise DomainError("delta_a must be nonzero")
-    return 0.5 * (1.0 + 0.75 * c_in) * (n_atoms * gamma / delta_a) ** 2
+    try:
+        approx = 0.5 * (1.0 + 0.75 * c_in) * (n_atoms * gamma / delta_a) ** 2
+    except OverflowError:  # squaring a finite ratio overflows; a division past the range gives inf
+        approx = math.inf
+    if not math.isfinite(approx):
+        raise DomainError(f"delta_a = {delta_a!r} is too small: the large-detuning "
+                          "infidelity overflows")
+    return approx
 
 
 def per_atom_infidelity(collective_infidelity, n_atoms):

@@ -1,14 +1,16 @@
 """Experiment registry: one entry point per scenario type.
 
 Each experiment is a pure function of its (unit-normalized) parameter map;
-it returns a list of output rows, each a {column: value} dict, except a
-line experiment (one with an array_param), which returns one sequence per
-output column, {column: sequence}.  The Monte-Carlo experiments draw from
-the config seed.  Each schema maps a parameter name to its kind (see
-config.KINDS; a tuple is an enum of its strings); the schemas drive config
-validation and the CLI's physical-sanity report.  The registry itself reads
-only the numpy-free cavity module: each experiment and sanity check imports
-the layer it calls, so validating a config loads only what its check runs.
+it returns one mapping {column: value} over its columns, each value a
+float or int scalar (one row) or a sequence of them (one row per entry,
+every column as long).  A column of any other dtype (bool, str,
+object) is not an output: the runner writes an error row in its place.
+The Monte-Carlo experiments draw from the config seed.  Each schema maps
+a parameter name to its kind (see config.KINDS; a tuple is an enum of
+its strings); the schemas drive config validation and the CLI's
+physical-sanity report.  The registry itself reads only the numpy-free
+cavity module: each experiment and sanity check imports the layer it
+calls, so validating a config loads only what its check runs.
 """
 
 import math
@@ -25,8 +27,8 @@ class ExperimentDef:
     columns: tuple
     sanity: callable = None
     # parameter that fn also accepts as a 1-D array; fn then returns each
-    # column as one sequence, entry k for element k (length 1 for a scalar),
-    # and the runner hands it a whole sweep line at once
+    # column as one float or int sequence, entry k for element k (length 1
+    # for a scalar), and the runner hands it a whole sweep line at once
     array_param: str = None
     # groups of parameters fn reads in place of one another: the first group
     # whose first name is given, else the last group, must be given in full
@@ -66,12 +68,12 @@ def _reflection_scan(p):
     delta = p["delta"]
     r0 = cav.reflection_r0(params, delta)
     r1 = cav.reflection_r1(params, delta)
-    return [{
+    return {
         "re_r0": r0.real, "im_r0": r0.imag, "abs2_r0": abs(r0) ** 2,
         "arg_r0": math.atan2(r0.imag, r0.real),
         "re_r1": r1.real, "im_r1": r1.imag, "abs2_r1": abs(r1) ** 2,
         "arg_r1": math.atan2(r1.imag, r1.real),
-    }]
+    }
 
 
 def _longpulse_metrics(p):
@@ -82,11 +84,11 @@ def _longpulse_metrics(p):
     conventional = caps_longpulse(params, cav.InterfaceOptics(r_m=1.0))
     matched = caps_longpulse(params, cav.InterfaceOptics(r_m=cav.r_opt(params.c_in)))
     chosen = caps_longpulse(params, cav.InterfaceOptics(r_m=_mirror(p, params)))
-    return [{
+    return {
         "f_c": chosen.f_c, "infidelity": chosen.infidelity,
         "p_success": chosen.p_success, "leakage": chosen.leakage,
         "p_conventional": conventional.p_success, "p_opt": matched.p_success,
-    }]
+    }
 
 
 def _installed(p):
@@ -107,8 +109,7 @@ def _bandwidth_scan(p):
 
     params, optics = _installed(p)
     out = caps_finite_bandwidth(params, optics, p["sigma_t"])
-    return [{"f_c": out.f_c, "infidelity": out.infidelity,
-             "p_success": out.p_success}]
+    return {"f_c": out.f_c, "infidelity": out.infidelity, "p_success": out.p_success}
 
 
 def _robustness(p):
@@ -119,9 +120,9 @@ def _robustness(p):
                             seed=int(p["seed"]), **_given(p, samples=int))
     if p.get("samples_out"):
         _write_samples(p["samples_out"], summary.samples)
-    return [{"mean_infidelity": summary.mean_infidelity,
-             "mean_success": summary.mean_success,
-             "n_resampled": summary.n_resampled}]
+    return {"mean_infidelity": summary.mean_infidelity,
+            "mean_success": summary.mean_success,
+            "n_resampled": summary.n_resampled}
 
 
 def _write_samples(path, samples):
@@ -143,9 +144,9 @@ def _crosstalk_scan(p):
     scenario = ct.matched_scenario(p["c_in"], gamma, n_atoms, delta_a)
     exact = ct.crosstalk_fidelity_exact(scenario)
     approx = ct.crosstalk_fidelity_approx(p["c_in"], n_atoms, delta_a, gamma)
-    return [{"delta_a": delta_a, "exact_infidelity": exact.infidelity,
-             "approx_infidelity": approx, "p_success": exact.p_success,
-             "per_atom_infidelity": ct.per_atom_infidelity(exact.infidelity, n_atoms)}]
+    return {"delta_a": delta_a, "exact_infidelity": exact.infidelity,
+            "approx_infidelity": approx, "p_success": exact.p_success,
+            "per_atom_infidelity": ct.per_atom_infidelity(exact.infidelity, n_atoms)}
 
 
 def _source_characterize(p):
@@ -160,10 +161,10 @@ def _source_characterize(p):
     if p.get("kernel_out"):
         kernel.save(p["kernel_out"])
     lams = decomp.eigenvalues
-    return [{"p_gen": kernel.p_gen, "purity": kernel.purity,
-             "lambda_1": float(lams[0]),
-             "lambda_2": float(lams[1]) if lams.size > 1 else 0.0,
-             "overlap_target": overlap}]
+    return {"p_gen": kernel.p_gen, "purity": kernel.purity,
+            "lambda_1": float(lams[0]),
+            "lambda_2": float(lams[1]) if lams.size > 1 else 0.0,
+            "overlap_target": overlap}
 
 
 _PROTOCOLS = ("memory_load", "type2", "type2_pair", "type3", "type1")
@@ -209,9 +210,9 @@ def _protocol_eval(p):
         result = proto.type3(photon, node)
     else:
         result = proto.type1(photon, photon)
-    return [{"fidelity": result.fidelity, "infidelity": 1.0 - result.fidelity,
-             "p_success": result.p_success, "p_gen": p_gen,
-             "p_gen_times_p_opt": p_gen * p_opt}]
+    return {"fidelity": result.fidelity, "infidelity": 1.0 - result.fidelity,
+            "p_success": result.p_success, "p_gen": p_gen,
+            "p_gen_times_p_opt": p_gen * p_opt}
 
 
 def _wvm_system(p):
@@ -244,11 +245,9 @@ def _wvm_crosstalk(p):
                            trials=int(p.get("trials", 50)),
                            seed=int(p["seed"]),
                            **_given(p, n_atoms=int))
-    rows = [{"trial": t, "channel": off, "infidelity": infid}
-            for t, off, infid in res.rows]
-    for row in rows:
-        row["mean_infidelity"] = res.mean_infidelity
-    return rows
+    trial, channel, infidelity = zip(*res.rows)
+    return {"trial": trial, "channel": channel, "infidelity": infidelity,
+            "mean_infidelity": [res.mean_infidelity] * len(trial)}
 
 
 def _rate_tables(p):
@@ -257,10 +256,10 @@ def _rate_tables(p):
     s = rt.MuxScenario(n_atoms=int(p["n_atoms"]), tau_s=p["tau_shuttle"],
                        sigma_t=p["sigma_t"], p_success=p["p_success"],
                        **_given(p, pulse_spacing_factor=float, n_channels=int, r_dark=float))
-    return [{"rate_time_mux": rt.rate_time_mux(s),
-             "rate_wavelength_mux": rt.rate_wavelength_mux(s),
-             "remainder_atoms": rt.remainder_atoms(s),
-             "dark_count_error": rt.dark_count_error(s.sigma_t, s.r_dark)}]
+    return {"rate_time_mux": rt.rate_time_mux(s),
+            "rate_wavelength_mux": rt.rate_wavelength_mux(s),
+            "remainder_atoms": rt.remainder_atoms(s),
+            "dark_count_error": rt.dark_count_error(s.sigma_t, s.r_dark)}
 
 
 # --------------------------------------------------------------------------

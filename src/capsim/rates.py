@@ -6,7 +6,7 @@ pulse_spacing_factor * sigma_t; wavelength multiplexing runs n_channels
 such pipelines in parallel on floor(n_atoms / n_channels) atoms each.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -36,10 +36,15 @@ class MuxScenario:
             raise DomainError("r_dark must be non-negative")
 
 
+def _pipeline_rate(s, n_atoms):
+    """Success rate of one channel addressing n_atoms of s in turn (1/s)."""
+    slot = s.pulse_spacing_factor * s.sigma_t
+    return n_atoms * s.p_success / (s.tau_s + slot * n_atoms)
+
+
 def rate_time_mux(s):
     """Success rate of single-channel time-multiplexed operation (1/s)."""
-    slot = s.pulse_spacing_factor * s.sigma_t
-    return s.n_atoms * s.p_success / (s.tau_s + slot * s.n_atoms)
+    return _pipeline_rate(s, s.n_atoms)
 
 
 def rate_wavelength_mux(s):
@@ -48,8 +53,7 @@ def rate_wavelength_mux(s):
     Atoms are split floor(n_atoms / n_channels) per channel; the remainder
     is idle (see remainder_atoms).
     """
-    sub = replace(s, n_atoms=s.n_atoms // s.n_channels, n_channels=1)
-    return s.n_channels * rate_time_mux(sub)
+    return s.n_channels * _pipeline_rate(s, s.n_atoms // s.n_channels)
 
 
 def remainder_atoms(s):

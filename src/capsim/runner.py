@@ -6,18 +6,21 @@ on which other points share its task, so results are byte-identical for
 any worker count.  When an experiment accepts one parameter as an array
 and the sweep has that axis, the points that differ only along it form a
 line, and each line is one task: the experiment evaluates the whole line
-in one call and returns one sequence per output column.  A point
-experiment's row dicts are transposed to columns, so every task's rows
-take one path: each float64 column is checked for NaN and infinity and
-formatted once, and the rows are joined with ",".  A point that raises,
-or returns a NaN or infinite output, becomes an error row; a line that
-fails, or returns columns of another length, is evaluated again point by
-point, so each failing point keeps its own row.  Relative "outfile"
-parameters are placed in the CSV's directory.  Each task's rows become CSV
-lines (shortest-roundtrip floats) as it returns; run_sweep holds every
-line in memory until the sweep ends, and write_outputs then writes them to
-the file.  Run metadata and health (timings, peak RSS) go to a JSON
-sidecar so the CSV body stays reproducible.
+in one call and returns one sequence per output column.  Every
+experiment returns float or int columns, a scalar being a one-row column,
+so every task's rows take one path: each column is converted once by
+np.asarray, all cells are checked for NaN and infinity in one pass, and
+a row is the repr of its cells joined with ",".  A point that raises, or
+returns a NaN or infinite output or a column of another dtype (bool,
+str, object), becomes an error row, the one row csv.writer quotes; a
+line that fails, or returns columns of another length, is evaluated
+again point by point, so each failing point keeps its own row.
+Relative "outfile" parameters are placed in the CSV's directory.  Each
+task's rows become CSV lines (shortest-roundtrip floats) as it returns;
+run_sweep holds every line in memory until the sweep ends, and
+write_outputs then writes them to the file.  Run metadata and health
+(timings, peak RSS) go to a JSON sidecar so the CSV body stays
+reproducible.
 """
 
 import collections
@@ -45,58 +48,41 @@ _CHUNK_TASKS = 1024
 _CHUNKS_PER_WORKER = 2
 
 
-def _columns(out, names):
-    """A line's {column: sequence}, or a point's row dicts transposed, in names order."""
-    if isinstance(out, dict):
-        return [out[name] for name in names]
-    return [[row.get(name, "") for row in out] for name in names]
-
-
-_NUMBERS = (int, float, np.integer, np.floating)  # cells csv.writer never quotes
-_NON_FINITE = frozenset(("nan", "inf", "-inf"))  # the texts of NaN and inf cells
-
-
-def _tails(cols, names):
+def _tails(out, names, rows=None):
     """Each row's CSV text after its axis cells: its outputs and an empty error cell.
 
-    A float64 column is checked by one np.isfinite and formatted in one
-    pass; any other column goes cell by cell through _format_cell.  A NaN
-    or inf output raises DomainError.  Rows are joined with ",", unless a
-    column holds a str or other object cell: then csv.writer writes every
-    row, quoting the cells that need it.
+    out maps each name to a float or int scalar (one row) or sequence (one
+    row per entry); each column is converted once and written as the repr
+    of its cells.  Raises TypeError for a column of any other dtype,
+    ValueError for columns of unequal length (or, when rows is given, not
+    rows long) and DomainError, naming the first, for a NaN or inf output.
     """
-    texts, quoted, suspect = [], False, False
-    for col in cols:
-        if type(col) is np.ndarray and col.dtype == np.float64:
-            suspect = suspect or not np.isfinite(col).all()
-            texts.append(map(float.__repr__, col.tolist()))
-        else:
-            cells = list(map(_format_cell, col))
-            suspect = suspect or not _NON_FINITE.isdisjoint(cells)
-            quoted = quoted or not all(isinstance(v, _NUMBERS) for v in col)
-            texts.append(cells)
-    if suspect:  # name the first, row by row; a "nan" text may also be a str output
-        for row in zip(*cols):
+    cols = []
+    for name in names:
+        col = np.asarray(out[name])
+        if col.dtype.kind not in "fiu":  # bool, str, object, or ints past int64
+            raise TypeError(f"output {name} of dtype {col.dtype}")
+        cells = col.tolist()
+        cols.append(cells if col.ndim else [cells])
+    lengths = set(map(len, cols))
+    if len(lengths) > 1 or rows is not None and lengths != {rows}:
+        raise ValueError(f"output columns of lengths {sorted(lengths)}")
+    if not all(map(math.isfinite, itertools.chain.from_iterable(cols))):
+        for row in zip(*cols):  # name the first, row by row
             for name, value in zip(names, row):
-                if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-                    raise DomainError(f"non-finite output {name} = {float(value)!r}")
-    if quoted:
-        return [_line(row + ("",)) for row in zip(*texts)]
+                if not math.isfinite(value):
+                    raise DomainError(f"non-finite output {name} = {value!r}")
+    texts = [map(repr, col) for col in cols]
     return list(map(",".join, zip(*texts, itertools.repeat("\n"))))  # "\n" ends the error cell
 
 
 def _call(fn, params, names, rows=None):
     """(row tails, 0) of one call (see _tails), or (one error row's tail, 1).
 
-    The call fails when fn raises, or returns columns of unequal length
-    (or, when rows is given, not rows long) or a NaN or inf output.
+    The call fails when fn raises or _tails rejects its output.
     """
     try:
-        cols = _columns(fn(dict(params)), names)
-        lengths = set(map(len, cols))
-        if len(lengths) > 1 or rows is not None and lengths != {rows}:
-            raise ValueError(f"output columns of lengths {sorted(lengths)}")
-        return _tails(cols, names), 0
+        return _tails(fn(dict(params)), names, rows), 0
     except Exception as exc:  # any failure becomes an error row, never a lost sweep
         return [_line([""] * len(names) + [f"{type(exc).__name__}: {exc}"])], 1
 
@@ -180,7 +166,7 @@ def run_sweep(config, workers=1):
     """
     exp = EXPERIMENTS[config.experiment]
     # each axis value's cell and its delimiter
-    axis_cells = [[_format_cell(v) + "," for v in axis.values.tolist()] for axis in config.sweep]
+    axis_cells = [[repr(v) + "," for v in axis.values.tolist()] for axis in config.sweep]
     shape = config.grid_shape()  # row-major: the last axis varies fastest
     strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
     points = [None] * config.grid_size()  # one tuple of lines per point, by flat index
@@ -200,16 +186,6 @@ def run_sweep(config, workers=1):
             points[indices[0]] = tuple([head + tail for tail in tails])
     columns = list(config.axis_names()) + list(exp.columns) + ["error"]
     return list(itertools.chain.from_iterable(points)), columns, n_failures
-
-
-def _format_cell(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
 
 
 def _line(cells):

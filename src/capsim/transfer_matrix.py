@@ -63,23 +63,6 @@ class TmCavity:
             raise DomainError("mirror transmittances must lie in (0, 1)")
 
 
-def tm_atom(gamma_1d, gamma_total, delta, delta_a):
-    """Transfer matrix of one linearly responding atom.
-
-    zeta = gamma_1d / (2 (delta - delta_a) + i gamma_total); unit
-    determinant for any parameters.  Broadcasts over array detunings,
-    returning shape (..., 2, 2).
-    """
-    delta = np.asarray(delta, dtype=float)
-    zeta = gamma_1d / (2.0 * (delta - delta_a) + 1j * gamma_total)
-    out = np.empty(zeta.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = 1.0 + 1j * zeta
-    out[..., 0, 1] = 1j * zeta
-    out[..., 1, 0] = -1j * zeta
-    out[..., 1, 1] = 1.0 - 1j * zeta
-    return out
-
-
 def tm_mirror_in(t_ex):
     s = math.sqrt(1.0 - t_ex)
     return np.array([[1.0, s], [s, 1.0]], dtype=complex) / math.sqrt(t_ex)
@@ -90,16 +73,6 @@ def tm_mirror_out(t_in):
     # putting the resonances at integer multiples of the free spectral range
     s = math.sqrt(1.0 - t_in)
     return np.array([[1.0, s], [-s, 1.0]], dtype=complex) / math.sqrt(t_in)
-
-
-def tm_propagation(length_frac, delta, omega_fsr, n0):
-    """Free propagation over a fraction of the cavity length."""
-    delta = np.asarray(delta, dtype=float)
-    phase = math.pi * (delta / omega_fsr + n0) * length_frac
-    out = np.zeros(phase.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(-1j * phase)
-    out[..., 1, 1] = np.exp(1j * phase)
-    return out
 
 
 def _chain_reflectance(cavity, delta, states=None):
@@ -114,10 +87,13 @@ def _chain_reflectance(cavity, delta, states=None):
     HIDDEN_DETUNING_FACTOR linewidths.
 
     Only the column v = M e0 enters M21 / M11.  It is built from the output
-    mirror inwards by the actions of tm_propagation and tm_atom on v; the
-    column after atoms j..n-1 depends only on their states, so each atom
-    takes one branch per state it can be in and the enumeration doubles
-    the column at every atom.  The input mirror's action is written out
+    mirror inwards: free propagation multiplies v0 by exp(-i phase) and v1
+    by exp(i phase); an atom, of matrix 1 + i zeta [[1, 1], [-1, -1]] with
+    zeta = gamma_1d / (2 (delta - delta_a) + i gamma_total), adds
+    i zeta (v0 + v1) to v0 and subtracts it from v1.  The column after
+    atoms j..n-1 depends only on their states, so each atom takes one
+    branch per state it can be in and the enumeration doubles the column
+    at every atom.  The input mirror's action is written out
     elementwise: a BLAS (2, 2) @ (2, k) product rounds differently for
     k > 1, which would make a row's reflection depend on its batch.
     """

@@ -362,6 +362,19 @@ def test_group_delay_overflow_becomes_domain_error_row(tmp_path):
     assert row["error"].startswith("DomainError: group delay overflows for cavity rates g = ")
 
 
+@pytest.mark.parametrize("delta_a", [1e-300, -1e-300, 5e-324])
+def test_crosstalk_approximation_overflow_becomes_domain_error_row(delta_a, tmp_path):
+    # (n_atoms gamma / delta_a)**2 raises OverflowError at 1e-300; at 5e-324
+    # the ratio itself is already infinite
+    cfg = {"experiment": "crosstalk_scan",
+           "parameters": dict(GAMMA_KEY, c_in=10.0, n_atoms=2, delta_a=delta_a),
+           "output": {"path": str(tmp_path / "approx.csv")}}
+    assert main(["run", _write(tmp_path, "approx.json", cfg)]) == 3
+    row = next(csv.DictReader(open(tmp_path / "approx.csv")))
+    assert row["error"] == (f"DomainError: delta_a = {delta_a!r} is too small: "
+                            "the large-detuning infidelity overflows")
+
+
 def test_longpulse_metrics_needs_no_group_delay(tmp_path):
     # at kappa_ex == kappa_in the uncoupled group delay has a pole; the long-pulse
     # metrics read only the mirror reflectivity, so the point is no error row
@@ -451,6 +464,31 @@ def test_list_experiments_covers_registry(capsys):
     assert main(["list-experiments"]) == 0
     printed = capsys.readouterr().out.split()
     assert sorted(printed) == sorted(EXPERIMENTS)
+
+
+# a bundled recipe per experiment; reflection_scan, which has none, probes
+# fig2e's cavity on resonance
+_CONTRACT_RECIPES = {"longpulse_metrics": "fig2e", "bandwidth_scan": "fig3b",
+                     "robustness": "fig3d", "crosstalk_scan": "fig4b",
+                     "rate_tables": "fig4c", "source_characterize": "fig5c",
+                     "protocol_eval": "fig6a", "tm_spectrum": "fig7b",
+                     "wvm_crosstalk": "fig7c"}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_every_experiment_returns_float_or_int_columns(experiment):
+    if experiment == "reflection_scan":
+        raw = dict(_resolve_config("fig2e"), experiment=experiment,
+                   parameters=dict(GAMMA_KEY, delta=0.0))
+    else:
+        raw = _resolve_config(_CONTRACT_RECIPES[experiment])
+    config = parse_config(raw)
+    p = config.point_parameters(0)
+    p.setdefault("seed", config.seed)
+    exp = EXPERIMENTS[experiment]
+    out = exp.fn(p)
+    assert tuple(out) == exp.columns
+    assert {np.asarray(col).dtype.kind for col in out.values()} <= set("fiu")
 
 
 def test_bundled_recipes_resolve_and_validate(capsys):
@@ -575,9 +613,9 @@ def test_protocol_on_an_exported_kernel_matches_the_source_built_in_place(tmp_pa
 @pytest.mark.parametrize("target", ["coupling_g", "cavity_freq", "length"])
 def test_static_length_deviation_applies_to_every_target(target):
     p = normalize(dict(GAMMA_KEY, c_in=100, sigma_t_ns=217.58, length_dev=0.2))
-    [static] = EXPERIMENTS["bandwidth_scan"].fn(dict(p))
-    [robust] = EXPERIMENTS["robustness"].fn(dict(p, target=target, fwhm=0.0,
-                                                 samples=3, seed=1))
+    static = EXPERIMENTS["bandwidth_scan"].fn(dict(p))
+    robust = EXPERIMENTS["robustness"].fn(dict(p, target=target, fwhm=0.0,
+                                               samples=3, seed=1))
     assert robust["mean_infidelity"] == pytest.approx(static["infidelity"], abs=1e-15)
     assert robust["mean_success"] == pytest.approx(static["p_success"], abs=1e-15)
     assert robust["n_resampled"] == 0
@@ -588,9 +626,9 @@ def test_static_atom_detuning_kept_by_every_target(target):
     # with no spread each target evaluates the nominal system, whose atom
     # sits delta_a away from the cavity
     p = normalize(dict(GAMMA_KEY, c_in=100, sigma_t_ns=217.58, delta_a_2pi_MHz=0.05))
-    [static] = EXPERIMENTS["bandwidth_scan"].fn(dict(p))
-    [robust] = EXPERIMENTS["robustness"].fn(dict(p, target=target, fwhm=0.0,
-                                                 samples=3, seed=1))
+    static = EXPERIMENTS["bandwidth_scan"].fn(dict(p))
+    robust = EXPERIMENTS["robustness"].fn(dict(p, target=target, fwhm=0.0,
+                                               samples=3, seed=1))
     assert robust["mean_infidelity"] == pytest.approx(static["infidelity"], abs=1e-15)
 
 
@@ -740,18 +778,17 @@ def _reference_cell(value):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    return repr(float(value))
 
 
 def _reference_body(config):
     """The CSV body built from row dicts, one per row, through csv.writer.
 
     Every point is evaluated on its own, so line tasks, their order and
-    the worker count play no part.  A point that returns columns has row
-    k made of each column's k-th entry.  A point that raises, or returns
-    a NaN or infinite float, is one row of empty outputs and the error.
+    the worker count play no part.  A point's mapping of scalars is one
+    row; a point that returns sequences has row k made of each column's
+    k-th entry.  A point that raises, or returns a NaN or infinite float,
+    is one row of empty outputs and the error.
     """
     exp = EXPERIMENTS[config.experiment]
     names = config.axis_names()
@@ -762,9 +799,9 @@ def _reference_body(config):
         p.setdefault("seed", config.seed)
         axis_values = {name: p[name] for name in names}
         try:
-            outs = exp.fn(dict(p))
-            if isinstance(outs, dict):
-                outs = [dict(zip(outs, row)) for row in zip(*outs.values(), strict=True)]
+            out = exp.fn(dict(p))
+            cols = [list(out[c]) if np.ndim(out[c]) else [out[c]] for c in exp.columns]
+            outs = [dict(zip(exp.columns, row)) for row in zip(*cols, strict=True)]
             error = next((f"DomainError: non-finite output {c} = {float(v)!r}"
                           for out in outs for c, v in out.items()
                           if isinstance(v, float) and not math.isfinite(v)), None)
@@ -773,8 +810,7 @@ def _reference_body(config):
         if error is not None:
             rows.append(dict(axis_values, **dict.fromkeys(exp.columns, ""), error=error))
             continue
-        rows += [dict(axis_values, **{c: out.get(c, "") for c in exp.columns}, error="")
-                 for out in outs]
+        rows += [dict(axis_values, **out, error="") for out in outs]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -783,75 +819,48 @@ def _reference_body(config):
     return buf.getvalue().encode()
 
 
-# cell values whose text csv.writer must quote, or whose type picks the format
-_ODD_CELLS = [np.float64(0.1), np.int64(-7), True, -0.0, 5e-324, math.inf, math.nan,
-              1 / 3, 2**70, np.bool_(False), "x,y", 'say "hi"', "two\nlines", None]
-_ODD_ERRORS = ["a, b", 'say "hi"', "two\nlines", 'all, "of\r\nthem"']
-
-
-def _odd_spectrum(p):
-    """tm_spectrum stand-in: each detuning 0..11 picks its cells, every third raises."""
-    rows = []
-    for d in np.atleast_1d(p["delta"]).tolist():
-        k = int(d) + 3 * int(p["atom_state"])
-        if k % 3 == 2:
-            raise ValueError(_ODD_ERRORS[k % 4])
-        row = {c: _ODD_CELLS[(k + j) % len(_ODD_CELLS)]
-               for j, c in enumerate(("delta_rad_s", "re_r", "im_r"))}
-        if k % 2:
-            row["abs2_r"] = _ODD_CELLS[k % len(_ODD_CELLS)]
-        rows.append(row)
-    return rows
-
-
 _ODD_FLOATS = [-0.0, 5e-324, 1 / 3, 1e308]
-_ODD_OBJECTS = [None, "x,y", 'say "hi"', "two\nlines", 2.5, "nan"]
 
 
 def _odd_columns(p):
     """tm_spectrum stand-in returning columns, which n_channels picks for its line.
 
-    1: float64, int64, bool and object columns; 2: the same with one column
-    an entry short on a line; 3: NaN delta_rad_s at detunings 3 and 9 and
-    an infinite abs2_r at 7 and 9, so that 9 holds two.
+    1: float64, int64 and uint64 columns, and a scalar float at a point;
+    2: the same with one column an entry short on a line, and detuning 5
+    raising an error whose text csv.writer must quote; 3: NaN delta_rad_s
+    at detunings 3 and 9 and an infinite abs2_r at 7 and 9, so that 9
+    holds two.
     """
-    d = np.atleast_1d(p["delta"]).astype(np.int64)
-    floats = np.array(_ODD_FLOATS)[d % 4]
-    objects = np.array([_ODD_OBJECTS[k % 6] for k in d.tolist()], dtype=object)
-    cols = {"delta_rad_s": floats, "re_r": d * 10**15 - 7, "im_r": d % 3 == 0,
-            "abs2_r": objects}
-    case = int(p["n_channels"])
-    if case == 2 and d.size > 1:
-        cols["re_r"] = cols["re_r"][:-1]
+    d, case = np.atleast_1d(p["delta"]).astype(np.int64), int(p["n_channels"])
+    floats, ratios = np.array(_ODD_FLOATS)[d % 4], d / 3
     if case == 3:
         floats[(d == 3) | (d == 9)] = np.nan
-        objects[(d == 7) | (d == 9)] = math.inf
+        ratios[(d == 7) | (d == 9)] = math.inf
+    cols = {"delta_rad_s": floats, "re_r": d * 10**15 - 7,
+            "im_r": (d % 3).astype(np.uint64), "abs2_r": ratios}
+    if d.size == 1:  # a point: a Python or numpy scalar is its one row
+        if case == 2 and d[0] == 5:
+            raise ValueError('all, "of\r\nthem"')
+        cols["abs2_r"] = float(ratios[0]) if d[0] % 2 else ratios[0]
+    elif case == 2:
+        cols["re_r"] = cols["re_r"][:-1]
     return cols
 
 
-_ODD_TABLE = {"experiment": "tm_spectrum", "seed": 1, "parameters": dict(_WVM_PARAMETERS),
-              "sweep": [{"name": "delta", "start": 0.0, "stop": 11.0, "points": 12},
-                        {"name": "atom_state", "start": 0, "stop": 1, "points": 2}],
-              "output": {"path": "odd.csv"}}
-
-
-_ODD_COLUMNS_TABLE = dict(_ODD_TABLE, sweep=[
-    {"name": "delta", "start": 0.0, "stop": 11.0, "points": 12},
-    {"name": "n_channels", "start": 1, "stop": 3, "points": 3}])
+_ODD_COLUMNS_TABLE = {"experiment": "tm_spectrum", "seed": 1,
+                      "parameters": dict(_WVM_PARAMETERS),
+                      "sweep": [{"name": "delta", "start": 0.0, "stop": 11.0, "points": 12},
+                                {"name": "n_channels", "start": 1, "stop": 3, "points": 3}],
+                      "output": {"path": "odd.csv"}}
 
 
 @pytest.mark.parametrize("table, workers", [
-    ("odd_cells", 1), ("odd_columns", 1), ("wvm_rows", 1), ("wvm_rows", 4), ("delta_outer", 1),
+    ("odd_columns", 1), ("wvm_rows", 1), ("wvm_rows", 4), ("delta_outer", 1),
     ("delta_outer", 4)])
 def test_streamed_body_is_bitwise_the_row_dict_table(table, workers, monkeypatch):
-    if table == "odd_cells":
-        # a fig7b-shaped sweep, delta outer, so each line task is strided;
-        # one worker, since a spawned worker would not see the patched registry
-        exp = EXPERIMENTS["tm_spectrum"]
-        monkeypatch.setitem(EXPERIMENTS, "tm_spectrum",
-                            dataclasses.replace(exp, fn=_odd_spectrum))
-        raw = _ODD_TABLE
-    elif table == "odd_columns":  # the same, with columns of each dtype
+    if table == "odd_columns":
+        # delta outer, so each line task is strided; one worker, since a
+        # spawned worker would not see the patched registry
         exp = EXPERIMENTS["tm_spectrum"]
         monkeypatch.setitem(EXPERIMENTS, "tm_spectrum",
                             dataclasses.replace(exp, fn=_odd_columns))
@@ -870,6 +879,30 @@ def test_streamed_body_is_bitwise_the_row_dict_table(table, workers, monkeypatch
     rows = list(csv.DictReader(io.StringIO(expected.decode())))
     assert len(lines) == len(rows)
     assert n_failures == sum(1 for row in rows if row["error"])
+
+
+@pytest.mark.parametrize("bad, dtype", [
+    ("x", "<U1"), (None, "object"), (True, "bool"), (np.True_, "bool"), (2**70, "object")],
+    ids=["str", "none", "true", "numpy-true", "2**70"])
+def test_output_of_another_dtype_becomes_its_own_error_row(bad, dtype, monkeypatch):
+    exp = EXPERIMENTS["tm_spectrum"]
+
+    def typed(p):  # the line holding detuning 0 gets a list, its point a scalar
+        cols = exp.fn(p)
+        if np.any(np.asarray(p["delta"]) == 0.0):
+            cols["abs2_r"] = [bad] * cols["abs2_r"].size if np.ndim(p["delta"]) else bad
+        return cols
+
+    raw = _spectrum_config([{"name": "delta_2pi_GHz", "start": -4.0, "stop": 4.0,
+                             "points": 5}])
+    good = _table_rows(*run_sweep(parse_config(raw))[:2])
+    monkeypatch.setitem(EXPERIMENTS, "tm_spectrum", dataclasses.replace(exp, fn=typed))
+    lines, cols, n_failures = run_sweep(parse_config(raw))
+    rows = _table_rows(lines, cols)
+    assert n_failures == 1 and len(rows) == 5
+    assert rows[2]["error"] == f"TypeError: output abs2_r of dtype {dtype}"
+    assert all(rows[2][c] == "" for c in exp.columns) and float(rows[2]["delta"]) == 0.0
+    assert rows[:2] + rows[3:] == good[:2] + good[3:]
 
 
 def test_sweep_memory_is_bounded_by_its_text(tmp_path):

@@ -19,9 +19,9 @@ from capsim.gate import _heralded, _snap_unit
 from capsim.runner import run_sweep
 from capsim.transfer_matrix import (TmCavity, calibrated_coupler,
                                     central_antinode, channel_chain,
-                                    channel_offsets, tm_atom, tm_mirror_in,
-                                    tm_mirror_out, tm_propagation,
-                                    tm_reflectance, wvm_chain, wvm_crosstalk)
+                                    channel_offsets, tm_mirror_in,
+                                    tm_mirror_out, tm_reflectance, wvm_chain,
+                                    wvm_crosstalk)
 
 GAMMA = 2 * math.pi * 0.24e6
 
@@ -50,8 +50,36 @@ def _single_atom_cavity(params, t_ex_target=0.001, n0=1001):
 
 
 # --------------------------------------------------------------------------
-# element matrices
+# element matrices, whose explicit product (_element_product_reflectance)
+# is the oracle for the chain's column recursion
 # --------------------------------------------------------------------------
+
+def tm_atom(gamma_1d, gamma_total, delta, delta_a):
+    """Transfer matrix of one linearly responding atom.
+
+    zeta = gamma_1d / (2 (delta - delta_a) + i gamma_total); unit
+    determinant for any parameters.  Broadcasts over array detunings,
+    returning shape (..., 2, 2).
+    """
+    delta = np.asarray(delta, dtype=float)
+    zeta = gamma_1d / (2.0 * (delta - delta_a) + 1j * gamma_total)
+    out = np.empty(zeta.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = 1.0 + 1j * zeta
+    out[..., 0, 1] = 1j * zeta
+    out[..., 1, 0] = -1j * zeta
+    out[..., 1, 1] = 1.0 - 1j * zeta
+    return out
+
+
+def tm_propagation(length_frac, delta, omega_fsr, n0):
+    """Free propagation over a fraction of the cavity length."""
+    delta = np.asarray(delta, dtype=float)
+    phase = math.pi * (delta / omega_fsr + n0) * length_frac
+    out = np.zeros(phase.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = np.exp(-1j * phase)
+    out[..., 1, 1] = np.exp(1j * phase)
+    return out
+
 
 def test_uncoupled_atom_is_the_identity():
     assert np.allclose(tm_atom(0.0, 2.0, 0.5, 0.0), np.eye(2))
