@@ -1,9 +1,9 @@
 """Scenario configs: JSON files with unit-suffixed keys.
 
 A config names one experiment, its parameters, up to three sweep axes,
-and the output location.  Dimensionful keys carry explicit unit suffixes
-("gamma_2pi_MHz", "sigma_t_ns") that ingestion strips while rescaling to
-base units (rad/s, s); see units.py for the suffix table.
+the output location and the seed; a key nothing reads is an error.  Unit
+suffixes on dimensionful keys ("gamma_2pi_MHz", "sigma_t_ns") are stripped
+while rescaling to base units (rad/s, s); see units.py for the table.
 """
 
 import json
@@ -38,16 +38,17 @@ KINDS = {
     "bit": ("0 or 1", lambda v: is_number(v) and v in (0, 1)),
     "mirror": ("'matched', 'unity' or a number in (0, 1]",
                lambda v: v in ("matched", "unity") or is_number(v) and 0 < v <= 1),
-    "coupling": ("'matched' or a number >= 0",
-                 lambda v: v == "matched" or is_number(v) and v >= 0),
+    "coupling": ("'matched' or a number > 0",
+                 lambda v: v == "matched" or is_number(v) and v > 0),
     "str": ("a string", lambda v: type(v) is str),
     "outfile": ("a file name, relative to the CSV's directory", lambda v: type(v) is str),
 }
-INTEGER_KINDS = ("posint", "count", "bit")
+INTEGER_KINDS = ("posint", "bit")
 # the dimension of each parameter that takes a unit suffix (units.DIMENSIONS names a suffix's)
 _DIMENSIONS = {**dict.fromkeys(("gamma", "g", "kappa_in", "kappa_ex", "delta", "delta_a",
                                 "omega_fsr", "omega_a", "r_dark"), "a rate"),
                **dict.fromkeys(("sigma_t", "tau_shuttle"), "a time")}
+_KEYS = ("experiment", "parameters", "sweep", "output", "seed")  # a config's top level
 _AXIS_KINDS = {"name": "str", "start": "real", "stop": "real", "points": "posint",
                "scale": ("lin", "log")}
 
@@ -116,12 +117,6 @@ class ScenarioConfig:
         return sha256(canon).hexdigest()[:16]
 
 
-def _kinds(exp_name):
-    """Each parameter's kind; every experiment takes a seed."""
-    exp = EXPERIMENTS[exp_name]
-    return {"seed": "count", **exp.required, **exp.optional}
-
-
 def parse_config(raw):
     errors = validate_raw(raw)
     if errors:
@@ -163,23 +158,28 @@ def _swept_errors(where, name, kind, ax, factor):
     return errors
 
 
+def _unknown_keys(where, obj, keys):
+    """The schema error of each key of obj that is none of keys: nothing reads it."""
+    return [f"{where}{key}: unknown key" for key in obj if key not in keys]
+
+
 def validate_raw(raw):
-    """Schema errors for a raw config dict (empty list when valid): each value
-    against its kind, a swept parameter's on the axis's unit-scaled endpoints."""
+    """Schema errors for a raw config dict (empty list when valid): each key nothing
+    reads, each value against its kind, a swept one's on the axis's scaled endpoints."""
     if not isinstance(raw, dict):
         return ["config must be a JSON object"]
     exp_name = raw.get("experiment")
     if not isinstance(exp_name, str) or exp_name not in EXPERIMENTS:
         return [f"experiment: unknown value {exp_name!r}; choose one of "
                 + ", ".join(sorted(EXPERIMENTS))]
-    exp, kinds = EXPERIMENTS[exp_name], _kinds(exp_name)
-    errors = kind_errors("seed", "count", raw.get("seed", 0))
+    exp, unknown = EXPERIMENTS[exp_name], f"not recognized by {exp_name}"
+    errors = kind_errors("seed", "count", raw.get("seed", 0)) + _unknown_keys("", raw, _KEYS)
     output, axes = raw.get("output", {}), raw.get("sweep", [])
     if not isinstance(output, dict):
         errors.append("output: must be a JSON object")
     else:
         errors += (kind_errors("output.path", "str", output.get("path", ""))
-                   + kind_errors("output.format", ("csv",), output.get("format", "csv")))
+                   + _unknown_keys("output.", output, ("path",)))
     if not isinstance(axes, list):
         errors.append("sweep: must be a JSON array")
         axes = []
@@ -192,6 +192,12 @@ def validate_raw(raw):
         params = normalize(parameters)
     except ValueError as exc:
         return errors + [f"parameters: {exc}"]
+    given = set(params) | {strip_suffix(ax["name"])[0] for ax in axes
+                           if isinstance(ax, dict) and type(ax.get("name")) is str}
+    alts = exp.alternatives
+    chosen = next((alt for alt in alts if alt[0] in given), alts[-1] if alts else ())
+    unread = {n: f"not read with {chosen[0]}" for alt in alts if alt != chosen for n in alt}
+    kinds = {n: k for n, k in {**exp.required, **exp.optional}.items() if n not in unread}
     for i, ax in enumerate(axes):
         where = f"sweep[{i}]"
         if not isinstance(ax, dict):
@@ -201,23 +207,20 @@ def validate_raw(raw):
         bad = [e for key, kind in _AXIS_KINDS.items()
                for e in (kind_errors(f"{where}.{key}", kind, ax[key]) if key in ax
                          else [f"{where}.{key}: missing"])]
+        bad += _unknown_keys(f"{where}.", ax, _AXIS_KINDS)
         errors += bad
         if not bad:
             name, factor = strip_suffix(ax["name"])
             errors += (_swept_errors(where, name, kinds[name], ax, factor) if name in kinds
-                       else [f"sweep axis {name!r}: not recognized by {exp_name}"])
+                       else [f"sweep axis {name!r}: {unread.get(name, unknown)}"])
             errors += _suffix_errors(f"{where}.name", ax["name"], kinds)
-    given = set(params) | {strip_suffix(ax["name"])[0] for ax in axes
-                           if isinstance(ax, dict) and type(ax.get("name")) is str}
-    alts = exp.alternatives
-    chosen = next((alt for alt in alts if alt[0] in given), alts[-1] if alts else ())
     errors += [f"parameters.{name}: required by {exp_name}"
                for name in (*exp.required, *chosen) if name not in given]
     for key in parameters:
         errors += _suffix_errors(f"parameters.{key}", key, kinds)
     for name, value in params.items():
         errors += (kind_errors(f"parameters.{name}", kinds[name], value) if name in kinds
-                   else [f"parameters.{name}: not recognized by {exp_name}"])
+                   else [f"parameters.{name}: {unread.get(name, unknown)}"])
     return errors
 
 
@@ -229,7 +232,6 @@ def sanity_warnings(config):
     # the first grid point, where every axis is at its start: the grid is
     # not built, so a sweep of any size is checked in constant memory
     p = dict(config.parameters, **{axis.name: float(axis.start) for axis in config.sweep})
-    p.setdefault("seed", config.seed)
     try:
         return list(exp.sanity(p))
     except Exception as exc:  # a failed check is reported, never fatal

@@ -5,12 +5,13 @@ it returns one mapping {column: value} over its columns, each value a
 float or int scalar (one row) or a sequence of them (one row per entry,
 every column as long).  A column of any other dtype (bool, str,
 object) is not an output: the runner writes an error row in its place.
-The Monte-Carlo experiments draw from the config seed.  Each schema maps
-a parameter name to its kind (see config.KINDS; a tuple is an enum of
-its strings); the schemas drive config validation and the CLI's
-physical-sanity report.  The registry itself reads only the numpy-free
-cavity module: each experiment and sanity check imports the layer it
-calls, so validating a config loads only what its check runs.
+The Monte-Carlo experiments draw from p["seed"], which the runner sets
+to the config seed.  Each schema maps a parameter name to its kind (see
+config.KINDS; a tuple is an enum of its strings); the schemas drive
+config validation and the CLI's physical-sanity report.  The registry
+itself reads only the numpy-free cavity module: each experiment and
+sanity check imports the layer it calls, so validating a config loads
+only what its check runs.
 """
 
 import math
@@ -30,8 +31,8 @@ class ExperimentDef:
     # column as one float or int sequence, entry k for element k (length 1
     # for a scalar), and the runner hands it a whole sweep line at once
     array_param: str = None
-    # groups of parameters fn reads in place of one another: the first group
-    # whose first name is given, else the last group, must be given in full
+    # groups of parameters fn reads in place of one another: the first group whose
+    # first name is given, else the last, must be given in full, and no other group's name
     alternatives: tuple = ()
 
 
@@ -41,17 +42,13 @@ def _given(p, **casts):
 
 
 def _cavity_from(p):
-    """Build CavityParams from either explicit rates or (c_in, gamma)."""
+    """CavityParams from the rates g, kappa_in and kappa_ex, or delay-matched at c_in."""
     gamma, detuning = p["gamma"], _given(p, delta_a=float)
-    if "g" in p:
-        g, kappa_in, kappa_ex = p["g"], p["kappa_in"], p.get("kappa_ex", "matched")
-        if kappa_ex == "matched":  # kappa_ex_opt at c_in = CavityParams.c_in
-            kappa_ex = cav.kappa_ex_opt(kappa_in, g**2 / (2.0 * kappa_in * gamma))
-    elif "kappa_in" in p:
-        c_in, kappa_in = p["c_in"], p["kappa_in"]
-        g, kappa_ex = math.sqrt(2.0 * c_in * kappa_in * gamma), cav.kappa_ex_opt(kappa_in, c_in)
-    else:
+    if "c_in" in p:
         return cav.delay_matched_params(p["c_in"], gamma, **detuning)
+    g, kappa_in, kappa_ex = p["g"], p["kappa_in"], p["kappa_ex"]
+    if kappa_ex == "matched":  # kappa_ex_opt at c_in = CavityParams.c_in
+        kappa_ex = cav.kappa_ex_opt(kappa_in, g**2 / (2.0 * kappa_in * gamma))
     return cav.CavityParams(g=g, kappa_in=kappa_in, kappa_ex=kappa_ex, gamma=gamma, **detuning)
 
 
@@ -296,10 +293,9 @@ def _sanity_tm(p):
     return warnings
 
 
-_CAVITY = {"c_in": "positive", "g": "positive", "kappa_in": "positive",
-           "kappa_ex": "coupling", "delta_a": "real"}
-_OPTICS = dict(_CAVITY, r_m="mirror")
-_CAVITY_FROM = (("g", "kappa_in"), ("c_in",))  # _cavity_from's two ways to build a cavity
+_CAVITY = {"c_in": "positive", "g": "positive", "kappa_in": "positive", "kappa_ex": "coupling"}
+_OPTICS = dict(_CAVITY, delta_a="real", r_m="mirror")
+_CAVITY_FROM = (("g", "kappa_in", "kappa_ex"), ("c_in",))  # _cavity_from's two spellings
 _WVM = dict.fromkeys(("gamma", "omega_fsr", "omega_a", "sigma0_over_aeff", "c_over_vg",
                       "f_int"), "positive")  # _wvm_system's rates
 
@@ -307,7 +303,7 @@ EXPERIMENTS = {
     "reflection_scan": ExperimentDef(
         _reflection_scan,
         required={"gamma": "positive", "delta": "real"},
-        optional=_CAVITY, alternatives=_CAVITY_FROM,
+        optional=dict(_CAVITY, delta_a="real"), alternatives=_CAVITY_FROM,
         columns=("re_r0", "im_r0", "abs2_r0", "arg_r0",
                  "re_r1", "im_r1", "abs2_r1", "arg_r1")),
     "longpulse_metrics": ExperimentDef(

@@ -124,7 +124,7 @@ def _tasks(config, exp):
         p = config.point_parameters(first)
         if axis:
             p[axis] = config.sweep[a].values
-        p.setdefault("seed", config.seed)
+        p["seed"] = config.seed
         for name in out_files:
             if p.get(name):
                 p[name] = os.path.join(out_dir, p[name])

@@ -56,6 +56,8 @@ class SourceSpec:
     kernel_points: int = 201
 
     def __post_init__(self):
+        if self.params.delta_a != 0.0:  # build_model and DriveProfile are resonant
+            raise DomainError(f"delta_a = {self.params.delta_a}: the source models no detuning")
         if not (0.0 <= self.p_br <= 1.0):
             raise DomainError("p_br must lie in [0, 1]")
         if self.target_sigma_t <= 0.0:

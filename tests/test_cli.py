@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsim
-from capsim import gate, runner
+from capsim import gate, runner, transfer_matrix
 from capsim.cli import _recipe_names, _resolve_config, main
 from capsim.config import parse_config, sanity_warnings, validate_raw
 from capsim.errors import ConvergenceError
-from capsim.experiments import EXPERIMENTS
+from capsim.experiments import EXPERIMENTS, _installed, _wvm_system
 from capsim.runner import _peak_rss_mb, run_sweep, write_outputs
 from capsim.units import _SUFFIXES, normalize, strip_suffix
 from helpers import table_bytes
@@ -62,7 +62,7 @@ def test_unit_suffix_conversion():
 def test_no_parameter_name_ends_in_a_unit_suffix():
     # so every parameter passes through strip_suffix unscaled ("r_m" among them)
     for exp in EXPERIMENTS.values():
-        for name in ("seed", *exp.required, *exp.optional):
+        for name in (*exp.required, *exp.optional):
             assert strip_suffix(name) == (name, 1.0), name
     assert strip_suffix("tau_shuttle_us")[0] == "tau_shuttle"
 
@@ -484,11 +484,44 @@ def test_every_experiment_returns_float_or_int_columns(experiment):
         raw = _resolve_config(_CONTRACT_RECIPES[experiment])
     config = parse_config(raw)
     p = config.point_parameters(0)
-    p.setdefault("seed", config.seed)
+    p["seed"] = config.seed
     exp = EXPERIMENTS[experiment]
     out = exp.fn(p)
     assert tuple(out) == exp.columns
     assert {np.asarray(col).dtype.kind for col in out.values()} <= set("fiu")
+
+
+class _ReadRecorder(dict):
+    """A parameter map that records each name an experiment reads."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        self.read.add(name)
+        return super().get(name, default)
+
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_PERFBENCH_CONFIGS = sorted(str(path) for path in _PERFBENCH.glob("configs/*.json"))
+
+
+@pytest.mark.parametrize("name", _recipe_names() + _PERFBENCH_CONFIGS,
+                         ids=lambda name: Path(name).stem)
+def test_every_parameter_of_a_bundled_config_is_read(name, tmp_path):
+    config = parse_config(_resolve_config(name))
+    exp = EXPERIMENTS[config.experiment]
+    given = config.point_parameters(0)  # the parameters and one value of each axis
+    given.update({key: str(tmp_path / given[key]) for key, kind in exp.optional.items()
+                  if kind == "outfile" and key in given})
+    p = _ReadRecorder(given, seed=config.seed)
+    exp.fn(p)
+    assert set(given) <= p.read, set(given) - p.read
 
 
 def test_bundled_recipes_resolve_and_validate(capsys):
@@ -634,6 +667,37 @@ def test_static_atom_detuning_kept_by_every_target(target):
 
 _WVM_PARAMETERS = {"gamma_2pi_MHz": 0.24, "omega_fsr_2pi_GHz": 2.7, "omega_a_2pi_THz": 220,
                    "sigma0_over_aeff": 0.1, "c_over_vg": 1.4, "f_int": 2000}
+_SEEDED = {  # the two experiments that draw, one point each with a spread
+    "robustness": dict(GAMMA_KEY, c_in=100, sigma_t_ns=217.6, target="coupling_g",
+                       fwhm=0.2, samples=16),
+    "wvm_crosstalk": dict(_WVM_PARAMETERS, n_channels=3, trials=2),
+}
+
+
+def _drawn_mean(experiment, p, seed):
+    """The library's mean infidelity, drawn at seed, at the _SEEDED point p."""
+    if experiment == "robustness":
+        return gate.robustness_mc(*_installed(p), p["sigma_t"], p["target"], p["fwhm"],
+                                  samples=int(p["samples"]), seed=seed).mean_infidelity
+    return transfer_matrix.wvm_crosstalk(_wvm_system(p), int(p["n_channels"]), int(p["trials"]),
+                                         seed=seed).mean_infidelity
+
+
+@pytest.mark.parametrize("experiment", sorted(_SEEDED))
+def test_the_run_seed_is_the_seed_that_draws(experiment, tmp_path):
+    raw = {"experiment": experiment, "seed": 3, "parameters": _SEEDED[experiment],
+           "output": {"path": "seeded.csv"}}
+    cfg, p = _write(tmp_path, "seeded.json", raw), parse_config(raw).parameters
+    bodies = {}
+    for seed in (7, 8):
+        out = tmp_path / str(seed)
+        assert main(["run", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+        meta = json.loads((out / "seeded.csv.meta.json").read_text())
+        assert meta["seed"] == seed
+        bodies[seed] = (out / "seeded.csv").read_bytes()
+        rows = list(csv.DictReader(io.StringIO(bodies[seed].decode())))
+        assert float(rows[0]["mean_infidelity"]) == _drawn_mean(experiment, p, meta["seed"])
+    assert bodies[7] != bodies[8]
 
 
 def _spectrum_config(sweep):
@@ -796,7 +860,7 @@ def _reference_body(config):
     rows = []
     for i in range(config.grid_size()):
         p = config.point_parameters(i)
-        p.setdefault("seed", config.seed)
+        p["seed"] = config.seed
         axis_values = {name: p[name] for name in names}
         try:
             out = exp.fn(dict(p))

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from capsim.cli import _recipe_names, _resolve_config, main
-from capsim.config import INTEGER_KINDS, _kinds, parse_config
+from capsim.config import INTEGER_KINDS, parse_config
 from capsim.source import TemporalKernel
+from helpers import schema_kinds
 
 # fidelities, probabilities, reflectances and their per-atom or heralded forms
 _UNIT_INTERVAL = {"f_c", "fidelity", "infidelity", "p_success", "leakage", "p_conventional",
@@ -47,7 +48,7 @@ def test_recipe_runs_clean(name, run_recipe):
     assert len(rows) == sum(_rows_per_point(config, i) for i in range(config.grid_size()))
     values = [{k: float(v) for k, v in row.items()} for row in rows]
     assert all(math.isfinite(v) for row in values for v in row.values())
-    kinds = _kinds(config.experiment)
+    kinds = schema_kinds(config.experiment)
     for axis in config.axis_names():
         if kinds[axis] in INTEGER_KINDS:
             assert all(row[axis] % 1 == 0 for row in values), axis

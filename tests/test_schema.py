@@ -9,25 +9,29 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from capsim.cli import main
-from capsim.config import (_DIMENSIONS, KINDS, _kinds, kind_errors, parse_config,
-                           sanity_warnings, validate_raw)
+from capsim.config import (_DIMENSIONS, KINDS, kind_errors, parse_config, sanity_warnings,
+                           validate_raw)
 from capsim.experiments import EXPERIMENTS
 from capsim.runner import run_sweep
 from capsim.units import strip_suffix
-from helpers import table_bytes
+from helpers import schema_kinds, table_bytes
 
 GAMMA = {"gamma_2pi_MHz": 0.24}
 _WVM = dict(GAMMA, omega_fsr_2pi_GHz=2.7, omega_a_2pi_THz=220, sigma0_over_aeff=0.1,
             c_over_vg=1.4, f_int=2000)
 _BASE = {
+    "reflection_scan": dict(GAMMA, c_in=10, delta=0.0),
     "longpulse_metrics": dict(GAMMA, c_in=10),
+    "bandwidth_scan": dict(GAMMA, c_in=100, sigma_t_ns=217.6),
     "robustness": dict(GAMMA, c_in=100, sigma_t_ns=217.6, target="coupling_g", samples=8),
     "rate_tables": {"n_atoms": 200, "tau_shuttle_us": 100, "sigma_t_ns": 210, "p_success": 0.65},
-    "crosstalk_scan": dict(GAMMA, c_in=10, delta_ratio=100),
+    "crosstalk_scan": dict(GAMMA, c_in=10, n_atoms=5, delta_ratio=100),
     "source_characterize": dict(GAMMA, c_in=10, sigma_t_ns=663.15, kernel_points=41),
     "tm_spectrum": dict(_WVM, n_channels=2, delta=0.0),
     "protocol_eval": dict(GAMMA, c_in=100, sigma_t_ns=232, source="gaussian", protocol="type2"),
+    "wvm_crosstalk": dict(_WVM, n_channels=2, trials=1),
 }
+_RATES = dict(GAMMA, g=1e6, kappa_in=1e6)  # a cavity by its rates, kappa_ex still to give
 
 
 def _config(experiment, sweep=(), **parameters):
@@ -57,7 +61,8 @@ def test_every_kind_in_the_registry_is_known():
 
 def test_every_dimensionful_parameter_is_a_number_of_the_registry():
     for name in _DIMENSIONS:
-        kinds = [exp_kinds[name] for exp_kinds in map(_kinds, EXPERIMENTS) if name in exp_kinds]
+        kinds = [exp_kinds[name] for exp_kinds in map(schema_kinds, EXPERIMENTS)
+                 if name in exp_kinds]
         assert kinds and set(kinds) <= {"real", "positive", "nonneg", "coupling"}, name
 
 
@@ -73,8 +78,11 @@ _PINNED = {
     "c_in-true": (_config("longpulse_metrics", c_in=True), "parameters.c_in"),
     "r_m-string": (_config("longpulse_metrics", r_m="x"), "parameters.r_m"),
     "r_m-above-one": (_config("longpulse_metrics", r_m=2.0), "parameters.r_m"),
-    "kappa_ex-string": (_config("longpulse_metrics", g=1e6, kappa_in=1e6, kappa_ex="abc"),
-                        "parameters.kappa_ex"),
+    "kappa_ex-string": (dict(_config("longpulse_metrics"),
+                             parameters=dict(_RATES, kappa_ex="abc")), "parameters.kappa_ex"),
+    # CavityParams needs kappa_ex > 0: every point was a DomainError row
+    "kappa_ex-zero": (dict(_config("longpulse_metrics"), parameters=dict(_RATES, kappa_ex=0)),
+                      "parameters.kappa_ex"),
     "parameter-seed-string": (_config("robustness", seed="abc"), "parameters.seed"),
     "seed-negative": (dict(_config("robustness"), seed=-1), "seed"),
     "c_in-infinite": (_config("longpulse_metrics", c_in=float("inf")), "parameters.c_in"),
@@ -117,6 +125,31 @@ _PINNED = {
     "crosstalk-without-detuning": (dict(_config("crosstalk_scan"),
                                         parameters=dict(GAMMA, c_in=10, n_atoms=5)),
                                    "parameters.delta_a"),
+    "g-without-kappa_ex": (dict(_config("longpulse_metrics"), parameters=_RATES),
+                           "parameters.kappa_ex"),
+    # keys that nothing read: each config ran as if the key were absent
+    "seeds": (dict(_config("longpulse_metrics"), seeds=[1, 2]), "seeds"),
+    "sweeps": (dict(_config("longpulse_metrics"), sweeps=[_axis("c_in", 1, 10, 2)]), "sweeps"),
+    "output-pth": (dict(_config("longpulse_metrics"), output={"path": "x.csv", "pth": "y.csv"}),
+                   "output.pth"),
+    "output-format": (dict(_config("longpulse_metrics"),
+                           output={"path": "x.csv", "format": "csv"}), "output.format"),
+    "axis-sacle": (dict(_config("longpulse_metrics", [dict(_axis("c_in", 1, 10, 2), sacle="log")]),
+                        parameters=GAMMA), "sweep[0].sacle"),
+    # a second spelling of the cavity or detuning beside the one read was ignored
+    # (kappa_in beside c_in built a third cavity, which dropped any kappa_ex)
+    "c_in-with-g": (_config("longpulse_metrics", **_RATES, kappa_ex="matched"),
+                    "parameters.c_in"),
+    "kappa_in-with-c_in": (_config("bandwidth_scan", kappa_in=1e6), "parameters.kappa_in"),
+    "kappa_ex-with-c_in": (_config("bandwidth_scan", kappa_ex=1e6), "parameters.kappa_ex"),
+    "c_in-axis-with-g": (dict(_config("reflection_scan", [_axis("c_in", 1, 10, 2)]),
+                              parameters=dict(_RATES, kappa_ex=2e6, delta=0.0)),
+                         "sweep axis 'c_in'"),
+    "delta_a-with-delta_ratio": (_config("crosstalk_scan", delta_a=1e6), "parameters.delta_a"),
+    "delta_a-axis-with-delta_ratio": (_config("crosstalk_scan", [_axis("delta_a", 1, 2, 2)]),
+                                      "sweep axis 'delta_a'"),
+    # the source model has no atomic detuning: 1.06e6 rad/s gave the kernel of 0 bit for bit
+    "source-delta_a": (_config("source_characterize", delta_a=1.06e6), "parameters.delta_a"),
 }
 
 
@@ -141,6 +174,16 @@ def test_seed_override_is_checked_like_the_config_seed(tmp_path, capsys):
     assert meta["seed"] == 3 and meta["failures"] == 0
 
 
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_a_seed_parameter_is_a_schema_error(experiment):
+    # the top-level seed (or --seed) is the one seed; a seed parameter overrode it
+    # in robustness and wvm_crosstalk and was read by no other experiment
+    assert validate_raw(_config(experiment, seed=3)) == [
+        f"parameters.seed: not recognized by {experiment}"]
+    assert validate_raw(_config(experiment, [_axis("seed", 1, 3, 3)])) == [
+        f"sweep axis 'seed': not recognized by {experiment}"]
+
+
 # --------------------------------------------------------------------------
 # property: validate_raw is total, and what it accepts runs
 # --------------------------------------------------------------------------
@@ -159,7 +202,8 @@ _VALID = {
     "bit": st.sampled_from([0, 1, 0.0, 1.0]),
     "mirror": st.one_of(st.sampled_from(["matched", "unity"]),
                         st.floats(0.0, 1.0, exclude_min=True)),
-    "coupling": st.one_of(st.just("matched"), st.floats(min_value=0.0, allow_infinity=False)),
+    "coupling": st.one_of(st.just("matched"),
+                          st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
     "str": st.text(max_size=6),
     "outfile": st.text(max_size=6),
 }
@@ -182,7 +226,7 @@ _ALLOWED_ERRORS = ("DomainError", "ConvergenceError", "OverflowError", "ZeroDivi
 def _configs(draw):
     experiment = draw(st.sampled_from(sorted(EXPERIMENTS)))
     exp = EXPERIMENTS[experiment]
-    kinds = _kinds(experiment)
+    kinds = schema_kinds(experiment)
     bad = st.integers(0, 39).map(lambda k: k == 0)  # one draw in forty is invalid
 
     def value(kind):
@@ -191,6 +235,9 @@ def _configs(draw):
         return draw(st.sampled_from(kind) if isinstance(kind, tuple) else _VALID[kind])
 
     names = sorted(kinds)
+    if exp.alternatives and not draw(bad):  # one spelling of the cavity or the detuning
+        chosen = draw(st.sampled_from(exp.alternatives))
+        names = [n for n in names if n in chosen or not any(n in alt for alt in exp.alternatives)]
     suffix = st.sampled_from([""] * 8 + ["_ns", "_2pi_MHz"])  # a unit, or an error
     params = {name + draw(suffix): value(kinds[name]) for name in names
               if draw(st.integers(0, 5)) or name in exp.required}
@@ -224,7 +271,7 @@ def test_accepted_configs_run_without_type_errors(raw):
             parse_config(raw)
         return
     config = parse_config(raw)
-    kinds = _kinds(config.experiment)
+    kinds = schema_kinds(config.experiment)
     assert all(isinstance(w, str) for w in sanity_warnings(config))
     if config.experiment not in _RUNNABLE or config.grid_size() != 1:
         return

@@ -510,3 +510,11 @@ def test_spec_validation():
         _spec(target_sigma_t=-1.0)
     with pytest.raises(DomainError):
         _spec(level_scheme="ladder")
+
+
+@pytest.mark.parametrize("delta_a", [1.06e6, -1e-3])
+def test_spec_rejects_an_atom_detuning(delta_a):
+    # the model is resonant: a detuned atom gave the kernel of delta_a = 0 bit for bit
+    with pytest.raises(DomainError, match="delta_a"):
+        _spec(params=delay_matched_params(10, GAMMA, delta_a=delta_a))
+    assert _spec(params=delay_matched_params(10, GAMMA, delta_a=0.0)).params == PARAMS10
