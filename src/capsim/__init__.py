@@ -5,6 +5,8 @@ Library layout:
   cavity           atom-cavity parameters, reflection responses, matching rules,
                    and the records the experiment registry reads (numpy-free)
   gate             heralded gate metrics (long-pulse, finite bandwidth, Monte-Carlo)
+  pulse_width      minimum pulse width of a delay-matched gate, one system at a
+                   time on Python complex numbers (numpy-free)
   crosstalk        spectator-atom crosstalk for time-multiplexed operation
   source           driven photon generation, two-time kernels, mode decomposition
   protocols        remote-entanglement protocols (memory loading, types I/II/II'/III)
@@ -31,9 +33,10 @@ _EXPORTS = {
                   "required_detuning"),
     "errors": ("CapsError", "ConfigError", "ConvergenceError", "DomainError"),
     "gate": ("GateOutcome", "GaussianPhoton", "RobustnessSummary", "caps_finite_bandwidth",
-             "caps_longpulse", "min_sigma_t", "robustness_mc"),
+             "caps_longpulse", "robustness_mc"),
     "protocols": ("NodeConfig", "ProtocolResult", "components_from_kernel", "matched_node",
                   "memory_load", "type1", "type2", "type2_mismatched", "type2_pair", "type3"),
+    "pulse_width": ("min_sigma_t",),
     "rates": ("MuxScenario", "dark_count_error", "rate_time_mux", "rate_wavelength_mux",
               "remainder_atoms"),
     "source": ("DriveProfile", "MasterEvolution", "ModeDecomposition", "SourceSpec",

@@ -165,7 +165,8 @@ def _unknown_keys(where, obj, keys):
 
 def validate_raw(raw):
     """Schema errors for a raw config dict (empty list when valid): each key nothing
-    reads, each value against its kind, a swept one's on the axis's scaled endpoints."""
+    reads, each parameter given twice (fixed and swept, or on two axes), each value
+    against its kind, a swept one's on the axis's scaled endpoints."""
     if not isinstance(raw, dict):
         return ["config must be a JSON object"]
     exp_name = raw.get("experiment")
@@ -198,6 +199,7 @@ def validate_raw(raw):
     chosen = next((alt for alt in alts if alt[0] in given), alts[-1] if alts else ())
     unread = {n: f"not read with {chosen[0]}" for alt in alts if alt != chosen for n in alt}
     kinds = {n: k for n, k in {**exp.required, **exp.optional}.items() if n not in unread}
+    swept = {}  # the first axis over each name: one value per parameter and point
     for i, ax in enumerate(axes):
         where = f"sweep[{i}]"
         if not isinstance(ax, dict):
@@ -214,6 +216,11 @@ def validate_raw(raw):
             errors += (_swept_errors(where, name, kinds[name], ax, factor) if name in kinds
                        else [f"sweep axis {name!r}: {unread.get(name, unknown)}"])
             errors += _suffix_errors(f"{where}.name", ax["name"], kinds)
+            if name in params:
+                errors.append(f"{where}.name: {name} is also given in parameters")
+            elif name in swept:
+                errors.append(f"{where}.name: {name} is swept by sweep[{swept[name]}] too")
+            swept.setdefault(name, i)
     errors += [f"parameters.{name}: required by {exp_name}"
                for name in (*exp.required, *chosen) if name not in given]
     for key in parameters:

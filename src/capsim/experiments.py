@@ -9,9 +9,10 @@ The Monte-Carlo experiments draw from p["seed"], which the runner sets
 to the config seed.  Each schema maps a parameter name to its kind (see
 config.KINDS; a tuple is an enum of its strings); the schemas drive
 config validation and the CLI's physical-sanity report.  The registry
-itself reads only the numpy-free cavity module: each experiment and
-sanity check imports the layer it calls, so validating a config loads
-only what its check runs.
+itself reads only the numpy-free cavity module, and each experiment
+imports the layer it calls.  The sanity checks stay numpy-free (the
+pulse-width check runs pulse_width.min_sigma_t), so validating a config
+loads no numerical module.
 """
 
 import math
@@ -264,20 +265,18 @@ def _rate_tables(p):
 # --------------------------------------------------------------------------
 
 def _sanity_bandwidth(p):
-    from .gate import min_sigma_t
+    from .pulse_width import min_sigma_t
 
-    warnings = []
-    if "sigma_t" in p and "c_in" in p:
-        try:
-            floor = min_sigma_t(p["c_in"], p["gamma"], target_infidelity=1e-4)
-        except Exception as exc:  # a failed check is reported, never fatal
-            return [f"parameters.sigma_t: minimum-pulse-width check failed: "
-                    f"{type(exc).__name__}: {exc}"]
-        if p["sigma_t"] < floor:
-            warnings.append(
-                "parameters.sigma_t: below the minimum-pulse-width criterion "
-                f"for gate infidelity 1e-4 ({floor:.3e} s at c_in={p['c_in']})")
-    return warnings
+    try:
+        c_in = p["c_in"] if "c_in" in p else _cavity_from(p).c_in
+        floor = min_sigma_t(c_in, p["gamma"], target_infidelity=1e-4)
+    except Exception as exc:  # a failed check is reported, never fatal
+        return [f"parameters.sigma_t: minimum-pulse-width check failed: "
+                f"{type(exc).__name__}: {exc}"]
+    if p["sigma_t"] < floor:
+        return ["parameters.sigma_t: below the minimum-pulse-width criterion "
+                f"for gate infidelity 1e-4 ({floor:.3e} s at c_in={c_in})"]
+    return []
 
 
 def _sanity_tm(p):

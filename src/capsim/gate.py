@@ -15,17 +15,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import (FLUCTUATION_TARGETS, delay_matched_params, matched_optics,
-                     reflection_r0, reflection_r1)
+from . import pulse_width
+from .cavity import FLUCTUATION_TARGETS, reflection_r0, reflection_r1
 from .errors import DomainError
+from .pulse_width import _EP_NODES, _EP_RING, _EP_SWITCH, _SQRT_PI
 
 _BOUND_SNAP = 1e-12  # values this close to the [0, 1] edges are snapped
-_SQRT_PI = math.sqrt(math.pi)
-# near the exceptional point (see _dd): switch, ring radius and node count
-_EP_SWITCH = 1e-3
-_EP_RING = 1e-2
-_EP_NODES = 4
-_SIGMA_T_REL_TOL = 1e-3  # relative bracket width at which min_sigma_t stops
 
 
 def _snap_unit(x, what):
@@ -317,38 +312,8 @@ def caps_finite_bandwidth(params, optics, sigma_t):
     return GateOutcome(f_c=1.0 - infidelity[0], p_success=p[0])
 
 
-def min_sigma_t(c_in, gamma, target_infidelity=1e-4):
-    """Smallest Gaussian pulse width reaching a target gate infidelity.
-
-    Inverts the finite-bandwidth gate evaluation by bisection for a
-    delay-matched, reflectivity-matched system of the given internal
-    cooperativity.  Infidelity is monotone decreasing in sigma_t in this
-    configuration.
-    """
-    params = delay_matched_params(c_in, gamma)
-    optics = matched_optics(params)
-
-    def infid(sig):
-        return caps_finite_bandwidth(params, optics, sig).infidelity
-
-    # below ~0.05/gamma the infidelity is far above any useful target
-    lo = 0.05 / gamma
-    hi = 1.0 / gamma
-    for _ in range(60):
-        if infid(hi) <= target_infidelity:
-            break
-        hi *= 2.0
-    else:
-        raise DomainError("no pulse width in range meets the target infidelity")
-    if infid(lo) <= target_infidelity:
-        return lo
-    while hi / lo - 1.0 > _SIGMA_T_REL_TOL:
-        mid = math.sqrt(lo * hi)
-        if infid(mid) <= target_infidelity:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+# pulse_width.min_sigma_t, bound here too: perfbench/traced_run.py traces it as gate.min_sigma_t
+min_sigma_t = pulse_width.min_sigma_t
 
 
 _RESAMPLE_CAP = 10

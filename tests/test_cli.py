@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsim
-from capsim import gate, runner, transfer_matrix
+from capsim import gate, pulse_width, runner, transfer_matrix
 from capsim.cli import _recipe_names, _resolve_config, main
 from capsim.config import parse_config, sanity_warnings, validate_raw
 from capsim.errors import ConvergenceError
@@ -261,6 +261,20 @@ def test_short_pulse_triggers_bandwidth_warning():
     assert any("minimum-pulse-width" in w for w in warnings)
 
 
+def test_bandwidth_warning_reads_either_cavity_spelling():
+    by_c_in = parse_config({"experiment": "bandwidth_scan", "seed": 1,
+                            "parameters": dict(GAMMA_KEY, c_in=100, sigma_t_ns=20.0)})
+    floor = ("parameters.sigma_t: below the minimum-pulse-width criterion for gate "
+             "infidelity 1e-4 (2.216e-07 s at c_in={})")
+    assert sanity_warnings(by_c_in) == [floor.format("100.0")]
+    # the same delay-matched cavity by its rates
+    params = _installed(by_c_in.parameters)[0]
+    by_rates = parse_config({"experiment": "bandwidth_scan", "seed": 1, "parameters": dict(
+        GAMMA_KEY, g=params.g, kappa_in=params.kappa_in, kappa_ex=params.kappa_ex,
+        sigma_t_ns=20.0)})
+    assert sanity_warnings(by_rates) == [floor.format(params.c_in)]
+
+
 @pytest.mark.parametrize("scale", ["lin", "log"])
 def test_sanity_check_builds_no_sweep_grid(scale):
     def config(points):
@@ -293,7 +307,7 @@ def test_failing_pulse_width_check_becomes_warning(monkeypatch):
     def no_floor(*args, **kwargs):
         raise ConvergenceError("no pulse width")
 
-    monkeypatch.setattr(gate, "min_sigma_t", no_floor)  # the sanity check reads it at call time
+    monkeypatch.setattr(pulse_width, "min_sigma_t", no_floor)  # the check reads it at call time
     cfg = {"experiment": "bandwidth_scan", "seed": 1,
            "parameters": dict(GAMMA_KEY, c_in=100, sigma_t_ns=500.0)}
     warnings = sanity_warnings(parse_config(cfg))
@@ -1057,16 +1071,12 @@ def test_import_loads_no_numpy_and_no_numerical_layer(statement):
     assert _child_modules(statement, ("numpy", *_LAYERS)) == []
 
 
-def test_validate_of_a_transfer_matrix_config_and_the_lists_load_no_numpy():
-    # fig7b is a tm_spectrum recipe, fig7c a wvm_crosstalk one
-    argvs = [["validate", "fig7b"], ["validate", "fig7c"], ["list-experiments"],
-             ["list-recipes"]]
+def test_validate_of_every_bundled_config_and_the_lists_load_no_numpy():
+    # the pulse-width check of the gate and protocol configs (fig3b, ..., gate_mc) included
+    assert _PERFBENCH_CONFIGS  # the workload configs were found
+    argvs = [*(["validate", c] for c in _recipe_names() + _PERFBENCH_CONFIGS),
+             ["list-experiments"], ["list-recipes"]]
     assert _cold_start_modules(argvs, ("numpy", *_LAYERS)) == []
-
-
-def test_validate_loads_only_the_layer_its_sanity_check_runs():
-    # fig3b is a bandwidth_scan recipe: its pulse-width check runs gate.min_sigma_t
-    assert _cold_start_modules([["validate", "fig3b"]], _LAYERS) == ["capsim.gate"]
 
 
 _RUN_LAYERS = {  # a one-point config of each experiment, and the layers besides runner it runs

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capsim import gate
+from capsim import gate, pulse_width
 from capsim.cavity import (CavityParams, InterfaceOptics, delay_matched_params,
                            kappa_ex_opt, matched_optics, pulse_delays, r_opt,
                            reflection_r0, reflection_r1, scaled_by_length_deviation)
 from capsim.errors import DomainError
 from capsim.gate import (GateOutcome, GaussianPhoton, caps_finite_bandwidth,
-                         caps_longpulse, min_sigma_t, robustness_mc)
+                         caps_longpulse, robustness_mc)
+from capsim.pulse_width import min_sigma_t
 
 GAMMA = 1.0
 
@@ -182,6 +183,8 @@ def test_wofz_matches_scipy_oracle(decade):
     assert np.sum(z.imag < 0.0) > 40_000 and np.sum(z.imag > 0.0) > 40_000
     ref = wofz(z)
     assert np.max(np.abs(gate._wofz(z) - ref) / np.abs(ref)) <= 1e-13
+    scalar = np.array([pulse_width._wofz(v) for v in z.tolist()])
+    assert np.max(np.abs(scalar - ref) / np.abs(ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("sigma_t", [0.0, -1.0, float("nan")])
@@ -202,6 +205,82 @@ def test_min_sigma_t_inverts_the_infidelity_curve():
     below = caps_finite_bandwidth(p, optics, sigma * 0.9).infidelity
     assert at <= 1e-4
     assert below > 1e-4 * 0.9
+
+
+# c_in at which r1's pole pair merges (h = 0) in a delay-matched system
+_C_EXCEPTIONAL = 1.2096745781318339
+
+
+def _pole_split(params):
+    """|h| / |Im m| of r1's pole pair m +- h, the distance from the exceptional point."""
+    r1 = gate._pole_form(*np.atleast_1d(params.g, params.kappa_in, params.kappa_ex,
+                                        params.gamma, params.delta_a, 0.0), 0.0)[1]
+    return float(np.abs(r1.h[0]) / np.abs(r1.m[0].imag))
+
+
+def _agreement_sample():
+    """(params, sigma_t): seeded delay-matched systems, detuned and resonant, and ones
+    at, inside and just outside the exceptional-point ring of gate._dd."""
+    rng = np.random.default_rng(39)
+    c_in = np.concatenate([10.0 ** rng.uniform(-1, 4, 300),
+                           [_C_EXCEPTIONAL],
+                           _C_EXCEPTIONAL * (1 + 10.0 ** rng.uniform(-12, -1, 200)
+                                             * rng.choice([-1, 1], 200))])
+    delta_a = np.where(rng.random(c_in.size) < 0.5, rng.uniform(-3, 3, c_in.size), 0.0)
+    delta_a[300:] = 0.0  # the pole pair merges only on resonance
+    sigma_t = 10.0 ** rng.uniform(np.log10(0.03), np.log10(300), c_in.size)
+    return [(delay_matched_params(c, GAMMA, delta_a=d), s)
+            for c, d, s in zip(c_in.tolist(), delta_a.tolist(), sigma_t.tolist())]
+
+
+def test_scalar_infidelity_matches_the_array_path():
+    # pulse_width's numpy-free 1 - F_c against gate._heralded over gate._gate_metrics.
+    # Between gate._dd's switch and its ring radius (|h| from 1e-3 to 1e-2 |Im m|) the
+    # difference quotient cancels 2-3 digits, and each path rounds differently: there
+    # the array path itself is off by up to 6e-13 from a 40-digit evaluation, so the
+    # paths are held to 2e-12 on those points and to 1e-13 on every other.
+    sample = _agreement_sample()
+    assert any(p.delta_a != 0.0 for p, _ in sample)
+    splits = [_pole_split(p) for p, _ in sample]
+    assert min(splits) < 1e-6 and sum(1e-3 <= s < 1e-2 for s in splits) >= 20
+    assert sum(s < 1e-3 for s in splits) >= 20
+    for (params, sigma_t), split in zip(sample, splits):
+        optics = matched_optics(params)
+        rates = (params.g, params.kappa_in, params.kappa_ex, params.gamma, params.delta_a)
+        array = gate._heralded(optics.r_m, *gate._gate_metrics(optics.tau_m, sigma_t, *rates,
+                                                               0.0))[0][0]
+        scalar = pulse_width._infidelity(optics.r_m, optics.tau_m, sigma_t, *rates)
+        bound = 2e-12 if 1e-3 <= split < 1e-2 else 1e-13
+        assert abs(scalar - array) <= bound, (params, sigma_t, split)
+
+
+def _bisected_min_sigma_t(c_in, gamma, target_infidelity):
+    """min_sigma_t's bisection over caps_finite_bandwidth, the array path."""
+    params = delay_matched_params(c_in, gamma)
+    optics = matched_optics(params)
+
+    def infid(sig):
+        return caps_finite_bandwidth(params, optics, sig).infidelity
+
+    lo, hi = 0.05 / gamma, 1.0 / gamma
+    while infid(hi) > target_infidelity:
+        hi *= 2.0
+    if infid(lo) <= target_infidelity:
+        return lo
+    while hi / lo - 1.0 > 1e-3:
+        mid = math.sqrt(lo * hi)
+        if infid(mid) <= target_infidelity:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("c_in", [0.5, 1.2097, 2.5, 3, 30, 100, 1000])
+def test_min_sigma_t_equals_the_array_path_bisection(c_in):
+    for gamma in (GAMMA, 2 * math.pi * 0.24e6):
+        assert min_sigma_t(c_in, gamma, 1e-4) == _bisected_min_sigma_t(c_in, gamma, 1e-4)
+    assert gate.min_sigma_t is min_sigma_t  # perfbench/traced_run.py traces it by this name
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ SRC = ROOT / "src" / "capsim"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
 # what `import capsim.cli` and `caps-sim validate` load; every other module is numerical
 COMMAND_LAYER = ("__init__.py", "__main__.py", "cavity.py", "cli.py", "config.py",
-                 "errors.py", "experiments.py", "units.py")
+                 "errors.py", "experiments.py", "pulse_width.py", "units.py")
 # the package's modules by file name, then every other script by its path from ROOT
 SCRIPTS = MODULES + [str(p.relative_to(ROOT)) for d in ("demos", "tests", "perfbench")
                      for p in sorted((ROOT / d).glob("*.py"))]

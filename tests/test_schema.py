@@ -150,6 +150,12 @@ _PINNED = {
                                       "sweep axis 'delta_a'"),
     # the source model has no atomic detuning: 1.06e6 rad/s gave the kernel of 0 bit for bit
     "source-delta_a": (_config("source_characterize", delta_a=1.06e6), "parameters.delta_a"),
+    # a parameter given twice: the axis overrode the fixed value, the later axis was never read
+    "c_in-fixed-and-swept": (_config("longpulse_metrics", [_axis("c_in", 1, 10, 2)]),
+                             "sweep[0].name"),
+    "c_in-two-axes": (dict(_config("longpulse_metrics", [_axis("c_in", 1, 10, 2),
+                                                         _axis("c_in", 20, 30, 2)]),
+                           parameters=GAMMA), "sweep[1].name"),
 }
 
 
@@ -250,7 +256,7 @@ def _configs(draw):
                                else _INVALID),
                 "scale": draw(st.sampled_from(["lin", "log"]) if not draw(bad) else _INVALID)}
         axes.append({k: v for k, v in axis.items() if not draw(bad)})  # a missing field
-        params.pop(name, None)
+        params = {k: v for k, v in params.items() if strip_suffix(k)[0] != name}
     raw = {"experiment": experiment, "parameters": params, "sweep": axes,
            "seed": value("count"), "output": {"path": "x.csv"}}
     for key in ("experiment", "parameters", "sweep", "output"):  # bad container shapes
@@ -291,8 +297,9 @@ def test_accepted_configs_run_without_type_errors(raw):
 # above (numpy's overflow warning); the second put inf inside its grid.
 _NEAR_MAX = 1.7976931348622103e308
 _LOG_AXES = {
-    "longpulse-c_in-1-point": _config("longpulse_metrics",
-                                      [_axis("c_in", _NEAR_MAX, 1.0, 1, "log")]),
+    "longpulse-c_in-1-point": dict(_config("longpulse_metrics",
+                                           [_axis("c_in", _NEAR_MAX, 1.0, 1, "log")]),
+                                   parameters=GAMMA),
     "rates-sigma_t-3-points": dict(
         _config("rate_tables", [_axis("sigma_t", _NEAR_MAX, _NEAR_MAX, 3, "log")]),
         parameters={"n_atoms": 200, "tau_shuttle_us": 100, "p_success": 0.65}),
