@@ -1079,6 +1079,20 @@ def test_validate_of_every_bundled_config_and_the_lists_load_no_numpy():
     assert _cold_start_modules(argvs, ("numpy", *_LAYERS)) == []
 
 
+def test_validate_of_a_transfer_matrix_config_and_the_lists_load_no_numpy():
+    # fig7b is a tm_spectrum recipe, fig7c a wvm_crosstalk one
+    argvs = [["validate", "fig7b"], ["validate", "fig7c"], ["list-experiments"],
+             ["list-recipes"]]
+    assert _cold_start_modules(argvs, ("numpy", *_LAYERS)) == []
+
+
+def test_validate_loads_only_the_layer_its_sanity_check_runs():
+    # fig3b is a bandwidth_scan recipe: its pulse-width check runs pulse_width.min_sigma_t,
+    # which lives in the command layer and loads no numerical layer
+    loaded = _cold_start_modules([["validate", "fig3b"]], ("capsim.pulse_width", *_LAYERS))
+    assert loaded == ["capsim.pulse_width"]
+
+
 _RUN_LAYERS = {  # a one-point config of each experiment, and the layers besides runner it runs
     "reflection_scan": (dict(GAMMA_KEY, c_in=100, delta=0.0), ()),
     "longpulse_metrics": (dict(GAMMA_KEY, c_in=100), ("gate",)),
